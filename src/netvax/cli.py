@@ -18,9 +18,7 @@ from typing import Optional, Sequence
 
 from . import harness
 from .graph import EdgeListError, erdos_renyi, load_edge_list, save_edge_list
-from .objective import build_context
-from .solvers import (BudgetError, brute_force, greedy_capacity,
-                      greedy_targeting, random_assignment, twni)
+from .solvers import BudgetError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -40,8 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="solve one drawn instance with one policy")
     solve.add_argument("--config", required=True, help="experiment config path")
-    solve.add_argument("--policy", default="greedy",
-                       choices=["greedy", "greedy_targeting", "brute", "random", "twni"])
+    solve.add_argument("--policy", default="greedy", choices=harness.POLICIES)
     solve.add_argument("--capacity-fraction", type=float, default=None,
                        help="overrides the first configured capacity fraction")
     solve.add_argument("--edges", default=None,
@@ -87,6 +84,8 @@ def _override(config: harness.ExperimentConfig, args: argparse.Namespace
             part.strip() for part in args.policies.split(",") if part.strip())
     if getattr(args, "mode", None):
         updates["mode"] = args.mode
+    if getattr(args, "capacity_fraction", None) is not None:
+        updates["capacity_fractions"] = (args.capacity_fraction,)
     if not updates:
         return config
     try:
@@ -112,46 +111,29 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.edges is not None:
         with open(args.edges, encoding="utf-8") as source:
             graph = load_edge_list(source)
-        inst = harness.draw_instance(graph.n_units, 0.0, params,
-                                     config.group1_probability,
-                                     config.initial_states, config.weights, seed)
-        inst = harness.Instance(graph, inst.pop, params,
-                                build_context(graph, inst.pop, params))
+        inst = harness.instance_on_graph(graph, params, config.group1_probability,
+                                         config.initial_states, config.weights, seed)
     else:
         inst = harness.draw_instance(config.n_units, config.density, params,
                                      config.group1_probability,
                                      config.initial_states, config.weights, seed)
-    fraction = args.capacity_fraction
-    if fraction is None:
-        fraction = config.capacity_fractions[0]
-    if not 0.0 < fraction <= 1.0:
-        raise harness.ConfigError(f"capacity fraction {fraction} must lie in (0, 1]")
-    d = max(1, round(fraction * inst.graph.n_units))
+    fraction = config.capacity_fractions[0]
+    d = harness.capacity_budget(fraction, inst.graph.n_units)
+    out = harness.run_policy(inst, args.policy, d, config,
+                             harness.replicate_seed(seed, 10_000))
 
     record: dict = {"policy": args.policy, "n_units": inst.graph.n_units,
                     "capacity": d, "capacity_fraction": fraction}
     if args.policy == "random":
-        summary = random_assignment(inst.ctx, d, config.random_draws,
-                                    harness.replicate_seed(seed, 10_000))
+        summary = out.result
         record.update(mean_f=summary.mean_f, sd_f=summary.sd_f,
                       mean_welfare=summary.mean_welfare,
                       sd_welfare=summary.sd_welfare, draws=summary.draws)
     else:
-        if args.policy == "greedy":
-            res = greedy_capacity(inst.ctx, d)
-        elif args.policy == "brute":
-            res = brute_force(inst.ctx, d)
-        elif args.policy == "twni":
-            res = twni(inst.ctx, d, inst.pop.group)
-        else:
-            if config.targeting_fractions is not None:
-                d1 = round(config.targeting_fractions[0] * inst.graph.n_units)
-                d2 = round(config.targeting_fractions[1] * inst.graph.n_units)
-            else:
-                d1 = d2 = d
-            res = greedy_targeting(inst.ctx, d, d1, d2, inst.pop.group)
+        res = out.result
         record.update(selected=sorted(res.allocation.selected),
-                      f_value=res.f_value, welfare=res.welfare, rounds=res.rounds)
+                      f_value=res.f_value, welfare=out.welfare, rounds=res.rounds)
+    record["pct_young_vaccinated"] = out.pct_young
 
     line = json.dumps(record)
     if args.out:

@@ -66,7 +66,7 @@ class SirParams:
         if gamma.shape != (2,) or delta.shape != (2,):
             raise ValueError("gamma and delta must each have length 2")
         for name, arr in (("beta", beta), ("gamma", gamma), ("delta", delta)):
-            if np.any(arr < 0) or np.any(arr > 1):
+            if not np.all((arr >= 0) & (arr <= 1)):
                 raise ValueError(f"{name} entries must lie in [0, 1]")
         if np.any(gamma + delta > 1 + _RATE_TOL):
             raise ValueError("gamma + delta must not exceed 1 in either group")
@@ -103,8 +103,8 @@ class Population:
             raise ValueError("state0 entries must be SUSCEPTIBLE, INFECTED, or RECOVERED")
         if not np.all(np.isin(group, (GROUP1, GROUP2))):
             raise ValueError("group entries must be GROUP1 or GROUP2")
-        if np.any(weight < 0):
-            raise ValueError("weights must be non-negative")
+        if not np.all((weight >= 0) & np.isfinite(weight)):
+            raise ValueError("weights must be finite and non-negative")
         for arr in (state0, group, weight):
             arr.setflags(write=False)
         object.__setattr__(self, "state0", state0)

@@ -11,20 +11,21 @@ draws.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
+import math
 import time
-from dataclasses import dataclass, field, replace
-from typing import IO, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import IO, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 from scipy import sparse
 
-from .epidemic import (GROUP1, GROUP2, INFECTED, RECOVERED, SUSCEPTIBLE,
-                       Population, SirParams)
+from .epidemic import GROUP1, GROUP2, RECOVERED, Population, SirParams
 from .graph import ContactGraph, erdos_renyi
-from .objective import (Allocation, ObjectiveContext, build_context,
-                        check_submodular, marginal_gain, objective_value,
-                        welfare_value)
+from .objective import (Allocation, ObjectiveContext, _exposure_triplets,
+                        build_context, check_submodular, marginal_gain,
+                        objective_value, welfare_value)
 from .regret import EstimationNoiseModel, empirical_regret, sample_estimates
 from .solvers import (RandomAssignmentSummary, SolverResult, _batch_values,
                       brute_force, greedy_capacity, greedy_factor,
@@ -42,9 +43,13 @@ __all__ = [
     "RegretStudyConfig",
     "RegretStudyRow",
     "Instance",
+    "PolicyOutcome",
     "CheckResult",
     "replicate_seed",
     "draw_instance",
+    "instance_on_graph",
+    "capacity_budget",
+    "run_policy",
     "run_experiment",
     "run_regret_study",
     "emit_csv",
@@ -119,9 +124,9 @@ class ExperimentConfig:
         if not 0.0 <= self.group1_probability <= 1.0:
             raise ConfigError("group1_probability must be in [0, 1]")
         for dist in self.initial_states:
-            if len(dist) != 3 or any(p < 0 for p in dist):
+            if len(dist) != 3 or not all(0.0 <= p <= 1.0 for p in dist):
                 raise ConfigError("initial state distributions need three"
-                                  " non-negative probabilities")
+                                  " probabilities in [0, 1]")
             if abs(sum(dist) - 1.0) > 1e-9:
                 raise ConfigError(f"initial state distribution {dist} must sum to 1")
         if not self.capacity_fractions:
@@ -129,8 +134,8 @@ class ExperimentConfig:
         for frac in self.capacity_fractions:
             if not 0.0 < frac <= 1.0:
                 raise ConfigError(f"capacity fraction {frac} must lie in (0, 1]")
-        if any(w < 0 for w in self.weights) or len(self.weights) != 2:
-            raise ConfigError("weights must be two non-negative numbers")
+        if len(self.weights) != 2 or not all(0.0 <= w < math.inf for w in self.weights):
+            raise ConfigError("weights must be two finite non-negative numbers")
         if not self.policies:
             raise ConfigError("at least one policy is required")
         for pol in self.policies:
@@ -143,8 +148,8 @@ class ExperimentConfig:
         if isinstance(self.parameter_set, str) and self.parameter_set not in PARAMETER_SETS:
             raise ConfigError(f"unknown parameter set {self.parameter_set!r}")
         if self.targeting_fractions is not None:
-            if len(self.targeting_fractions) != 2 or any(
-                    f < 0 or f > 1 for f in self.targeting_fractions):
+            if len(self.targeting_fractions) != 2 or not all(
+                    0.0 <= f <= 1.0 for f in self.targeting_fractions):
                 raise ConfigError("targeting_fractions must be two values in [0, 1]")
 
     def params(self) -> SirParams:
@@ -180,8 +185,28 @@ def draw_instance(n_units: int, density: float, params: SirParams,
                   weights: Sequence[float], seed: int) -> Instance:
     """Draw a network, group labels, and health states, then compile."""
     rng = np.random.default_rng(seed)
-    graph_seed = int(rng.integers(0, 2**63 - 1))
-    graph = erdos_renyi(n_units, density, graph_seed)
+    graph = erdos_renyi(n_units, density, int(rng.integers(0, 2**63 - 1)))
+    return _populate(graph, params, group1_probability, initial_states, weights, rng)
+
+
+def instance_on_graph(graph: ContactGraph, params: SirParams,
+                      group1_probability: float,
+                      initial_states: Sequence[Sequence[float]],
+                      weights: Sequence[float], seed: int) -> Instance:
+    """Draw group labels and health states on a given network, then compile.
+
+    Skips the graph seed that draw_instance takes first, so for one seed the
+    population matches the one draw_instance would put on its own network.
+    """
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 2**63 - 1)
+    return _populate(graph, params, group1_probability, initial_states, weights, rng)
+
+
+def _populate(graph: ContactGraph, params: SirParams, group1_probability: float,
+              initial_states: Sequence[Sequence[float]],
+              weights: Sequence[float], rng: np.random.Generator) -> Instance:
+    n_units = graph.n_units
     group = np.where(rng.random(n_units) < group1_probability,
                      GROUP1, GROUP2).astype(np.int8)
     dist = np.asarray(initial_states, dtype=float)[group]  # (n, 3), order S/I/R
@@ -194,7 +219,8 @@ def draw_instance(n_units: int, density: float, params: SirParams,
     return Instance(graph, pop, params, build_context(graph, pop, params))
 
 
-def _capacity(fraction: float, n_units: int) -> int:
+def capacity_budget(fraction: float, n_units: int) -> int:
+    """Dose budget d = max(1, round(fraction * n_units))."""
     return max(1, round(fraction * n_units))
 
 
@@ -206,34 +232,13 @@ def _pct_young(alloc: Allocation, group: np.ndarray) -> float:
     return 100.0 * young / idx.size
 
 
-def _exposure_matrix(inst: Instance) -> sparse.csr_array:
-    """B with B[i, j] = beta[g_i, g_j] * A_ij * I_j / deg_i, so the linear
-    exposure of unit i under allocation v is (B @ (1 - v))_i."""
-    graph, pop, params = inst.graph, inst.pop, inst.params
-    n = graph.n_units
-    rows, cols, vals = [], [], []
-    if graph.n_edges:
-        e = graph.edges
-        denom = np.maximum(graph.degree, 1).astype(float)
-        for a, b in ((e[:, 0], e[:, 1]), (e[:, 1], e[:, 0])):
-            mask = pop.infected[b]
-            if mask.any():
-                i, j = a[mask], b[mask]
-                rows.append(i)
-                cols.append(j)
-                vals.append(params.beta[pop.group[i], pop.group[j]] / denom[i])
-    if rows:
-        data = (np.concatenate(vals),
-                (np.concatenate(rows), np.concatenate(cols)))
-        return sparse.csr_array(data, shape=(n, n))
-    return sparse.csr_array((n, n))
-
-
-def _random_summary_exact(inst: Instance, d: int, draws: int, seed: int,
-                          exposure: sparse.csr_array) -> RandomAssignmentSummary:
+def _random_summary_exact(inst: Instance, d: int, draws: int,
+                          seed: int) -> RandomAssignmentSummary:
     """Random baseline with the welfare column evaluated in exact mode."""
     pop = inst.pop
     n = pop.n_units
+    i, j, rate, deg = _exposure_triplets(inst.graph, pop, inst.params)
+    exposure = sparse.csr_array((rate / deg[i], (i, j)), shape=(n, n))
     z_full = np.asarray(exposure.sum(axis=1)).ravel()
     gamma_own = inst.params.gamma[pop.group]
     nonsus_healthy = pop.weight * (pop.recovered + gamma_own * pop.infected)
@@ -258,6 +263,57 @@ def _random_summary_exact(inst: Instance, d: int, draws: int, seed: int,
         draws=draws, capacity=d)
 
 
+class PolicyOutcome(NamedTuple):
+    """One policy run on one instance.  welfare is in the config's mode;
+    for the random baseline welfare and f_value are Monte Carlo means and
+    pct_young is the expected share of doses to group 1."""
+
+    result: Union[SolverResult, RandomAssignmentSummary]
+    welfare: float
+    f_value: float
+    pct_young: float
+
+
+def run_policy(inst: Instance, policy: str, d: int, config: ExperimentConfig,
+               seed: int) -> PolicyOutcome:
+    """Allocate d doses on inst with one policy from POLICIES.
+
+    seed drives the random baseline's draws.  greedy_targeting caps group 1
+    and group 2 at round(fraction * n) from targeting_fractions, or at d when
+    none are configured.  In exact mode the welfare is re-evaluated with the
+    exact infection rate; the solvers always see the linear objective.
+    """
+    n = inst.graph.n_units
+    group = inst.pop.group
+    exact = config.mode == "exact"
+    if policy == "random":
+        if exact:
+            summary = _random_summary_exact(inst, d, config.random_draws, seed)
+        else:
+            summary = random_assignment(inst.ctx, d, config.random_draws, seed)
+        young = 100.0 * int((group == GROUP1).sum()) / n
+        return PolicyOutcome(summary, summary.mean_welfare, summary.mean_f, young)
+    if policy == "greedy":
+        res = greedy_capacity(inst.ctx, d)
+    elif policy == "brute":
+        res = brute_force(inst.ctx, d)
+    elif policy == "twni":
+        res = twni(inst.ctx, d, group)
+    elif policy == "greedy_targeting":
+        d1 = d2 = d
+        if config.targeting_fractions is not None:
+            d1, d2 = (round(frac * n) for frac in config.targeting_fractions)
+        res = greedy_targeting(inst.ctx, d, d1, d2, group)
+    else:
+        raise ConfigError(f"unknown policy {policy!r}; expected one of {POLICIES}")
+    welfare = res.welfare
+    if exact:
+        welfare = welfare_value(inst.graph, inst.pop, inst.params,
+                                res.allocation, mode="exact")
+    return PolicyOutcome(res, welfare, res.f_value,
+                         _pct_young(res.allocation, group))
+
+
 def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     """Run every (policy, capacity fraction) cell over the network replicates.
 
@@ -266,7 +322,6 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     Rows come back sorted by (policy, capacity fraction).
     """
     params = config.params()
-    exact = config.mode == "exact"
     cells: dict[tuple[str, float], dict[str, list[float]]] = {
         (pol, frac): {"welfare": [], "f": [], "pct": [], "ms": []}
         for pol in config.policies for frac in config.capacity_fractions}
@@ -276,50 +331,16 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
         inst = draw_instance(config.n_units, config.density, params,
                              config.group1_probability, config.initial_states,
                              config.weights, seed_k)
-        n = config.n_units
-        n_young = int((inst.pop.group == GROUP1).sum())
-        exposure = None
-        if exact and "random" in config.policies:
-            exposure = _exposure_matrix(inst)
         for ci, frac in enumerate(config.capacity_fractions):
-            d = _capacity(frac, n)
+            d = capacity_budget(frac, config.n_units)
+            rseed = replicate_seed(seed_k, 10_000 + ci)
             for pol in config.policies:
                 cell = cells[(pol, frac)]
                 start = time.perf_counter()
-                if pol == "random":
-                    rseed = replicate_seed(seed_k, 10_000 + ci)
-                    if exact:
-                        summary = _random_summary_exact(
-                            inst, d, config.random_draws, rseed, exposure)
-                    else:
-                        summary = random_assignment(
-                            inst.ctx, d, config.random_draws, rseed)
-                    cell["welfare"].append(summary.mean_welfare)
-                    cell["f"].append(summary.mean_f)
-                    cell["pct"].append(100.0 * n_young / n)
-                else:
-                    if pol == "greedy":
-                        res = greedy_capacity(inst.ctx, d)
-                    elif pol == "brute":
-                        res = brute_force(inst.ctx, d)
-                    elif pol == "twni":
-                        res = twni(inst.ctx, d, inst.pop.group)
-                    elif pol == "greedy_targeting":
-                        if config.targeting_fractions is not None:
-                            d1 = round(config.targeting_fractions[0] * n)
-                            d2 = round(config.targeting_fractions[1] * n)
-                        else:
-                            d1 = d2 = d
-                        res = greedy_targeting(inst.ctx, d, d1, d2, inst.pop.group)
-                    else:  # unreachable; config validates policy names
-                        raise ConfigError(f"unknown policy {pol!r}")
-                    welfare = res.welfare
-                    if exact:
-                        welfare = welfare_value(inst.graph, inst.pop, params,
-                                                res.allocation, mode="exact")
-                    cell["welfare"].append(welfare)
-                    cell["f"].append(res.f_value)
-                    cell["pct"].append(_pct_young(res.allocation, inst.pop.group))
+                out = run_policy(inst, pol, d, config, rseed)
+                cell["welfare"].append(out.welfare)
+                cell["f"].append(out.f_value)
+                cell["pct"].append(out.pct_young)
                 cell["ms"].append((time.perf_counter() - start) * 1000.0)
 
     rows = []
@@ -444,26 +465,15 @@ def emit_regret_csv(rows: Sequence[RegretStudyRow], sink: IO[str]) -> None:
         ])
 
 
-_CONFIG_DEFAULT_TEXTS = {
-    "n_networks": "100",
-    "parameter_set": "set1",
-    "group1_probability": "0.4",
-    "initial_states_g1": "0.7,0.2,0.1",
-    "initial_states_g2": "0.7,0.2,0.1",
-    "capacity_fractions": "0.07,0.1,0.2",
-    "weights": "1,1",
-    "policies": "greedy,random,twni",
-    "random_draws": "10000",
-    "seed": "0",
-    "mode": "linear",
-}
-
+_EXPERIMENT_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+_STATE_KEYS = ("initial_states_g1", "initial_states_g2")
 _PARAM_KEYS = ("beta11", "beta12", "beta21", "beta22", "gamma1", "gamma2")
-_REGRET_KEYS = ("regret_capacity", "regret_n_grid", "regret_replications",
-                "regret_use_brute")
+_DELTA_KEYS = ("delta1", "delta2")
 _KNOWN_KEYS = frozenset(
-    ["n_units", "density", "targeting_fractions", "delta1", "delta2"]
-    + list(_CONFIG_DEFAULT_TEXTS) + list(_PARAM_KEYS) + list(_REGRET_KEYS))
+    [name for name in _EXPERIMENT_FIELDS if name != "initial_states"]
+    + list(_STATE_KEYS) + list(_PARAM_KEYS) + list(_DELTA_KEYS)
+    + [f"regret_{f.name}" for f in dataclasses.fields(RegretStudyConfig)
+       if f.name != "experiment"])
 
 
 def _parse_kv(text: str) -> dict[str, str]:
@@ -483,18 +493,18 @@ def _parse_kv(text: str) -> dict[str, str]:
     return out
 
 
-def _floats(value: str) -> tuple[float, ...]:
+def _float(value: str, key: str) -> float:
     try:
-        return tuple(float(part) for part in value.split(",") if part.strip() != "")
+        number = float(value)
     except ValueError:
-        raise ConfigError(f"expected comma-separated numbers, got {value!r}") from None
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return number
 
 
-def _triple(value: str) -> tuple[float, float, float]:
-    parts = _floats(value)
-    if len(parts) != 3:
-        raise ConfigError(f"expected three probabilities, got {value!r}")
-    return parts  # type: ignore[return-value]
+def _floats(value: str, key: str) -> tuple[float, ...]:
+    return tuple(_float(part, key) for part in value.split(",") if part.strip())
 
 
 def _int(value: str, key: str) -> int:
@@ -504,30 +514,52 @@ def _int(value: str, key: str) -> int:
         raise ConfigError(f"{key} must be an integer, got {value!r}") from None
 
 
-def _float(value: str, key: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+def _ints(value: str, key: str) -> tuple[int, ...]:
+    return tuple(_int(part, key) for part in value.split(",") if part.strip())
+
+
+def _names(value: str, key: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in value.split(",") if part.strip())
+
+
+def _bool(value: str, key: str) -> bool:
+    text = value.lower()
+    if text not in ("true", "false", "1", "0", "yes", "no"):
+        raise ConfigError(f"{key} must be boolean, got {text!r}")
+    return text in ("true", "1", "yes")
+
+
+# How each config key that names an ExperimentConfig field is read; the
+# field's default applies when the key is absent.
+_FIELD_PARSERS = {
+    "n_units": _int, "density": _float, "n_networks": _int,
+    "group1_probability": _float, "capacity_fractions": _floats,
+    "weights": _floats, "policies": _names, "random_draws": _int,
+    "seed": _int, "mode": lambda value, key: value,
+    "targeting_fractions": _floats,
+}
+_REGRET_PARSERS = {"capacity": _int, "n_grid": _ints, "replications": _int,
+                   "use_brute": _bool}
 
 
 def _resolve_params(kv: dict[str, str]) -> Union[str, SirParams]:
+    name = kv.get("parameter_set", _EXPERIMENT_FIELDS["parameter_set"].default)
+    if name not in PARAMETER_SETS:
+        raise ConfigError(f"unknown parameter set {name!r}")
     given = [key for key in _PARAM_KEYS if key in kv]
-    deltas = [key for key in ("delta1", "delta2") if key in kv]
-    if not given and not deltas:
-        return kv.get("parameter_set", "set1")
+    if not given and not any(key in kv for key in _DELTA_KEYS):
+        return name
     if given and len(given) != len(_PARAM_KEYS):
         missing = sorted(set(_PARAM_KEYS) - set(given))
         raise ConfigError(f"explicit parameters are incomplete; missing {missing}")
+    base = PARAMETER_SETS[name]
     if given:
-        beta = np.array([[_float(kv["beta11"], "beta11"), _float(kv["beta12"], "beta12")],
-                         [_float(kv["beta21"], "beta21"), _float(kv["beta22"], "beta22")]])
-        gamma = np.array([_float(kv["gamma1"], "gamma1"), _float(kv["gamma2"], "gamma2")])
+        rates = [_float(kv[key], key) for key in _PARAM_KEYS]
+        beta, gamma = np.reshape(rates[:4], (2, 2)), np.array(rates[4:])
     else:
-        base = PARAMETER_SETS[kv.get("parameter_set", "set1")]
         beta, gamma = base.beta.copy(), base.gamma.copy()
-    delta = np.array([_float(kv.get("delta1", "0"), "delta1"),
-                      _float(kv.get("delta2", "0"), "delta2")])
+    delta = np.array([_float(kv[key], key) if key in kv else base_delta
+                      for key, base_delta in zip(_DELTA_KEYS, base.delta)])
     try:
         return SirParams(beta=beta, gamma=gamma, delta=delta)
     except ValueError as exc:
@@ -537,38 +569,18 @@ def _resolve_params(kv: dict[str, str]) -> Union[str, SirParams]:
 def parse_experiment_config(text: str) -> ExperimentConfig:
     """Build an ExperimentConfig from flat key=value text."""
     kv = _parse_kv(text)
-    for required in ("n_units", "density"):
-        if required not in kv:
-            raise ConfigError(f"missing required config key {required!r}")
-    merged = dict(_CONFIG_DEFAULT_TEXTS)
-    merged.update(kv)
-    if merged["parameter_set"] not in PARAMETER_SETS:
-        raise ConfigError(f"unknown parameter set {merged['parameter_set']!r}")
-    targeting = None
-    if "targeting_fractions" in kv:
-        parts = _floats(kv["targeting_fractions"])
-        if len(parts) != 2:
-            raise ConfigError("targeting_fractions needs exactly two values")
-        targeting = (parts[0], parts[1])
+    for name, spec in _EXPERIMENT_FIELDS.items():
+        if spec.default is dataclasses.MISSING and name not in kv:
+            raise ConfigError(f"missing required config key {name!r}")
+    kwargs = {name: parse(kv[name], name)
+              for name, parse in _FIELD_PARSERS.items() if name in kv}
+    states = _EXPERIMENT_FIELDS["initial_states"].default
+    kwargs["initial_states"] = tuple(
+        _floats(kv[key], key) if key in kv else dist
+        for key, dist in zip(_STATE_KEYS, states))
+    kwargs["parameter_set"] = _resolve_params(kv)
     try:
-        return ExperimentConfig(
-            n_units=_int(merged["n_units"], "n_units"),
-            density=_float(merged["density"], "density"),
-            n_networks=_int(merged["n_networks"], "n_networks"),
-            parameter_set=_resolve_params(kv),
-            group1_probability=_float(merged["group1_probability"],
-                                      "group1_probability"),
-            initial_states=(_triple(merged["initial_states_g1"]),
-                            _triple(merged["initial_states_g2"])),
-            capacity_fractions=_floats(merged["capacity_fractions"]),
-            weights=tuple(_floats(merged["weights"])),  # type: ignore[arg-type]
-            policies=tuple(part.strip() for part in merged["policies"].split(",")
-                           if part.strip()),
-            random_draws=_int(merged["random_draws"], "random_draws"),
-            seed=_int(merged["seed"], "seed"),
-            mode=merged["mode"],
-            targeting_fractions=targeting,
-        )
+        return ExperimentConfig(**kwargs)
     except ConfigError:
         raise
     except ValueError as exc:
@@ -577,24 +589,11 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
 
 def parse_regret_config(text: str) -> RegretStudyConfig:
     """Regret study settings share the experiment keys plus regret_* ones."""
-    kv = _parse_kv(text)
     experiment = parse_experiment_config(text)
-    use_brute_text = kv.get("regret_use_brute", "true").lower()
-    if use_brute_text not in ("true", "false", "1", "0", "yes", "no"):
-        raise ConfigError(f"regret_use_brute must be boolean, got {use_brute_text!r}")
-    grid = kv.get("regret_n_grid", "100,1000,10000")
-    try:
-        n_grid = tuple(int(part) for part in grid.split(",") if part.strip())
-    except ValueError:
-        raise ConfigError(f"regret_n_grid must be integers, got {grid!r}") from None
-    return RegretStudyConfig(
-        experiment=experiment,
-        capacity=_int(kv.get("regret_capacity", "3"), "regret_capacity"),
-        n_grid=n_grid,
-        replications=_int(kv.get("regret_replications", "200"),
-                          "regret_replications"),
-        use_brute=use_brute_text in ("true", "1", "yes"),
-    )
+    kv = _parse_kv(text)
+    kwargs = {name: parse(kv[f"regret_{name}"], f"regret_{name}")
+              for name, parse in _REGRET_PARSERS.items() if f"regret_{name}" in kv}
+    return RegretStudyConfig(experiment=experiment, **kwargs)
 
 
 @dataclass(frozen=True)

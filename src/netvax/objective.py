@@ -19,12 +19,12 @@ and submodular, which is what the greedy solvers rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy import sparse
 
-from .epidemic import GROUP1, Population, SirParams
+from .epidemic import Population, SirParams
 from .graph import ContactGraph
 
 __all__ = [
@@ -148,6 +148,37 @@ class ObjectiveContext:
         return self._sym.toarray()
 
 
+def _exposure_triplets(graph: ContactGraph, pop: Population, params: SirParams
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The exposure matrix B[i, j] = beta[g_i, g_j] * A_ij * I_j / deg_i as
+    COO triplets (i, j, rate) plus the row divisor deg = max(degree, 1), so
+    B[i, j] = rate / deg[i] and the linear exposure of unit i under
+    allocation v is sum_j B[i, j] (1 - v_j).
+
+    Holds both orientations of every edge whose source j is infected, first
+    (lo, hi) then (hi, lo).  Callers divide by deg last, which keeps every
+    derived quantity bit-for-bit stable.
+    """
+    e = graph.edges
+    i = np.concatenate([e[:, 0], e[:, 1]])
+    j = np.concatenate([e[:, 1], e[:, 0]])
+    keep = pop.infected[j]
+    i, j = i[keep], j[keep]
+    rate = params.beta[pop.group[i], pop.group[j]]
+    return i, j, rate, np.maximum(graph.degree, 1).astype(float)
+
+
+def _healthy_share(pop: Population, params: SirParams, v: np.ndarray,
+                   z: np.ndarray, mode: str) -> float:
+    """Weighted mean next-period healthy probability given the vaccination
+    indicator v and the per-unit exposure z."""
+    escape = (1.0 - z) if mode == "linear" else np.exp(-z)
+    gamma_own = params.gamma[pop.group]
+    healthy = v + (pop.recovered + gamma_own * pop.infected) * (1.0 - v) \
+        + escape * pop.susceptible * (1.0 - v)
+    return float((pop.weight * healthy).sum() / pop.n_units)
+
+
 def build_context(graph: ContactGraph, pop: Population, params: SirParams) -> ObjectiveContext:
     """Compile the objective coefficients for one instance.
 
@@ -158,39 +189,16 @@ def build_context(graph: ContactGraph, pop: Population, params: SirParams) -> Ob
     if pop.n_units != n:
         raise ValueError(f"graph has {n} units but population has {pop.n_units}")
 
-    sus = pop.susceptible
-    inf = pop.infected
-    rec = pop.recovered
     gamma_own = params.gamma[pop.group]
-    denom = np.maximum(graph.degree, 1).astype(float)
+    c = pop.weight * (1.0 - pop.recovered - gamma_own * pop.infected - pop.susceptible) / n
 
-    c = pop.weight * (1.0 - rec - gamma_own * inf - sus) / n
-
-    rows_parts = []
-    cols_parts = []
-    vals_parts = []
-    if graph.n_edges:
-        e = graph.edges
-        for a, b in ((e[:, 0], e[:, 1]), (e[:, 1], e[:, 0])):
-            mask = sus[a] & inf[b]
-            if mask.any():
-                i = a[mask]
-                j = b[mask]
-                rate = params.beta[pop.group[i], pop.group[j]]
-                rows_parts.append(i)
-                cols_parts.append(j)
-                vals_parts.append(-pop.weight[i] * rate / (denom[i] * n))
-    if rows_parts:
-        rows = np.concatenate(rows_parts)
-        cols = np.concatenate(cols_parts)
-        vals = np.concatenate(vals_parts)
-    else:
-        rows = np.empty(0, dtype=np.int64)
-        cols = np.empty(0, dtype=np.int64)
-        vals = np.empty(0, dtype=float)
-
-    const = welfare_value(graph, pop, params, Allocation.empty(), mode="linear")
-    return ObjectiveContext(n, c, rows, cols, vals, const)
+    i, j, rate, deg = _exposure_triplets(graph, pop, params)
+    sus = pop.susceptible[i]
+    rows = i[sus]
+    vals = -pop.weight[rows] * rate[sus] / (deg[rows] * n)
+    const = _healthy_share(pop, params, np.zeros(n),
+                           np.bincount(i, rate, minlength=n) / deg, "linear")
+    return ObjectiveContext(n, c, rows, j[sus], vals, const)
 
 
 def objective_value(ctx: ObjectiveContext, alloc: Allocation) -> float:
@@ -219,21 +227,9 @@ def welfare_value(graph: ContactGraph, pop: Population, params: SirParams,
     if pop.n_units != n:
         raise ValueError("graph and population sizes differ")
     v = alloc.indicator(n).astype(float)
-    live = pop.infected & (v == 0.0)
-
-    z = np.zeros(n)
-    if graph.n_edges:
-        e = graph.edges
-        a, b = e[:, 0], e[:, 1]
-        np.add.at(z, a, params.beta[pop.group[a], pop.group[b]] * live[b])
-        np.add.at(z, b, params.beta[pop.group[b], pop.group[a]] * live[a])
-        z /= np.maximum(graph.degree, 1)
-    escape = (1.0 - z) if mode == "linear" else np.exp(-z)
-
-    gamma_own = params.gamma[pop.group]
-    healthy = v + (pop.recovered + gamma_own * pop.infected) * (1.0 - v) \
-        + escape * pop.susceptible * (1.0 - v)
-    return float((pop.weight * healthy).sum() / n)
+    i, j, rate, deg = _exposure_triplets(graph, pop, params)
+    z = np.bincount(i, rate * (1.0 - v[j]), minlength=n) / deg
+    return _healthy_share(pop, params, v, z, mode)
 
 
 def marginal_gain(ctx: ObjectiveContext, alloc: Allocation, candidate: int) -> float:

@@ -1,7 +1,9 @@
 import io
 import json
 
-from netvax import load_edge_list
+import pytest
+
+from netvax import harness, load_edge_list
 from netvax.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, main
 
 TINY_CONFIG = """
@@ -146,3 +148,55 @@ def test_check_command(capsys):
     assert "PASS submodularity_density_0.1" in out
     assert "checks passed" in out
     assert "FAIL" not in out
+
+
+def test_solve_with_edge_list_record_is_frozen(tmp_path, capsys, monkeypatch):
+    config = write(tmp_path / "exp.cfg", TINY_CONFIG)
+    edges = tmp_path / "net.edges"
+    assert main(["gen", "--n", "15", "--density", "0.5", "--seed", "1",
+                 "--out", str(edges)]) == EXIT_OK
+    capsys.readouterr()
+
+    def no_generation(*args):
+        raise AssertionError("solve --edges must not generate a network")
+
+    monkeypatch.setattr(harness, "erdos_renyi", no_generation)
+    assert main(["solve", "--config", config, "--edges", str(edges),
+                 "--policy", "greedy"]) == EXIT_OK
+    record = json.loads(capsys.readouterr().out)
+    assert record["selected"] == [2, 13]
+    assert record["capacity"] == 2
+    assert abs(record["f_value"] - 0.1843253968253968) <= 1e-12
+    assert abs(record["welfare"] - 1.0) <= 1e-12
+    assert main(["solve", "--config", config, "--edges", str(edges),
+                 "--policy", "random"]) == EXIT_OK
+    record = json.loads(capsys.readouterr().out)
+    assert record["draws"] == 200
+    assert abs(record["mean_f"] - 0.034177182539682535) <= 1e-12
+    assert abs(record["mean_welfare"] - 0.8498517857142857) <= 1e-12
+
+
+def test_solve_reports_pct_young_vaccinated(tmp_path, capsys):
+    config = write(tmp_path / "exp.cfg", TINY_CONFIG)
+    for policy in harness.POLICIES:
+        assert main(["solve", "--config", config, "--policy", policy,
+                     "--capacity-fraction", "0.25"]) == EXIT_OK
+        record = json.loads(capsys.readouterr().out)
+        assert 0.0 <= record["pct_young_vaccinated"] <= 100.0
+        if policy != "random":
+            # three doses, so the share of group 1 is a multiple of 1/3
+            young = record["pct_young_vaccinated"] * len(record["selected"]) / 100.0
+            assert abs(young - round(young)) <= 1e-9
+
+
+@pytest.mark.parametrize("extra", (
+    "weights=nan,1\n",
+    "weights=inf,1\n",
+    "initial_states_g1=nan,0.5,0.5\n",
+    "beta11=nan\nbeta12=0.5\nbeta21=0.5\nbeta22=0.6\ngamma1=0.1\ngamma2=0.05\n",
+))
+def test_non_finite_config_is_config_error(tmp_path, capsys, extra):
+    config = write(tmp_path / "exp.cfg", TINY_CONFIG + extra)
+    out = tmp_path / "rows.csv"
+    assert main(["experiment", "--config", config, "--out", str(out)]) == EXIT_CONFIG
+    assert "finite" in capsys.readouterr().err

@@ -9,7 +9,9 @@ from netvax import (
     GROUP2,
     PARAMETER_SETS,
     ConfigError,
+    ContactGraph,
     ExperimentConfig,
+    Population,
     RegretStudyConfig,
     SirParams,
     draw_instance,
@@ -22,6 +24,7 @@ from netvax import (
     run_property_checks,
     run_regret_study,
 )
+from netvax.harness import instance_on_graph, run_policy
 
 from _oracles import DEFAULT_DIST
 
@@ -358,3 +361,64 @@ def test_run_property_checks_all_pass():
     assert any(name.startswith("mutation") or "detect" in name for name in names)
     for result in results:
         assert result.passed, f"{result.name}: {result.detail}"
+
+
+NON_FINITE_CONFIGS = (
+    "weights=nan,1\n",
+    "weights=inf,1\n",
+    "initial_states_g1=nan,0.5,0.5\n",
+    "beta11=nan\nbeta12=0.5\nbeta21=0.5\nbeta22=0.6\ngamma1=0.1\ngamma2=0.05\n",
+)
+
+
+@pytest.mark.parametrize("extra", NON_FINITE_CONFIGS)
+def test_parser_rejects_non_finite_numbers(extra):
+    with pytest.raises(ConfigError, match="finite"):
+        parse_experiment_config("n_units=10\ndensity=0.5\n" + extra)
+
+
+def test_constructors_reject_non_finite_numbers():
+    nan, inf = float("nan"), float("inf")
+    for weights in ((nan, 1.0), (inf, 1.0)):
+        with pytest.raises(ValueError):
+            ExperimentConfig(n_units=10, density=0.5, weights=weights)
+        with pytest.raises(ValueError):
+            Population(state0=[0, 1], group=[0, 1], weight=list(weights))
+    with pytest.raises(ValueError):
+        ExperimentConfig(n_units=10, density=0.5,
+                         initial_states=((nan, 0.5, 0.5), (0.7, 0.2, 0.1)))
+    with pytest.raises(ValueError):
+        ExperimentConfig(n_units=10, density=0.5, targeting_fractions=(nan, 0.1))
+    with pytest.raises(ValueError):
+        SirParams(beta=[[nan, 0.5], [0.5, 0.6]], gamma=[0.1, 0.05])
+
+
+def test_parsed_defaults_match_dataclass_defaults():
+    parsed = parse_experiment_config("n_units=10\ndensity=0.5\n")
+    assert parsed == ExperimentConfig(n_units=10, density=0.5)
+    study = parse_regret_config("n_units=10\ndensity=0.5\n")
+    assert study == RegretStudyConfig(experiment=parsed)
+
+
+def test_instance_on_graph_matches_draw_instance_population():
+    params = PARAMETER_SETS["set1"]
+    drawn = draw_instance(25, 0.3, params, 0.4, DEFAULT_DIST, (1.0, 2.0), 11)
+    placed = instance_on_graph(ContactGraph(25), params, 0.4, DEFAULT_DIST,
+                               (1.0, 2.0), 11)
+    assert np.array_equal(placed.pop.state0, drawn.pop.state0)
+    assert np.array_equal(placed.pop.group, drawn.pop.group)
+    assert np.array_equal(placed.pop.weight, drawn.pop.weight)
+    assert placed.graph.n_edges == 0
+
+
+def test_run_policy_targeting_caps_and_pct_young():
+    config = ExperimentConfig(n_units=40, density=0.2, targeting_fractions=(0.05, 0.5))
+    inst = draw_instance(40, 0.2, config.params(), 0.4, DEFAULT_DIST, (1.0, 1.0), 2)
+    out = run_policy(inst, "greedy_targeting", 10, config, 0)
+    picked = out.result.allocation.sorted_units()
+    young = int((inst.pop.group[picked] == GROUP1).sum())
+    assert out.result.allocation.targeting == (2, 20)
+    assert young <= 2
+    assert out.pct_young == 100.0 * young / picked.size
+    with pytest.raises(ConfigError, match="unknown policy"):
+        run_policy(inst, "optimal", 10, config, 0)

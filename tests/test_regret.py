@@ -96,6 +96,7 @@ def test_entry_error_bounds_frozen_value():
     pop = Population(state0=state, group=np.zeros(10, dtype=np.int8),
                      weight=np.ones(10))
     spill_bounds, direct_bounds = entry_error_bounds(graph, pop, 100)
+    spill_bounds = spill_bounds.toarray()
     assert abs(spill_bounds[0, 1] - 0.009200943377067226) < 5e-18
     assert spill_bounds[1, 0] == spill_bounds[0, 1]
     assert spill_bounds.sum() == spill_bounds[0, 1] + spill_bounds[1, 0]
@@ -110,6 +111,7 @@ def test_entry_error_bounds_dominate_monte_carlo_means():
     n_external = 100
     noise = EstimationNoiseModel(n_external)
     spill_bounds, direct_bounds = entry_error_bounds(inst.graph, inst.pop, n_external)
+    spill_bounds = spill_bounds.toarray()
 
     n = inst.pop.n_units
     spill_err = np.zeros((n, n))
