@@ -19,17 +19,15 @@ from dataclasses import dataclass
 from typing import IO, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-from scipy import sparse
 
 from .epidemic import GROUP1, GROUP2, RECOVERED, Population, SirParams
 from .graph import ContactGraph, erdos_renyi
-from .objective import (Allocation, ObjectiveContext, _exposure_triplets,
-                        build_context, check_submodular, marginal_gain,
-                        objective_value, welfare_value)
+from .objective import (Allocation, ObjectiveContext, build_context,
+                        check_submodular, exact_welfare_evaluator,
+                        marginal_gain, objective_value, welfare_value)
 from .regret import EstimationNoiseModel, empirical_regret, sample_estimates
-from .solvers import (RandomAssignmentSummary, SolverResult, _batch_values,
-                      brute_force, greedy_capacity, greedy_factor,
-                      greedy_targeting, iter_random_subsets,
+from .solvers import (RandomAssignmentSummary, SolverResult, brute_force,
+                      greedy_capacity, greedy_factor, greedy_targeting,
                       random_assignment, twni)
 
 __all__ = [
@@ -232,37 +230,6 @@ def _pct_young(alloc: Allocation, group: np.ndarray) -> float:
     return 100.0 * young / idx.size
 
 
-def _random_summary_exact(inst: Instance, d: int, draws: int,
-                          seed: int) -> RandomAssignmentSummary:
-    """Random baseline with the welfare column evaluated in exact mode."""
-    pop = inst.pop
-    n = pop.n_units
-    i, j, rate, deg = _exposure_triplets(inst.graph, pop, inst.params)
-    exposure = sparse.csr_array((rate / deg[i], (i, j)), shape=(n, n))
-    z_full = np.asarray(exposure.sum(axis=1)).ravel()
-    gamma_own = inst.params.gamma[pop.group]
-    nonsus_healthy = pop.weight * (pop.recovered + gamma_own * pop.infected)
-    sus = pop.susceptible
-    f_vals = np.empty(draws)
-    w_vals = np.empty(draws)
-    pos = 0
-    for idx in iter_random_subsets(seed, n, d, draws):
-        m = idx.shape[0]
-        f_chunk, member = _batch_values(inst.ctx, idx)
-        z = z_full[None, :] - (exposure @ member.T).T
-        escape = ((1.0 - member[:, sus]) * np.exp(-z[:, sus])) @ pop.weight[sus]
-        direct = member @ (pop.weight - nonsus_healthy)
-        w_vals[pos:pos + m] = (nonsus_healthy.sum() + direct + escape) / n
-        f_vals[pos:pos + m] = f_chunk
-        pos += m
-    sd_f = float(f_vals.std(ddof=1)) if draws > 1 else 0.0
-    sd_w = float(w_vals.std(ddof=1)) if draws > 1 else 0.0
-    return RandomAssignmentSummary(
-        mean_f=float(f_vals.mean()), sd_f=sd_f,
-        mean_welfare=float(w_vals.mean()), sd_welfare=sd_w,
-        draws=draws, capacity=d)
-
-
 class PolicyOutcome(NamedTuple):
     """One policy run on one instance.  welfare is in the config's mode;
     for the random baseline welfare and f_value are Monte Carlo means and
@@ -287,10 +254,10 @@ def run_policy(inst: Instance, policy: str, d: int, config: ExperimentConfig,
     group = inst.pop.group
     exact = config.mode == "exact"
     if policy == "random":
-        if exact:
-            summary = _random_summary_exact(inst, d, config.random_draws, seed)
-        else:
-            summary = random_assignment(inst.ctx, d, config.random_draws, seed)
+        welfare = (exact_welfare_evaluator(inst.graph, inst.pop, inst.params)
+                   if exact else None)
+        summary = random_assignment(inst.ctx, d, config.random_draws, seed,
+                                    welfare=welfare)
         young = 100.0 * int((group == GROUP1).sum()) / n
         return PolicyOutcome(summary, summary.mean_welfare, summary.mean_f, young)
     if policy == "greedy":

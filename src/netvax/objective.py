@@ -19,7 +19,7 @@ and submodular, which is what the greedy solvers rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy import sparse
@@ -35,6 +35,7 @@ __all__ = [
     "build_context",
     "objective_value",
     "welfare_value",
+    "exact_welfare_evaluator",
     "marginal_gain",
     "check_submodular",
 ]
@@ -125,13 +126,12 @@ class ObjectiveContext:
         for arr in (direct_gain, rows, cols, vals):
             arr.setflags(write=False)
 
-        w = sparse.csr_array((vals, (rows, cols)), shape=(n_units, n_units))
-        self._w = w
-        self._row_sums = np.asarray(w.sum(axis=1)).ravel()
-        self._col_sums = np.asarray(w.sum(axis=0)).ravel()
-        # symmetric combination w_ij + w_ji, used by the incremental gain math
-        self._sym = (w + w.T).tocsr()
-        self._base_gain = direct_gain - self._row_sums - self._col_sums
+        # w + w^T (repeated entries are summed); its row sums are w's row plus column sums
+        self._sym = sparse.csr_array(
+            (np.concatenate([vals, vals]),
+             (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
+            shape=(n_units, n_units))
+        self._base_gain = direct_gain - np.asarray(self._sym.sum(axis=1)).ravel()
 
     def initial_gains(self) -> np.ndarray:
         """Marginal gain of each unit at the empty allocation (fresh copy)."""
@@ -169,14 +169,18 @@ def _exposure_triplets(graph: ContactGraph, pop: Population, params: SirParams
 
 
 def _healthy_share(pop: Population, params: SirParams, v: np.ndarray,
-                   z: np.ndarray, mode: str) -> float:
+                   z: np.ndarray, mode: str) -> float | np.ndarray:
     """Weighted mean next-period healthy probability given the vaccination
-    indicator v and the per-unit exposure z."""
+    indicator v and the per-unit exposure z, both of shape (n,) for one
+    allocation or (m, n) for a block of m allocations."""
+    sus = pop.susceptible
+    held = pop.weight * (pop.recovered + params.gamma[pop.group] * pop.infected)
+    # only susceptible units escape; slicing before exp, and dropping the
+    # full z, keeps a block's temporaries to (m, susceptible) arrays
+    z = z[..., sus]
     escape = (1.0 - z) if mode == "linear" else np.exp(-z)
-    gamma_own = params.gamma[pop.group]
-    healthy = v + (pop.recovered + gamma_own * pop.infected) * (1.0 - v) \
-        + escape * pop.susceptible * (1.0 - v)
-    return float((pop.weight * healthy).sum() / pop.n_units)
+    escape *= 1.0 - v[..., sus]
+    return (held.sum() + v @ (pop.weight - held) + escape @ pop.weight[sus]) / pop.n_units
 
 
 def build_context(graph: ContactGraph, pop: Population, params: SirParams) -> ObjectiveContext:
@@ -208,9 +212,7 @@ def objective_value(ctx: ObjectiveContext, alloc: Allocation) -> float:
         return 0.0
     if idx[-1] >= ctx.n_units:
         raise ValueError("allocation contains a unit outside the instance")
-    val = float(ctx._base_gain[idx].sum())
-    val += float(ctx._w[idx][:, idx].sum())
-    return val
+    return float(ctx._base_gain[idx].sum()) + 0.5 * float(ctx._sym[idx][:, idx].sum())
 
 
 def welfare_value(graph: ContactGraph, pop: Population, params: SirParams,
@@ -229,7 +231,25 @@ def welfare_value(graph: ContactGraph, pop: Population, params: SirParams,
     v = alloc.indicator(n).astype(float)
     i, j, rate, deg = _exposure_triplets(graph, pop, params)
     z = np.bincount(i, rate * (1.0 - v[j]), minlength=n) / deg
-    return _healthy_share(pop, params, v, z, mode)
+    return float(_healthy_share(pop, params, v, z, mode))
+
+
+def exact_welfare_evaluator(graph: ContactGraph, pop: Population, params: SirParams
+                            ) -> Callable[[np.ndarray], np.ndarray]:
+    """Exact-mode welfare_value for blocks of allocations: compiles the
+    exposure matrix once and returns a function mapping an (m, n) 0/1
+    membership block to its (m,) welfare values."""
+    n = graph.n_units
+    if pop.n_units != n:
+        raise ValueError("graph and population sizes differ")
+    i, j, rate, deg = _exposure_triplets(graph, pop, params)
+    exposure = sparse.csr_array((rate / deg[i], (i, j)), shape=(n, n))
+    z_empty = np.asarray(exposure.sum(axis=1)).ravel()
+
+    def welfare(member: np.ndarray) -> np.ndarray:
+        return _healthy_share(pop, params, member,
+                              z_empty - (exposure @ member.T).T, "exact")
+    return welfare
 
 
 def marginal_gain(ctx: ObjectiveContext, alloc: Allocation, candidate: int) -> float:

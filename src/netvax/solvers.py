@@ -1,8 +1,8 @@
 """Allocation policies over a compiled objective context.
 
 All solvers are deterministic for fixed inputs (the random baseline for a
-fixed seed).  Ties in the greedy argmax, within 1e-12, break toward the
-lowest unit index.
+fixed seed).  Ties within 1e-12 break toward the lowest unit index in the
+greedy argmax and toward the first subset in brute-force enumeration.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -75,11 +75,36 @@ def _finish(ctx: ObjectiveContext, alloc: Allocation, rounds: int,
     return SolverResult(alloc, f, f + ctx.welfare_constant, rounds, tuple(trace))
 
 
-def _pick(gains: np.ndarray, feasible: np.ndarray) -> int:
-    """Lowest-index unit whose gain is within the tie window of the best."""
-    masked = np.where(feasible, gains, -np.inf)
+def _pick(gains: np.ndarray, open_: np.ndarray) -> int:
+    """Lowest-index open unit whose gain is within the tie window of the best."""
+    masked = np.where(open_, gains, -np.inf)
     best = masked.max()
-    return int(np.nonzero(feasible & (gains >= best - _TIE_TOL))[0][0])
+    return int(np.nonzero(open_ & (gains >= best - _TIE_TOL))[0][0])
+
+
+def _greedy(ctx: ObjectiveContext, d: int, groups: np.ndarray, caps: Sequence[int],
+            targeting: Optional[tuple[int, int]]) -> SolverResult:
+    """The greedy loop of both greedy solvers.  A unit is open while it is
+    unchosen and caps[groups[unit]] has room; a group closes once, when its
+    cap fills.  Each round adds the best open unit and updates its
+    neighbors' gains in O(deg).  Stops after d rounds or with no unit open.
+    """
+    gains = ctx.initial_gains()
+    room = list(caps)
+    open_ = np.isin(groups, [g for g, cap in enumerate(room) if cap > 0])
+    trace: list[tuple[int, float]] = []
+    while len(trace) < d and open_.any():
+        u = _pick(gains, open_)
+        trace.append((u, float(gains[u])))
+        open_[u] = False
+        g = int(groups[u])
+        room[g] -= 1
+        if room[g] == 0:
+            open_[groups == g] = False
+        cols, vals = ctx.sym_row(u)
+        gains[cols] += vals
+    alloc = Allocation(frozenset(u for u, _ in trace), capacity=d, targeting=targeting)
+    return _finish(ctx, alloc, len(trace), trace)
 
 
 def greedy_capacity(ctx: ObjectiveContext, d: int) -> SolverResult:
@@ -91,20 +116,7 @@ def greedy_capacity(ctx: ObjectiveContext, d: int) -> SolverResult:
     """
     if d < 1:
         raise ValueError(f"capacity must be >= 1, got {d}")
-    n = ctx.n_units
-    gains = ctx.initial_gains()
-    active = np.ones(n, dtype=bool)
-    chosen: list[int] = []
-    trace: list[tuple[int, float]] = []
-    for _ in range(min(d, n)):
-        u = _pick(gains, active)
-        trace.append((u, float(gains[u])))
-        chosen.append(u)
-        active[u] = False
-        cols, vals = ctx.sym_row(u)
-        gains[cols] += vals
-    alloc = Allocation(frozenset(chosen), capacity=d)
-    return _finish(ctx, alloc, len(chosen), trace)
+    return _greedy(ctx, d, np.zeros(ctx.n_units, dtype=np.int8), (d,), None)
 
 
 def greedy_targeting(ctx: ObjectiveContext, d: int, d1: int, d2: int,
@@ -120,30 +132,9 @@ def greedy_targeting(ctx: ObjectiveContext, d: int, d1: int, d2: int,
         if val < 0:
             raise ValueError(f"{name} must be >= 0, got {val}")
     groups = np.asarray(groups)
-    n = ctx.n_units
-    if groups.shape != (n,):
+    if groups.shape != (ctx.n_units,):
         raise ValueError("groups must have one label per unit")
-    gains = ctx.initial_gains()
-    active = np.ones(n, dtype=bool)
-    caps = [d1, d2]
-    taken = [0, 0]
-    chosen: list[int] = []
-    trace: list[tuple[int, float]] = []
-    while len(chosen) < min(d, n):
-        feasible = active & (
-            ((groups == 0) & (taken[0] < caps[0])) |
-            ((groups == 1) & (taken[1] < caps[1])))
-        if not feasible.any():
-            break
-        u = _pick(gains, feasible)
-        trace.append((u, float(gains[u])))
-        chosen.append(u)
-        taken[int(groups[u])] += 1
-        active[u] = False
-        cols, vals = ctx.sym_row(u)
-        gains[cols] += vals
-    alloc = Allocation(frozenset(chosen), capacity=d, targeting=(d1, d2))
-    return _finish(ctx, alloc, len(chosen), trace)
+    return _greedy(ctx, d, groups, (d1, d2), (d1, d2))
 
 
 def _combo_chunks(n: int, k: int, chunk: int) -> Iterator[np.ndarray]:
@@ -155,10 +146,26 @@ def _combo_chunks(n: int, k: int, chunk: int) -> Iterator[np.ndarray]:
         yield np.asarray(block, dtype=np.int64)
 
 
+def _tie_scan(vals: np.ndarray, best_val: float) -> tuple[int, float]:
+    """Scan vals in order against an incumbent value: a value replaces the
+    incumbent only when it beats it by more than the tie window.  Returns the
+    position of the last replacement (-1 if none) and the incumbent value."""
+    pos = -1
+    # the incumbent stays within the tie window of the running maximum, so
+    # only a new running maximum can replace it
+    prev = np.maximum.accumulate(np.concatenate(([best_val], vals[:-1])))
+    for p in np.flatnonzero(vals > prev):
+        if vals[p] > best_val + _TIE_TOL:
+            pos, best_val = int(p), float(vals[p])
+    return pos, best_val
+
+
 def brute_force(ctx: ObjectiveContext, d: int) -> SolverResult:
     """Exhaustive search over all allocations of size min(d, n).
 
-    Enumerates subsets in lexicographic order and keeps the first maximizer.
+    Enumerates subsets in lexicographic order; a later subset replaces the
+    incumbent only when its value is higher by more than 1e-12, so among
+    maximizers tied within that window the first one wins, as in greedy.
     Refuses instances whose subset count exceeds ENUMERATION_BUDGET.
     """
     if d < 0:
@@ -175,7 +182,7 @@ def brute_force(ctx: ObjectiveContext, d: int) -> SolverResult:
 
     base = ctx.initial_gains()
     if k == 1:
-        best_idx = int(np.argmax(base))
+        best_idx, _ = _tie_scan(base, -np.inf)
         alloc = Allocation(frozenset([best_idx]), capacity=d)
         return _finish(ctx, alloc, rounds=count)
     if n > _DENSE_LIMIT:
@@ -190,25 +197,12 @@ def brute_force(ctx: ObjectiveContext, d: int) -> SolverResult:
     for combos in _combo_chunks(n, k, chunk):
         vals = base[combos].sum(axis=1)
         vals += 0.5 * pair[combos[:, :, None], combos[:, None, :]].sum(axis=(1, 2))
-        local = int(np.argmax(vals))
-        if vals[local] > best_val:
-            best_val = float(vals[local])
+        local, best_val = _tie_scan(vals, best_val)
+        if local >= 0:
             best = combos[local]
     assert best is not None
     alloc = Allocation(frozenset(int(u) for u in best), capacity=d)
     return _finish(ctx, alloc, rounds=count)
-
-
-def _batch_values(ctx: ObjectiveContext, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Objective values for a block of size-d subsets given as an (m, d)
-    index array; also returns the (m, n) membership matrix for reuse."""
-    m = idx.shape[0]
-    member = np.zeros((m, ctx.n_units))
-    member[np.arange(m)[:, None], idx] = 1.0
-    lin = ctx.initial_gains()[idx].sum(axis=1)
-    # _sym is symmetric, so (member @ _sym) == (_sym @ member.T).T
-    quad = 0.5 * ((ctx._sym @ member.T).T * member).sum(axis=1)
-    return lin + quad, member
 
 
 def iter_random_subsets(seed: int, n: int, d: int, draws: int,
@@ -228,26 +222,43 @@ def iter_random_subsets(seed: int, n: int, d: int, draws: int,
         remaining -= m
 
 
-def random_assignment(ctx: ObjectiveContext, d: int, draws: int,
-                      seed: int) -> RandomAssignmentSummary:
+def _mean_sd(values: np.ndarray) -> tuple[float, float]:
+    sd = float(values.std(ddof=1)) if values.size > 1 else 0.0
+    return float(values.mean()), sd
+
+
+def random_assignment(ctx: ObjectiveContext, d: int, draws: int, seed: int,
+                      welfare: Optional[Callable[[np.ndarray], np.ndarray]] = None
+                      ) -> RandomAssignmentSummary:
     """Monte Carlo baseline: mean and sd of F and welfare over uniformly
-    random size-d allocations."""
+    random size-d allocations.  welfare maps an (m, n) 0/1 membership block
+    to (m,) values (objective.exact_welfare_evaluator for exact mode); by
+    default welfare is F plus the context's welfare constant."""
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
     n = ctx.n_units
     if not 0 < d <= n:
         raise ValueError(f"capacity must lie in [1, {n}], got {d}")
-    values = np.empty(draws)
+    base = ctx.initial_gains()
+    f_vals, w_vals = np.empty(draws), np.empty(draws)
     pos = 0
     for idx in iter_random_subsets(seed, n, d, draws):
-        chunk_vals, _ = _batch_values(ctx, idx)
-        values[pos:pos + idx.shape[0]] = chunk_vals
-        pos += idx.shape[0]
-    mean_f = float(values.mean())
-    sd_f = float(values.std(ddof=1)) if draws > 1 else 0.0
+        m = idx.shape[0]
+        member = np.zeros((m, n))
+        member[np.arange(m)[:, None], idx] = 1.0
+        # _sym is symmetric, so (member @ _sym) == (_sym @ member.T).T
+        quad = 0.5 * ((ctx._sym @ member.T).T * member).sum(axis=1)
+        f_vals[pos:pos + m] = base[idx].sum(axis=1) + quad
+        if welfare is not None:
+            w_vals[pos:pos + m] = welfare(member)
+        pos += m
+    mean_f, sd_f = _mean_sd(f_vals)
+    if welfare is None:
+        mean_w, sd_w = mean_f + ctx.welfare_constant, sd_f
+    else:
+        mean_w, sd_w = _mean_sd(w_vals)
     return RandomAssignmentSummary(
-        mean_f=mean_f, sd_f=sd_f,
-        mean_welfare=mean_f + ctx.welfare_constant, sd_welfare=sd_f,
+        mean_f=mean_f, sd_f=sd_f, mean_welfare=mean_w, sd_welfare=sd_w,
         draws=draws, capacity=d)
 
 

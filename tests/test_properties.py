@@ -16,15 +16,21 @@ from netvax import (
     ConfigError,
     ContactGraph,
     EdgeListError,
+    ExperimentConfig,
+    Instance,
+    ObjectiveContext,
     Population,
     SirParams,
     build_context,
+    greedy_capacity,
+    greedy_targeting,
+    iter_random_subsets,
     load_edge_list,
     objective_value,
     parse_experiment_config,
     welfare_value,
 )
-from netvax.harness import _KNOWN_KEYS
+from netvax.harness import _KNOWN_KEYS, run_policy
 
 from _oracles import objective_dense, welfare_from_transitions
 
@@ -83,6 +89,68 @@ def test_objective_matches_dense_quadratic_form(case):
     assert np.all(ctx.spill_vals <= 0.0) and np.all(ctx.direct_gain >= 0.0)
     want = objective_dense(ctx, alloc.selected)
     assert abs(objective_value(ctx, alloc) - want) <= 1e-12
+
+
+@st.composite
+def raw_contexts(draw):
+    """Contexts built straight from triplets, unlike build_context: pairs may
+    appear in both orientations and the same (i, j) may repeat."""
+    n = draw(st.integers(2, 8))
+    unit = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(unit, unit).filter(lambda p: p[0] != p[1]),
+                          max_size=12))
+    mirrored = [(j, i) for i, j in pairs[:draw(st.integers(0, len(pairs)))]]
+    repeated = pairs[:draw(st.integers(0, len(pairs)))]
+    pairs = pairs + mirrored + repeated
+    vals = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(pairs),
+                         max_size=len(pairs)))
+    rows = np.array([i for i, _ in pairs], dtype=np.int64)
+    cols = np.array([j for _, j in pairs], dtype=np.int64)
+    direct = draw(st.lists(unit_interval, min_size=n, max_size=n))
+    ctx = ObjectiveContext(n, direct, rows, cols, vals, 0.0)
+    return ctx, draw(st.sets(unit))
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_contexts())
+def test_raw_triplet_context_matches_dense_quadratic_form(case):
+    ctx, units = case
+    want = objective_dense(ctx, units)
+    assert abs(objective_value(ctx, Allocation(units, ctx.n_units)) - want) <= 1e-12
+    singles = [objective_dense(ctx, {u}) for u in range(ctx.n_units)]
+    assert np.max(np.abs(ctx.initial_gains() - singles)) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances(), st.integers(1, 16))
+def test_targeting_with_loose_caps_replays_capacity_greedy(case, d):
+    graph, pop, params, _, _ = case
+    ctx = build_context(graph, pop, params)
+    plain = greedy_capacity(ctx, d)
+    capped = greedy_targeting(ctx, d, d, d, pop.group)
+    assert capped.gain_trace == plain.gain_trace
+    assert capped.allocation.selected == plain.allocation.selected
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(), st.data())
+def test_exact_random_baseline_matches_welfare_over_its_subsets(case, data):
+    graph, pop, params, _, _ = case
+    n = graph.n_units
+    d = data.draw(st.integers(1, n))
+    draws = data.draw(st.integers(1, 40))
+    seed = data.draw(st.integers(0, 2**32))
+    inst = Instance(graph, pop, params, build_context(graph, pop, params))
+    config = ExperimentConfig(n_units=n, density=0.5, random_draws=draws, mode="exact")
+    summary = run_policy(inst, "random", d, config, seed).result
+    subsets = np.concatenate(list(iter_random_subsets(seed, n, d, draws)))
+    allocs = [Allocation(row, d) for row in subsets]
+    welfare = np.array([welfare_value(graph, pop, params, a, "exact") for a in allocs])
+    f_vals = np.array([objective_value(inst.ctx, a) for a in allocs])
+    for values, mean, sd in ((welfare, summary.mean_welfare, summary.sd_welfare),
+                             (f_vals, summary.mean_f, summary.sd_f)):
+        assert abs(values.mean() - mean) <= 1e-12
+        assert abs((values.std(ddof=1) if draws > 1 else 0.0) - sd) <= 1e-12
 
 
 # Values that stress number parsing: non-finite, out of range, malformed.

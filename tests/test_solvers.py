@@ -9,6 +9,7 @@ from netvax import (
     Allocation,
     BudgetError,
     ContactGraph,
+    ObjectiveContext,
     Population,
     SirParams,
     brute_force,
@@ -154,6 +155,17 @@ def test_brute_force_prefers_first_lexicographic_maximizer():
     ctx = build_context(graph, pop, SET1)
     res = brute_force(ctx, 2)
     assert sorted(res.allocation.selected) == [0, 1]
+
+
+def test_brute_force_breaks_rounding_ties_like_greedy():
+    # 0.3 + nextafter(0.3) rounds above 0.6, so a strict comparison would
+    # let the last bit pick {0, 2} over {0, 1}
+    a = 0.3
+    ctx = ObjectiveContext(3, [a, a, np.nextafter(a, 1.0)], [], [], [], 0.0)
+    for d in (1, 2):
+        res = brute_force(ctx, d)
+        assert res.allocation.selected == frozenset(range(d))
+        assert res.allocation.selected == greedy_capacity(ctx, d).allocation.selected
 
 
 def test_brute_force_budget_error_names_count():
