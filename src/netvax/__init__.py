@@ -7,8 +7,8 @@ lost when the disease parameters are only estimated.
 """
 
 from .epidemic import (GROUP1, GROUP2, INFECTED, RECOVERED, SUSCEPTIBLE,
-                       Population, SirParams, beta_from_contacts,
-                       beta_from_r0, infection_rate, transition_probabilities)
+                       Population, SirParams, infection_rate,
+                       transition_probabilities)
 from .graph import (ContactGraph, EdgeListError, erdos_renyi, load_edge_list,
                     save_edge_list)
 from .harness import (PARAMETER_SETS, ConfigError, ExperimentConfig,

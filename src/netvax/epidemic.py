@@ -31,8 +31,6 @@ __all__ = [
     "GROUP2",
     "SirParams",
     "Population",
-    "beta_from_contacts",
-    "beta_from_r0",
     "infection_rate",
     "transition_probabilities",
 ]
@@ -126,28 +124,6 @@ class Population:
     @property
     def recovered(self) -> np.ndarray:
         return self.state0 == RECOVERED
-
-
-def beta_from_contacts(kappa: float, contact_prob: float) -> float:
-    """Effective contact rate from an average contact count and a per-contact
-    transmission probability: ``-kappa * ln(1 - contact_prob)``.
-
-    The result can exceed 1 for large kappa; callers clamp as needed.
-    """
-    if kappa < 0:
-        raise ValueError(f"kappa must be >= 0, got {kappa}")
-    if not 0.0 <= contact_prob < 1.0:
-        raise ValueError(f"contact_prob must lie in [0, 1), got {contact_prob}")
-    return -kappa * math.log1p(-contact_prob)
-
-
-def beta_from_r0(r0: float, gamma: float) -> float:
-    """Effective contact rate from a reproduction number: ``r0 * gamma``."""
-    if r0 < 0:
-        raise ValueError(f"r0 must be >= 0, got {r0}")
-    if gamma <= 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
-    return r0 * gamma
 
 
 def _infection_load(unit: int, graph: "ContactGraph", pop: Population,

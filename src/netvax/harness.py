@@ -94,6 +94,8 @@ class ExperimentConfig:
     budgets d = max(1, round(fraction * n_units)).  weights are the per-group
     welfare weights (group 1, group 2).  mode picks the welfare column's
     infection-rate form; the solvers always see the linear objective.
+    random_draws is the random baseline's Monte Carlo sample size, used only
+    in exact mode: in linear mode its moments are exact.
     """
 
     n_units: int
@@ -231,9 +233,11 @@ def _pct_young(alloc: Allocation, group: np.ndarray) -> float:
 
 
 class PolicyOutcome(NamedTuple):
-    """One policy run on one instance.  welfare is in the config's mode;
-    for the random baseline welfare and f_value are Monte Carlo means and
-    pct_young is the expected share of doses to group 1."""
+    """One policy run on one instance.  welfare is in the config's mode.
+    For the random baseline welfare and f_value are means over uniformly
+    random allocations: exact, except exact-mode welfare, which is a Monte
+    Carlo mean over random_draws subsets; pct_young is the expected share of
+    doses to group 1."""
 
     result: Union[SolverResult, RandomAssignmentSummary]
     welfare: float
@@ -245,10 +249,12 @@ def run_policy(inst: Instance, policy: str, d: int, config: ExperimentConfig,
                seed: int) -> PolicyOutcome:
     """Allocate d doses on inst with one policy from POLICIES.
 
-    seed drives the random baseline's draws.  greedy_targeting caps group 1
-    and group 2 at round(fraction * n) from targeting_fractions, or at d when
-    none are configured.  In exact mode the welfare is re-evaluated with the
-    exact infection rate; the solvers always see the linear objective.
+    seed drives the random baseline's draws, which only exact mode makes;
+    in linear mode its F and welfare moments are exact and seed is unused.
+    greedy_targeting caps group 1 and group 2 at round(fraction * n) from
+    targeting_fractions, or at d when none are configured.  In exact mode
+    the welfare is re-evaluated with the exact infection rate; the solvers
+    always see the linear objective.
     """
     n = inst.graph.n_units
     group = inst.pop.group

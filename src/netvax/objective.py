@@ -126,11 +126,14 @@ class ObjectiveContext:
         for arr in (direct_gain, rows, cols, vals):
             arr.setflags(write=False)
 
-        # w + w^T (repeated entries are summed); its row sums are w's row plus column sums
+        # w + w^T; its row sums are w's row plus column sums.  Repeated (i, j)
+        # entries are summed into one, which sym_row's callers and
+        # solvers._f_moments rely on.
         self._sym = sparse.csr_array(
             (np.concatenate([vals, vals]),
              (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
             shape=(n_units, n_units))
+        self._sym.sum_duplicates()
         self._base_gain = direct_gain - np.asarray(self._sym.sum(axis=1)).ravel()
 
     def initial_gains(self) -> np.ndarray:
@@ -173,14 +176,18 @@ def _healthy_share(pop: Population, params: SirParams, v: np.ndarray,
     """Weighted mean next-period healthy probability given the vaccination
     indicator v and the per-unit exposure z, both of shape (n,) for one
     allocation or (m, n) for a block of m allocations."""
-    sus = pop.susceptible
+    sus = np.flatnonzero(pop.susceptible)
     held = pop.weight * (pop.recovered + params.gamma[pop.group] * pop.infected)
-    # only susceptible units escape; slicing before exp, and dropping the
-    # full z, keeps a block's temporaries to (m, susceptible) arrays
-    z = z[..., sus]
+    # only susceptible units escape; taking their columns before exp, and
+    # dropping the full z, keeps a block's temporaries to (m, susceptible)
+    # arrays.  take returns C order, so vecdot takes one BLAS dot over each
+    # allocation's contiguous row: a row's value depends neither on the rest
+    # of the block nor on the BLAS thread count, as with a matrix product.
+    z = np.take(z, sus, axis=-1)
     escape = (1.0 - z) if mode == "linear" else np.exp(-z)
-    escape *= 1.0 - v[..., sus]
-    return (held.sum() + v @ (pop.weight - held) + escape @ pop.weight[sus]) / pop.n_units
+    escape *= 1.0 - np.take(v, sus, axis=-1)
+    return (held.sum() + np.vecdot(v, pop.weight - held)
+            + np.vecdot(escape, pop.weight[sus])) / pop.n_units
 
 
 def build_context(graph: ContactGraph, pop: Population, params: SirParams) -> ObjectiveContext:

@@ -34,6 +34,8 @@ __all__ = [
 ENUMERATION_BUDGET = 10**8
 _TIE_TOL = 1e-12
 _DENSE_LIMIT = 4096
+# Cells (rows x units) in one Monte Carlo membership block: 8 MiB of float64
+_BLOCK_CELLS = 2**20
 
 
 class BudgetError(RuntimeError):
@@ -59,7 +61,13 @@ class SolverResult:
 
 @dataclass(frozen=True)
 class RandomAssignmentSummary:
-    """Monte Carlo summary of uniformly random size-d allocations."""
+    """Mean and sd of F and welfare over uniformly random size-d allocations.
+
+    mean_f and sd_f are exact; sd is the population sd over all size-d
+    subsets.  mean_welfare and sd_welfare are exact for linear welfare and
+    otherwise a Monte Carlo mean and sample sd over `draws` subsets; draws
+    is 0 when nothing was drawn.
+    """
 
     mean_f: float
     sd_f: float
@@ -207,7 +215,9 @@ def brute_force(ctx: ObjectiveContext, d: int) -> SolverResult:
 
 def iter_random_subsets(seed: int, n: int, d: int, draws: int,
                         chunk: int = 2000) -> Iterator[np.ndarray]:
-    """Yield uniformly random size-d subsets of range(n) in (m, d) blocks."""
+    """Yield uniformly random size-d subsets of range(n) in (m, d) blocks of
+    at most chunk rows.  Each subset holds the d smallest of n uniform keys
+    read in turn from one stream, so the subsets do not depend on chunk."""
     if not 0 < d <= n:
         raise ValueError(f"subset size must lie in [1, {n}], got {d}")
     rng = np.random.default_rng(seed)
@@ -222,43 +232,82 @@ def iter_random_subsets(seed: int, n: int, d: int, draws: int,
         remaining -= m
 
 
-def _mean_sd(values: np.ndarray) -> tuple[float, float]:
-    sd = float(values.std(ddof=1)) if values.size > 1 else 0.0
-    return float(values.mean()), sd
+def _f_moments(ctx: ObjectiveContext, d: int) -> tuple[float, float]:
+    """Exact mean and population sd of F(S) over all size-d subsets S of the
+    units, in O(nnz + n).
+
+    With b the base gains and s = _sym, F(S) = sum_{i in S} b_i +
+    sum_{i<j in S} s_ij and E[F] = (d/n) sum b + d(d-1)/(n(n-1)) sum_{i<j} s_ij.
+    For the sd, let r be the row sums of s, u = (r - mean(r)) / (n - 2),
+    c = mean(r) / (n - 1), h_ij = s_ij - u_i - u_j - c for every pair i != j
+    and g = b - mean(b) + (d - 1) u.  As |S| = d,
+    F(S) - E[F] = sum_{i in S} g_i + sum_{i<j in S} h_ij; g sums to zero and
+    each row of h sums to zero, so the two parts are uncorrelated and
+        Var F = d(n-d)/(n(n-1)) sum g^2
+                + d(d-1)(n-d)(n-d-1)/(n(n-1)(n-2)(n-3)) sum_{i<j} h^2.
+    Both terms are sums of squares, so a near-constant F gets a near-zero sd
+    rather than the square root of a cancellation error.
+    """
+    n = ctx.n_units
+    b = ctx._base_gain
+    s = ctx._sym
+    if d == n:
+        return float(b.sum()) + 0.5 * float(s.data.sum()), 0.0
+    i = np.repeat(np.arange(n), np.diff(s.indptr))
+    r = np.bincount(i, s.data, minlength=n)
+    mean = d / n * float(b.sum()) + d * (d - 1) / (n * (n - 1)) * 0.5 * float(r.sum())
+    u = (r - r.mean()) / (n - 2) if n > 2 else np.zeros(n)
+    g = b - b.mean() + (d - 1) * u
+    var = d * (n - d) / (n * (n - 1)) * float(g @ g)
+    pair_coef = d * (d - 1) * (n - d) * (n - d - 1)
+    if pair_coef:  # then n >= 4
+        c = r.mean() / (n - 1)
+        fit = u[i] + u[s.indices] + c  # u_i + u_j + c at s's nonzeros
+        # sum_{i<j} h^2 over s's nonzeros, then over the other pairs, where
+        # h = -fit: fit^2 over all pairs in closed form, less the nonzeros'
+        fit2_all = (n - 2) * float(u @ u) + 0.5 * n * (n - 1) * c * c
+        rest = (0.0 if s.nnz == n * (n - 1)
+                else max(fit2_all - 0.5 * float(fit @ fit), 0.0))
+        h2 = 0.5 * float(((s.data - fit) ** 2).sum()) + rest
+        var += pair_coef / (n * (n - 1) * (n - 2) * (n - 3)) * h2
+    return mean, math.sqrt(var)
 
 
 def random_assignment(ctx: ObjectiveContext, d: int, draws: int, seed: int,
                       welfare: Optional[Callable[[np.ndarray], np.ndarray]] = None
                       ) -> RandomAssignmentSummary:
-    """Monte Carlo baseline: mean and sd of F and welfare over uniformly
-    random size-d allocations.  welfare maps an (m, n) 0/1 membership block
-    to (m,) values (objective.exact_welfare_evaluator for exact mode); by
-    default welfare is F plus the context's welfare constant."""
+    """Random baseline: mean and sd of F and welfare over uniformly random
+    size-d allocations.
+
+    mean_f and sd_f are exact (_f_moments).  By default welfare is F plus
+    the context's welfare constant, so it is exact too and nothing is drawn:
+    draws is 0 and seed is unused.  Otherwise welfare maps an (m, n) 0/1
+    membership block to (m,) values (objective.exact_welfare_evaluator for
+    exact mode), and its mean and sample sd are estimated over `draws`
+    subsets from iter_random_subsets(seed), in blocks of at most
+    _BLOCK_CELLS / n rows.
+    """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
     n = ctx.n_units
     if not 0 < d <= n:
         raise ValueError(f"capacity must lie in [1, {n}], got {d}")
-    base = ctx.initial_gains()
-    f_vals, w_vals = np.empty(draws), np.empty(draws)
+    mean_f, sd_f = _f_moments(ctx, d)
+    if welfare is None:
+        return RandomAssignmentSummary(
+            mean_f=mean_f, sd_f=sd_f, mean_welfare=mean_f + ctx.welfare_constant,
+            sd_welfare=sd_f, draws=0, capacity=d)
+    w_vals = np.empty(draws)
     pos = 0
-    for idx in iter_random_subsets(seed, n, d, draws):
+    for idx in iter_random_subsets(seed, n, d, draws, chunk=max(1, _BLOCK_CELLS // n)):
         m = idx.shape[0]
         member = np.zeros((m, n))
         member[np.arange(m)[:, None], idx] = 1.0
-        # _sym is symmetric, so (member @ _sym) == (_sym @ member.T).T
-        quad = 0.5 * ((ctx._sym @ member.T).T * member).sum(axis=1)
-        f_vals[pos:pos + m] = base[idx].sum(axis=1) + quad
-        if welfare is not None:
-            w_vals[pos:pos + m] = welfare(member)
+        w_vals[pos:pos + m] = welfare(member)
         pos += m
-    mean_f, sd_f = _mean_sd(f_vals)
-    if welfare is None:
-        mean_w, sd_w = mean_f + ctx.welfare_constant, sd_f
-    else:
-        mean_w, sd_w = _mean_sd(w_vals)
+    sd_w = float(w_vals.std(ddof=1)) if draws > 1 else 0.0
     return RandomAssignmentSummary(
-        mean_f=mean_f, sd_f=sd_f, mean_welfare=mean_w, sd_welfare=sd_w,
+        mean_f=mean_f, sd_f=sd_f, mean_welfare=float(w_vals.mean()), sd_welfare=sd_w,
         draws=draws, capacity=d)
 
 

@@ -6,11 +6,12 @@ the package's incremental code paths.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from netvax import (Allocation, PARAMETER_SETS, draw_instance, objective_value,
-                    replicate_seed, transition_probabilities)
+                    replicate_seed, transition_probabilities, welfare_value)
 
 DEFAULT_DIST = ((0.7, 0.2, 0.1), (0.7, 0.2, 0.1))
 
@@ -104,8 +105,36 @@ def matroid_brute(ctx, d, d1, d2, groups):
     return best_units, best_val
 
 
-def all_subsets_mean(ctx, d):
-    """Exact expectation of F over every size-d subset."""
-    vals = [objective_value(ctx, Allocation(frozenset(combo), capacity=d))
-            for combo in itertools.combinations(range(ctx.n_units), d)]
-    return float(np.mean(vals))
+def all_subsets_objective(ctx, d):
+    """F at every size-d subset, one entry per subset."""
+    return np.array([objective_value(ctx, Allocation(combo, capacity=d))
+                     for combo in itertools.combinations(range(ctx.n_units), d)])
+
+
+def all_subsets_welfare(inst, d, mode="linear"):
+    """Welfare at every size-d subset of an instance, one entry per subset."""
+    return np.array([welfare_value(inst.graph, inst.pop, inst.params,
+                                   Allocation(combo, capacity=d), mode)
+                     for combo in itertools.combinations(range(inst.graph.n_units), d)])
+
+
+def beta_from_contacts(kappa: float, contact_prob: float) -> float:
+    """Effective contact rate from an average contact count and a per-contact
+    transmission probability: ``-kappa * ln(1 - contact_prob)``.
+
+    The result can exceed 1 for large kappa; callers clamp as needed.
+    """
+    if kappa < 0:
+        raise ValueError(f"kappa must be >= 0, got {kappa}")
+    if not 0.0 <= contact_prob < 1.0:
+        raise ValueError(f"contact_prob must lie in [0, 1), got {contact_prob}")
+    return -kappa * math.log1p(-contact_prob)
+
+
+def beta_from_r0(r0: float, gamma: float) -> float:
+    """Effective contact rate from a reproduction number: ``r0 * gamma``."""
+    if r0 < 0:
+        raise ValueError(f"r0 must be >= 0, got {r0}")
+    if gamma <= 0:
+        raise ValueError(f"gamma must be > 0, got {gamma}")
+    return r0 * gamma

@@ -6,6 +6,8 @@ import pytest
 from netvax import harness, load_edge_list
 from netvax.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, main
 
+from _oracles import all_subsets_objective, all_subsets_welfare
+
 TINY_CONFIG = """
 n_units = 12
 density = 0.5
@@ -52,12 +54,30 @@ def test_solve_capacity_override_and_out_file(tmp_path):
     assert len(record["selected"]) == 3
 
 
+def assert_random_record_is_exhaustive(record, inst):
+    """The linear random record against F and welfare at every subset."""
+    d = record["capacity"]
+    f_vals = all_subsets_objective(inst.ctx, d)
+    welfare = all_subsets_welfare(inst, d)
+    assert record["draws"] == 0
+    assert abs(record["mean_f"] - f_vals.mean()) <= 1e-12
+    assert abs(record["sd_f"] - f_vals.std()) <= 1e-9 * f_vals.std()
+    assert abs(record["mean_welfare"] - welfare.mean()) <= 1e-12
+    assert abs(record["sd_welfare"] - welfare.std()) <= 1e-9 * welfare.std()
+
+
 def test_solve_random_policy(tmp_path, capsys):
     config = write(tmp_path / "exp.cfg", TINY_CONFIG)
-    assert main(["solve", "--config", config, "--policy", "random"]) == EXIT_OK
-    record = json.loads(capsys.readouterr().out)
-    assert record["draws"] == 200
-    assert "mean_welfare" in record and "sd_f" in record
+    cfg = harness.parse_experiment_config(TINY_CONFIG)
+    inst = harness.draw_instance(12, 0.5, cfg.params(), cfg.group1_probability,
+                                 cfg.initial_states, cfg.weights,
+                                 harness.replicate_seed(4, 0))
+    for fraction, d in (("0.1", 1), ("0.25", 3), ("0.5", 6)):
+        assert main(["solve", "--config", config, "--policy", "random",
+                     "--capacity-fraction", fraction]) == EXIT_OK
+        record = json.loads(capsys.readouterr().out)
+        assert record["capacity"] == d
+        assert_random_record_is_exhaustive(record, inst)
 
 
 def test_solve_with_edge_list(tmp_path, capsys):
@@ -171,9 +191,14 @@ def test_solve_with_edge_list_record_is_frozen(tmp_path, capsys, monkeypatch):
     assert main(["solve", "--config", config, "--edges", str(edges),
                  "--policy", "random"]) == EXIT_OK
     record = json.loads(capsys.readouterr().out)
-    assert record["draws"] == 200
-    assert abs(record["mean_f"] - 0.034177182539682535) <= 1e-12
-    assert abs(record["mean_welfare"] - 0.8498517857142857) <= 1e-12
+    assert abs(record["mean_f"] - 0.03171541950113379) <= 1e-12
+    assert abs(record["mean_welfare"] - 0.8473900226757369) <= 1e-12
+    cfg = harness.parse_experiment_config(TINY_CONFIG)
+    with open(edges, encoding="utf-8") as handle:
+        inst = harness.instance_on_graph(load_edge_list(handle), cfg.params(),
+                                         cfg.group1_probability, cfg.initial_states,
+                                         cfg.weights, harness.replicate_seed(4, 0))
+    assert_random_record_is_exhaustive(record, inst)
 
 
 def test_solve_reports_pct_young_vaccinated(tmp_path, capsys):

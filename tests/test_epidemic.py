@@ -11,13 +11,11 @@ from netvax import (
     ContactGraph,
     Population,
     SirParams,
-    beta_from_contacts,
-    beta_from_r0,
     infection_rate,
     transition_probabilities,
 )
 
-from _oracles import DEFAULT_DIST, small_instance
+from _oracles import DEFAULT_DIST, beta_from_contacts, beta_from_r0, small_instance
 
 
 def make_params(**kw):

@@ -28,11 +28,12 @@ from netvax import (
     load_edge_list,
     objective_value,
     parse_experiment_config,
+    random_assignment,
     welfare_value,
 )
 from netvax.harness import _KNOWN_KEYS, run_policy
 
-from _oracles import objective_dense, welfare_from_transitions
+from _oracles import all_subsets_objective, objective_dense, welfare_from_transitions
 
 unit_interval = st.floats(0.0, 1.0)
 
@@ -46,8 +47,8 @@ def sir_params(draw):
 
 
 @st.composite
-def instances(draw):
-    n = draw(st.integers(1, 15))
+def instances(draw, max_units=15):
+    n = draw(st.integers(1, max_units))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     density = draw(unit_interval)
     edges = [pair for pair in pairs if draw(st.floats(0.0, 1.0)) < density]
@@ -92,10 +93,10 @@ def test_objective_matches_dense_quadratic_form(case):
 
 
 @st.composite
-def raw_contexts(draw):
+def raw_contexts(draw, max_units=8):
     """Contexts built straight from triplets, unlike build_context: pairs may
     appear in both orientations and the same (i, j) may repeat."""
-    n = draw(st.integers(2, 8))
+    n = draw(st.integers(2, max_units))
     unit = st.integers(0, n - 1)
     pairs = draw(st.lists(st.tuples(unit, unit).filter(lambda p: p[0] != p[1]),
                           max_size=12))
@@ -143,14 +144,28 @@ def test_exact_random_baseline_matches_welfare_over_its_subsets(case, data):
     inst = Instance(graph, pop, params, build_context(graph, pop, params))
     config = ExperimentConfig(n_units=n, density=0.5, random_draws=draws, mode="exact")
     summary = run_policy(inst, "random", d, config, seed).result
+    assert summary.draws == draws
     subsets = np.concatenate(list(iter_random_subsets(seed, n, d, draws)))
     allocs = [Allocation(row, d) for row in subsets]
     welfare = np.array([welfare_value(graph, pop, params, a, "exact") for a in allocs])
-    f_vals = np.array([objective_value(inst.ctx, a) for a in allocs])
-    for values, mean, sd in ((welfare, summary.mean_welfare, summary.sd_welfare),
-                             (f_vals, summary.mean_f, summary.sd_f)):
-        assert abs(values.mean() - mean) <= 1e-12
-        assert abs((values.std(ddof=1) if draws > 1 else 0.0) - sd) <= 1e-12
+    assert abs(welfare.mean() - summary.mean_welfare) <= 1e-12
+    assert abs((welfare.std(ddof=1) if draws > 1 else 0.0) - summary.sd_welfare) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(raw_contexts(max_units=10).map(lambda case: case[0]),
+                 instances(max_units=10).map(lambda case: build_context(*case[:3]))))
+def test_random_baseline_moments_match_all_subsets(ctx):
+    for d in range(1, ctx.n_units + 1):
+        summary = random_assignment(ctx, d, draws=1, seed=0)
+        values = all_subsets_objective(ctx, d)
+        assert abs(summary.mean_f - values.mean()) <= 1e-12
+        # 1e-15 absorbs the oracle's own rounding when F is constant
+        assert abs(summary.sd_f - values.std()) <= 1e-9 * values.std() + 1e-15
+        assert summary.mean_welfare == summary.mean_f + ctx.welfare_constant
+        assert summary.sd_welfare == summary.sd_f
+        assert summary.draws == 0
+    assert summary.sd_f == 0.0
 
 
 # Values that stress number parsing: non-finite, out of range, malformed.

@@ -5,6 +5,7 @@ from netvax import (
     GROUP1,
     GROUP2,
     INFECTED,
+    PARAMETER_SETS,
     SUSCEPTIBLE,
     Allocation,
     BudgetError,
@@ -14,6 +15,7 @@ from netvax import (
     SirParams,
     brute_force,
     build_context,
+    draw_instance,
     greedy_capacity,
     greedy_factor,
     greedy_targeting,
@@ -21,8 +23,11 @@ from netvax import (
     random_assignment,
     twni,
 )
+from netvax import solvers
+from netvax.objective import exact_welfare_evaluator
 
-from _oracles import all_subsets_mean, grid_instances, matroid_brute, small_instance
+from _oracles import (DEFAULT_DIST, all_subsets_objective, grid_instances,
+                      matroid_brute, small_instance)
 
 SET1 = SirParams(beta=[[0.7, 0.5], [0.5, 0.6]], gamma=[0.1, 0.05], delta=[0.0, 0.0])
 
@@ -232,25 +237,54 @@ def test_random_assignment_full_capacity_has_zero_spread():
     full_val = objective_value(inst.ctx, Allocation(frozenset(range(10)), 10))
     assert abs(summary.mean_f - full_val) < 1e-12
     assert summary.sd_f == 0.0
-    assert summary.draws == 50
+    assert summary.draws == 0
 
 
 def test_random_assignment_matches_exhaustive_expectation():
     inst = small_instance(5, n=10, density=0.5)
-    exact = all_subsets_mean(inst.ctx, 2)
+    exact = all_subsets_objective(inst.ctx, 2).mean()
     summary = random_assignment(inst.ctx, 2, draws=20000, seed=3)
-    se = summary.sd_f / np.sqrt(summary.draws)
-    assert abs(summary.mean_f - exact) < 4 * se + 1e-9
+    assert abs(summary.mean_f - exact) < 1e-12
     assert abs(summary.mean_welfare - (summary.mean_f + inst.ctx.welfare_constant)) < 1e-12
 
 
 def test_random_assignment_deterministic_in_seed():
     inst = small_instance(2, n=15)
+    # linear welfare is exact, so the seed plays no part
     a = random_assignment(inst.ctx, 4, draws=500, seed=11)
     b = random_assignment(inst.ctx, 4, draws=500, seed=11)
     c = random_assignment(inst.ctx, 4, draws=500, seed=12)
+    assert a == b == c
+    # exact-mode welfare is drawn from the seed's subsets
+    welfare = exact_welfare_evaluator(inst.graph, inst.pop, inst.params)
+    a = random_assignment(inst.ctx, 4, draws=500, seed=11, welfare=welfare)
+    b = random_assignment(inst.ctx, 4, draws=500, seed=11, welfare=welfare)
+    c = random_assignment(inst.ctx, 4, draws=500, seed=12, welfare=welfare)
     assert a == b
-    assert a.mean_f != c.mean_f
+    assert a.mean_welfare != c.mean_welfare
+    assert (a.mean_f, a.sd_f) == (c.mean_f, c.sd_f)
+
+
+def test_exact_random_baseline_blocks_are_bounded(monkeypatch):
+    inst = draw_instance(1500, 0.01, PARAMETER_SETS["set1"], 0.4, DEFAULT_DIST,
+                         (2.0, 0.5), 8)
+    evaluator = exact_welfare_evaluator(inst.graph, inst.pop, inst.params)
+
+    def run():
+        blocks = []
+
+        def welfare(member):
+            blocks.append(member.shape)
+            return evaluator(member)
+        return random_assignment(inst.ctx, 150, draws=2500, seed=5, welfare=welfare), blocks
+
+    summary, blocks = run()
+    assert all(m * n <= 2**20 for m, n in blocks)
+    assert sum(m for m, _ in blocks) == summary.draws == 2500
+    monkeypatch.setattr(solvers, "_BLOCK_CELLS", 2000 * 1500)
+    reference, ref_blocks = run()
+    assert ref_blocks == [(2000, 1500), (500, 1500)]
+    assert summary == reference
 
 
 def test_random_assignment_validation():
