@@ -25,7 +25,8 @@ from .graph import ContactGraph, erdos_renyi
 from .objective import (Allocation, ObjectiveContext, build_context,
                         check_submodular, exact_welfare_evaluator,
                         marginal_gain, objective_value, welfare_value)
-from .regret import EstimationNoiseModel, empirical_regret, sample_estimates
+from .regret import (EstimationNoiseModel, compile_truth, decompose_regret,
+                     sample_estimates)
 from .solvers import (RandomAssignmentSummary, SolverResult, brute_force,
                       greedy_capacity, greedy_factor, greedy_targeting,
                       random_assignment, twni)
@@ -386,12 +387,23 @@ class RegretStudyRow:
 
 def run_regret_study(config: RegretStudyConfig) -> list[RegretStudyRow]:
     """Sample estimation noise at each external sample size on one fixed
-    instance and average the regret decomposition."""
+    instance and average the regret decomposition.
+
+    The instance is drawn from replicate_seed(seed, 0), and replication rep
+    at grid index gi estimates the parameters from
+    replicate_seed(seed, 1_000_000 + gi * replications + rep).  The true
+    objective and its optimum are compiled once per study (compile_truth
+    on the drawn instance's ctx); each replication compiles and solves only
+    its estimate, so every row equals the mean of the empirical_regret
+    reports over the same estimates.
+    """
     exp = config.experiment
     params = exp.params()
     inst = draw_instance(exp.n_units, exp.density, params,
                          exp.group1_probability, exp.initial_states,
                          exp.weights, replicate_seed(exp.seed, 0))
+    truth = compile_truth(inst.graph, inst.pop, inst.ctx, config.capacity,
+                          config.use_brute)
     rows = []
     for gi, n_external in enumerate(config.n_grid):
         noise = EstimationNoiseModel(n_external=n_external)
@@ -400,9 +412,8 @@ def run_regret_study(config: RegretStudyConfig) -> list[RegretStudyRow]:
         for rep in range(config.replications):
             est_seed = replicate_seed(exp.seed, 1_000_000 + gi * config.replications + rep)
             est = sample_estimates(params, noise, est_seed)
-            report = empirical_regret(inst.graph, inst.pop, params, est,
-                                      config.capacity, use_brute=config.use_brute,
-                                      n_external=n_external)
+            report = decompose_regret(truth, build_context(inst.graph, inst.pop, est),
+                                      n_external)
             totals.append(report.total)
             gap1s.append(report.estimation_gap)
             gap2s.append(report.optimization_gap)

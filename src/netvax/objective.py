@@ -134,6 +134,8 @@ class ObjectiveContext:
              (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
             shape=(n_units, n_units))
         self._sym.sum_duplicates()
+        # row index of each nonzero of _sym, aligned with _sym.indices/data
+        self._sym_rows = np.repeat(np.arange(n_units), np.diff(self._sym.indptr))
         self._base_gain = direct_gain - np.asarray(self._sym.sum(axis=1)).ravel()
 
     def initial_gains(self) -> np.ndarray:
@@ -174,16 +176,15 @@ def _exposure_triplets(graph: ContactGraph, pop: Population, params: SirParams
 def _healthy_share(pop: Population, params: SirParams, v: np.ndarray,
                    z: np.ndarray, mode: str) -> float | np.ndarray:
     """Weighted mean next-period healthy probability given the vaccination
-    indicator v and the per-unit exposure z, both of shape (n,) for one
-    allocation or (m, n) for a block of m allocations."""
+    indicator v over all units and the exposure z of the susceptible units
+    only (the others cannot become infected), in ascending unit order: v
+    of shape (n,) and z of shape (s,) for one allocation, or (m, n) and
+    C-ordered (m, s) for a block of m allocations."""
     sus = np.flatnonzero(pop.susceptible)
     held = pop.weight * (pop.recovered + params.gamma[pop.group] * pop.infected)
-    # only susceptible units escape; taking their columns before exp, and
-    # dropping the full z, keeps a block's temporaries to (m, susceptible)
-    # arrays.  take returns C order, so vecdot takes one BLAS dot over each
+    # v and escape are C-ordered, so vecdot takes one BLAS dot over each
     # allocation's contiguous row: a row's value depends neither on the rest
     # of the block nor on the BLAS thread count, as with a matrix product.
-    z = np.take(z, sus, axis=-1)
     escape = (1.0 - z) if mode == "linear" else np.exp(-z)
     escape *= 1.0 - np.take(v, sus, axis=-1)
     return (held.sum() + np.vecdot(v, pop.weight - held)
@@ -207,19 +208,22 @@ def build_context(graph: ContactGraph, pop: Population, params: SirParams) -> Ob
     sus = pop.susceptible[i]
     rows = i[sus]
     vals = -pop.weight[rows] * rate[sus] / (deg[rows] * n)
-    const = _healthy_share(pop, params, np.zeros(n),
-                           np.bincount(i, rate, minlength=n) / deg, "linear")
+    z = np.bincount(i, rate, minlength=n) / deg
+    const = _healthy_share(pop, params, np.zeros(n), z[pop.susceptible], "linear")
     return ObjectiveContext(n, c, rows, j[sus], vals, const)
 
 
 def objective_value(ctx: ObjectiveContext, alloc: Allocation) -> float:
-    """Evaluate F at an allocation.  F(empty) = 0."""
-    idx = alloc.sorted_units()
-    if idx.size == 0:
-        return 0.0
-    if idx[-1] >= ctx.n_units:
-        raise ValueError("allocation contains a unit outside the instance")
-    return float(ctx._base_gain[idx].sum()) + 0.5 * float(ctx._sym[idx][:, idx].sum())
+    """Evaluate F at an allocation.  F(empty) = 0.
+
+    Sums the base gains of the allocated units and half of w + w^T over the
+    nonzeros whose row and column are both allocated, each in ascending
+    order, so the value does not depend on how the allocation was built.
+    """
+    member = alloc.indicator(ctx.n_units)
+    s = ctx._sym
+    inside = member[ctx._sym_rows] & member[s.indices]
+    return float(ctx._base_gain[member].sum()) + 0.5 * float(s.data[inside].sum())
 
 
 def welfare_value(graph: ContactGraph, pop: Population, params: SirParams,
@@ -238,7 +242,7 @@ def welfare_value(graph: ContactGraph, pop: Population, params: SirParams,
     v = alloc.indicator(n).astype(float)
     i, j, rate, deg = _exposure_triplets(graph, pop, params)
     z = np.bincount(i, rate * (1.0 - v[j]), minlength=n) / deg
-    return float(_healthy_share(pop, params, v, z, mode))
+    return float(_healthy_share(pop, params, v, z[pop.susceptible], mode))
 
 
 def exact_welfare_evaluator(graph: ContactGraph, pop: Population, params: SirParams
@@ -250,12 +254,18 @@ def exact_welfare_evaluator(graph: ContactGraph, pop: Population, params: SirPar
     if pop.n_units != n:
         raise ValueError("graph and population sizes differ")
     i, j, rate, deg = _exposure_triplets(graph, pop, params)
-    exposure = sparse.csr_array((rate / deg[i], (i, j)), shape=(n, n))
+    # rows of the susceptible units only, the exposure _healthy_share reads
+    exposure = sparse.csr_array((rate / deg[i], (i, j)), shape=(n, n))[
+        np.flatnonzero(pop.susceptible)]
     z_empty = np.asarray(exposure.sum(axis=1)).ravel()
 
     def welfare(member: np.ndarray) -> np.ndarray:
-        return _healthy_share(pop, params, member,
-                              z_empty - (exposure @ member.T).T, "exact")
+        # scipy multiplies by a C-ordered (n, m) operand without a copy of
+        # its own; the subtraction writes z in the C order vecdot needs, and
+        # the product is freed before _healthy_share's temporaries exist
+        z = np.subtract(z_empty, (exposure @ np.ascontiguousarray(member.T)).T,
+                        order="C")
+        return _healthy_share(pop, params, member, z, "exact")
     return welfare
 
 

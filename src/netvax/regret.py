@@ -19,15 +19,18 @@ from scipy import sparse
 
 from .epidemic import Population, SirParams
 from .graph import ContactGraph
-from .objective import build_context, objective_value
-from .solvers import brute_force, greedy_capacity
+from .objective import ObjectiveContext, build_context, objective_value
+from .solvers import SolverResult, brute_force, greedy_capacity
 
 __all__ = [
     "UNIVERSAL_CONSTANT",
     "MEAN_DEVIATION_COEF",
     "EstimationNoiseModel",
     "RegretReport",
+    "RegretTruth",
     "sample_estimates",
+    "compile_truth",
+    "decompose_regret",
     "empirical_regret",
     "regret_upper_bound",
     "entry_error_bounds",
@@ -120,6 +123,71 @@ class RegretReport:
         return abs(self.estimation_gap) + abs(self.evaluation_gap)
 
 
+@dataclass(frozen=True)
+class RegretTruth:
+    """The true-parameter half of a regret decomposition, shared by every
+    estimate drawn for one instance and capacity: the true objective, its
+    optimum, and the instance statistics the bound reads."""
+
+    ctx: ObjectiveContext
+    optimum: SolverResult
+    capacity: int
+    use_brute: bool
+    max_degree: int
+    n_infected: int
+    max_weight: float
+
+
+def _greedy_or_empty(ctx: ObjectiveContext, d: int) -> SolverResult:
+    # greedy_capacity refuses d = 0; brute force returns the empty allocation
+    return greedy_capacity(ctx, d) if d >= 1 else brute_force(ctx, d)
+
+
+def compile_truth(graph: ContactGraph, pop: Population, ctx_true: ObjectiveContext,
+                  d: int, use_brute: bool) -> RegretTruth:
+    """Locate the true optimum on ctx_true, the objective compiled with the
+    true parameters (build_context(graph, pop, true_params), or the ctx of
+    a drawn Instance), by exhaustive search or, without use_brute, greedy."""
+    optimum = brute_force(ctx_true, d) if use_brute else _greedy_or_empty(ctx_true, d)
+    return RegretTruth(
+        ctx=ctx_true, optimum=optimum, capacity=d, use_brute=use_brute,
+        max_degree=int(graph.degree.max()), n_infected=int(pop.infected.sum()),
+        max_weight=float(pop.weight.max()))
+
+
+def decompose_regret(truth: RegretTruth, ctx_est: ObjectiveContext,
+                     n_external: Optional[int]) -> RegretReport:
+    """Measure the regret decomposition of one estimated objective against
+    the compiled truth.  The chosen set is greedy on ctx_est; the estimated
+    optimum comes from the same search as the true one, so without use_brute
+    it is the chosen set itself."""
+    d = truth.capacity
+    chosen = _greedy_or_empty(ctx_est, d)
+    opt_est = brute_force(ctx_est, d) if truth.use_brute else chosen
+
+    f_true_star = truth.optimum.f_value
+    f_est_star = opt_est.f_value
+    f_est_chosen = chosen.f_value
+    f_true_chosen = objective_value(truth.ctx, chosen.allocation)
+
+    gap1 = f_true_star - f_est_star
+    gap2 = f_est_star - f_est_chosen
+    gap3 = f_est_chosen - f_true_chosen
+    total = f_true_star - f_true_chosen
+
+    if n_external is not None:
+        bound = regret_upper_bound(truth.ctx.n_units, d, truth.max_degree,
+                                   truth.n_infected, truth.max_weight,
+                                   n_external, f_true_star)
+    else:
+        bound = float("nan")
+    return RegretReport(
+        estimation_gap=gap1, optimization_gap=gap2, evaluation_gap=gap3,
+        total=total, bound=bound, max_degree=truth.max_degree,
+        n_infected=truth.n_infected, max_weight=truth.max_weight, capacity=d,
+        approximate=not truth.use_brute)
+
+
 def empirical_regret(graph: ContactGraph, pop: Population,
                      true_params: SirParams, est_params: SirParams,
                      d: int, use_brute: bool = True,
@@ -128,39 +196,16 @@ def empirical_regret(graph: ContactGraph, pop: Population,
 
     With use_brute the two optima come from exhaustive search (subject to its
     enumeration budget); otherwise greedy stands in and the report is marked
-    approximate.  When n_external is given, the report carries the matching
-    upper bound computed from the true optimum's value.
+    approximate.  At d = 0 every gap is 0 in both modes.  When n_external is
+    given, the report carries the matching upper bound computed from the
+    true optimum's value.  Compiles the truth (compile_truth) and decomposes
+    against one estimate (decompose_regret); a study over many estimates on
+    one instance compiles the truth once and calls decompose_regret per
+    estimate, with the same result.
     """
-    ctx_true = build_context(graph, pop, true_params)
-    ctx_est = build_context(graph, pop, est_params)
-    solve = brute_force if use_brute else greedy_capacity
-    opt_true = solve(ctx_true, d)
-    opt_est = solve(ctx_est, d)
-    chosen = greedy_capacity(ctx_est, d) if d >= 1 else opt_est
-
-    f_true_star = opt_true.f_value
-    f_est_star = opt_est.f_value
-    f_est_chosen = chosen.f_value
-    f_true_chosen = objective_value(ctx_true, chosen.allocation)
-
-    gap1 = f_true_star - f_est_star
-    gap2 = f_est_star - f_est_chosen
-    gap3 = f_est_chosen - f_true_chosen
-    total = f_true_star - f_true_chosen
-
-    max_degree = int(graph.degree.max())
-    n_infected = int(pop.infected.sum())
-    max_weight = float(pop.weight.max())
-    if n_external is not None:
-        bound = regret_upper_bound(graph.n_units, d, max_degree, n_infected,
-                                   max_weight, n_external, f_true_star)
-    else:
-        bound = float("nan")
-    return RegretReport(
-        estimation_gap=gap1, optimization_gap=gap2, evaluation_gap=gap3,
-        total=total, bound=bound, max_degree=max_degree,
-        n_infected=n_infected, max_weight=max_weight, capacity=d,
-        approximate=not use_brute)
+    truth = compile_truth(graph, pop, build_context(graph, pop, true_params), d,
+                          use_brute)
+    return decompose_regret(truth, build_context(graph, pop, est_params), n_external)
 
 
 def regret_upper_bound(n_units: int, d: int, max_degree: int, n_infected: int,

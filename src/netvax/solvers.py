@@ -146,12 +146,13 @@ def greedy_targeting(ctx: ObjectiveContext, d: int, d1: int, d2: int,
 
 
 def _combo_chunks(n: int, k: int, chunk: int) -> Iterator[np.ndarray]:
-    it = itertools.combinations(range(n), k)
-    while True:
-        block = list(itertools.islice(it, chunk))
-        if not block:
-            return
-        yield np.asarray(block, dtype=np.int64)
+    """The size-k subsets of range(n) in lexicographic order, as (rows, k)
+    blocks of chunk rows; the last block holds the remainder."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+    total = math.comb(n, k)
+    for start in range(0, total, chunk):
+        rows = min(chunk, total - start)
+        yield np.fromiter(flat, dtype=np.int64, count=rows * k).reshape(rows, k)
 
 
 def _tie_scan(vals: np.ndarray, best_val: float) -> tuple[int, float]:
@@ -253,7 +254,7 @@ def _f_moments(ctx: ObjectiveContext, d: int) -> tuple[float, float]:
     s = ctx._sym
     if d == n:
         return float(b.sum()) + 0.5 * float(s.data.sum()), 0.0
-    i = np.repeat(np.arange(n), np.diff(s.indptr))
+    i = ctx._sym_rows
     r = np.bincount(i, s.data, minlength=n)
     mean = d / n * float(b.sum()) + d * (d - 1) / (n * (n - 1)) * 0.5 * float(r.sum())
     u = (r - r.mean()) / (n - 2) if n > 2 else np.zeros(n)

@@ -58,6 +58,16 @@ def objective_dense(ctx, units):
     return float(v @ w @ v + c @ v - ones @ w @ v - v @ w @ ones)
 
 
+def objective_sliced(ctx, alloc):
+    """F as base gains plus half the w + w^T block sliced out of the
+    context's sparse matrix by scipy, rows then columns, in ascending unit
+    order; objective_value must equal it bit for bit without slicing."""
+    idx = alloc.sorted_units()
+    if idx.size == 0:
+        return 0.0
+    return float(ctx._base_gain[idx].sum()) + 0.5 * float(ctx._sym[idx][:, idx].sum())
+
+
 def objective_edge_sum(ctx, units):
     """F via the per-entry sum c'v - sum_ij w_ij (v_i + v_j - v_i v_j)."""
     v = np.zeros(ctx.n_units)

@@ -1,8 +1,12 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import netvax
 from netvax import harness, load_edge_list
 from netvax.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, main
 
@@ -225,3 +229,11 @@ def test_non_finite_config_is_config_error(tmp_path, capsys, extra):
     out = tmp_path / "rows.csv"
     assert main(["experiment", "--config", config, "--out", str(out)]) == EXIT_CONFIG
     assert "finite" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(netvax.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "netvax", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: netvax")

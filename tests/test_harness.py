@@ -10,11 +10,15 @@ from netvax import (
     PARAMETER_SETS,
     ConfigError,
     ContactGraph,
+    EstimationNoiseModel,
     ExperimentConfig,
     Population,
     RegretStudyConfig,
+    RegretStudyRow,
     SirParams,
+    brute_force,
     draw_instance,
+    empirical_regret,
     emit_csv,
     emit_regret_csv,
     parse_experiment_config,
@@ -23,7 +27,9 @@ from netvax import (
     run_experiment,
     run_property_checks,
     run_regret_study,
+    sample_estimates,
 )
+from netvax import regret
 from netvax.harness import instance_on_graph, run_policy
 
 from _oracles import DEFAULT_DIST
@@ -336,6 +342,62 @@ def test_run_regret_study_small():
     # repeat run is identical
     again = run_regret_study(study)
     assert again == rows
+
+
+@pytest.mark.parametrize("use_brute", [True, False])
+def test_regret_study_rows_are_means_of_empirical_regret(use_brute, monkeypatch):
+    exp = ExperimentConfig(n_units=12, density=0.5, seed=6)
+    study = RegretStudyConfig(experiment=exp, capacity=3, n_grid=(30, 300),
+                              replications=6, use_brute=use_brute)
+    params = exp.params()
+    inst = draw_instance(12, 0.5, params, exp.group1_probability,
+                         exp.initial_states, exp.weights, replicate_seed(exp.seed, 0))
+    searches = []
+
+    def counted_brute_force(ctx, d):
+        searches.append(d)
+        return brute_force(ctx, d)
+    monkeypatch.setattr(regret, "brute_force", counted_brute_force)
+    rows = run_regret_study(study)
+    # the true optimum is searched once per study, each estimate once
+    assert len(searches) == (1 + 2 * 6 if use_brute else 0)
+    for gi, (row, n_external) in enumerate(zip(rows, study.n_grid)):
+        noise = EstimationNoiseModel(n_external)
+        reports = [empirical_regret(
+            inst.graph, inst.pop, params,
+            sample_estimates(params, noise, replicate_seed(exp.seed, 1_000_000 + gi * 6 + rep)),
+            3, use_brute=use_brute, n_external=n_external) for rep in range(6)]
+        assert all(r.approximate is (not use_brute) for r in reports)
+        mean_total = float(np.mean([r.total for r in reports]))
+        assert row == RegretStudyRow(
+            n_external=n_external, replications=6, capacity=3,
+            mean_total=mean_total,
+            mean_estimation_gap=float(np.mean([r.estimation_gap for r in reports])),
+            mean_optimization_gap=float(np.mean([r.optimization_gap for r in reports])),
+            mean_evaluation_gap=float(np.mean([r.evaluation_gap for r in reports])),
+            mean_noise_gap=float(np.mean([r.noise_gap for r in reports])),
+            bound=reports[-1].bound, slack=reports[-1].bound - mean_total)
+
+
+def test_regret_study_output_is_frozen():
+    study = RegretStudyConfig(
+        experiment=ExperimentConfig(n_units=12, density=0.6, seed=1),
+        capacity=2, n_grid=(10, 100), replications=8)
+    rows = run_regret_study(study)
+    assert [(r.mean_total, r.mean_estimation_gap, r.mean_optimization_gap,
+             r.mean_evaluation_gap, r.mean_noise_gap, r.bound, r.slack)
+            for r in rows] == [
+        (0.005564198532948532, -0.0022973212053922637, 0.0, 0.007861519738340796,
+         0.034132704336658125, 2.9557312320457982, 2.95016703351285),
+        (0.0, 0.0007383147487511448, 0.0, -0.0007383147487511448,
+         0.00946458976673125, 0.992858397681115, 0.992858397681115)]
+    sink = io.StringIO()
+    emit_regret_csv(rows, sink)
+    assert sink.getvalue() == (
+        "n_external,replications,capacity,mean_total,mean_estimation_gap,"
+        "mean_optimization_gap,mean_evaluation_gap,mean_noise_gap,bound,slack\n"
+        "10,8,2,0.005564,-0.002297,0.000000,0.007862,0.034133,2.955731,2.950167\n"
+        "100,8,2,0.000000,0.000738,0.000000,-0.000738,0.009465,0.992858,0.992858\n")
 
 
 def test_emit_regret_csv_format():

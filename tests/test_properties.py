@@ -33,7 +33,8 @@ from netvax import (
 )
 from netvax.harness import _KNOWN_KEYS, run_policy
 
-from _oracles import all_subsets_objective, objective_dense, welfare_from_transitions
+from _oracles import (all_subsets_objective, objective_dense, objective_sliced,
+                      welfare_from_transitions)
 
 unit_interval = st.floats(0.0, 1.0)
 
@@ -120,6 +121,16 @@ def test_raw_triplet_context_matches_dense_quadratic_form(case):
     assert abs(objective_value(ctx, Allocation(units, ctx.n_units)) - want) <= 1e-12
     singles = [objective_dense(ctx, {u}) for u in range(ctx.n_units)]
     assert np.max(np.abs(ctx.initial_gains() - singles)) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(raw_contexts(max_units=10).map(
+                     lambda case: (case[0], Allocation(case[1], case[0].n_units))),
+                 instances(max_units=12).map(
+                     lambda case: (build_context(*case[:3]), case[3]))))
+def test_objective_value_equals_sliced_formula_bit_for_bit(case):
+    ctx, alloc = case
+    assert objective_value(ctx, alloc) == objective_sliced(ctx, alloc)
 
 
 @settings(max_examples=100, deadline=None)

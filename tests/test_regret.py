@@ -174,6 +174,21 @@ def test_approximate_flag_with_greedy_optima():
     assert report.approximate
 
 
+@pytest.mark.parametrize("use_brute", [True, False])
+def test_zero_capacity_regret_is_zero_in_both_modes(use_brute):
+    inst = small_instance(3, n=12, density=0.5)
+    est = sample_estimates(inst.params, EstimationNoiseModel(100), seed=4)
+    report = empirical_regret(inst.graph, inst.pop, inst.params, est, d=0,
+                              use_brute=use_brute, n_external=100)
+    assert (report.estimation_gap, report.optimization_gap, report.evaluation_gap,
+            report.total) == (0.0, 0.0, 0.0, 0.0)
+    assert report.capacity == 0
+    assert report.approximate is (not use_brute)
+    assert report.bound == regret_upper_bound(12, 0, report.max_degree,
+                                              report.n_infected, report.max_weight,
+                                              100, 0.0)
+
+
 def test_bound_floor_and_monotonicity():
     f_star = 0.8
     floor = regret_upper_bound(20, 0, 5, 4, 1.0, 100, f_star)

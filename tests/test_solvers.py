@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -179,6 +182,18 @@ def test_brute_force_budget_error_names_count():
         brute_force(inst.ctx, 10)
     with pytest.raises(ValueError):
         brute_force(inst.ctx, -1)
+
+
+@pytest.mark.parametrize("n, k, chunk", [(7, 3, 4), (7, 3, 34), (9, 2, 5),
+                                          (6, 6, 4), (5, 4, 2), (8, 5, 1000)])
+def test_combo_chunks_match_itertools_order(n, k, chunk):
+    blocks = list(solvers._combo_chunks(n, k, chunk))
+    count = math.comb(n, k)
+    assert [b.shape for b in blocks] == (
+        [(chunk, k)] * (count // chunk) + ([(count % chunk, k)] if count % chunk else []))
+    assert all(b.dtype == np.int64 for b in blocks)
+    assert np.concatenate(blocks).tolist() == [list(c) for c in
+                                               itertools.combinations(range(n), k)]
 
 
 def test_targeting_respects_caps():
