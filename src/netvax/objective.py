@@ -18,11 +18,11 @@ and submodular, which is what the greedy solvers rely on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import sparse
 
 from .epidemic import Population, SirParams
 from .graph import ContactGraph
@@ -126,17 +126,12 @@ class ObjectiveContext:
         for arr in (direct_gain, rows, cols, vals):
             arr.setflags(write=False)
 
-        # w + w^T; its row sums are w's row plus column sums.  Repeated (i, j)
-        # entries are summed into one, which sym_row's callers and
-        # solvers._f_moments rely on.
-        self._sym = sparse.csr_array(
-            (np.concatenate([vals, vals]),
-             (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
-            shape=(n_units, n_units))
-        self._sym.sum_duplicates()
-        # row index of each nonzero of _sym, aligned with _sym.indices/data
-        self._sym_rows = np.repeat(np.arange(n_units), np.diff(self._sym.indptr))
-        self._base_gain = direct_gain - np.asarray(self._sym.sum(axis=1)).ravel()
+        # w + w^T with repeated (i, j) entries summed into one, which sym_row's
+        # callers and _f_moments rely on; its row sums are w's row plus column sums
+        self._sym_indptr, self._sym_rows, self._sym_cols, self._sym_vals = _csr(
+            n_units, np.concatenate([rows, cols]), np.concatenate([cols, rows]),
+            np.concatenate([vals, vals]))
+        self._base_gain = direct_gain - _row_sums(self._sym_indptr, self._sym_vals)
 
     def initial_gains(self) -> np.ndarray:
         """Marginal gain of each unit at the empty allocation (fresh copy)."""
@@ -144,13 +139,78 @@ class ObjectiveContext:
 
     def sym_row(self, unit: int) -> tuple[np.ndarray, np.ndarray]:
         """Nonzero columns and values of row ``unit`` of w + w^T."""
-        s = self._sym
-        lo, hi = s.indptr[unit], s.indptr[unit + 1]
-        return s.indices[lo:hi], s.data[lo:hi]
+        lo, hi = self._sym_indptr[unit], self._sym_indptr[unit + 1]
+        return self._sym_cols[lo:hi], self._sym_vals[lo:hi]
 
     def pairwise_dense(self) -> np.ndarray:
         """Dense w + w^T; intended for small instances (brute-force search)."""
-        return self._sym.toarray()
+        out = np.zeros((self.n_units, self.n_units))
+        out[self._sym_rows, self._sym_cols] = self._sym_vals
+        return out
+
+
+def _csr(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
+         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """COO triplets of an n x n matrix as CSR arrays (indptr, row, col, value)
+    in (row, col) order.  Repeated entries are summed in entry order, others
+    kept as they are: scipy's csr_array after sum_duplicates, which may sum
+    three or more repeats in another order."""
+    keys = rows * n + cols
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    new = np.diff(keys, prepend=-1) != 0
+    if not new.all():
+        keys, vals = keys[new], np.bincount(np.cumsum(new) - 1, vals)
+    rows, cols = np.divmod(keys, n)
+    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n)))), rows, cols, vals
+
+
+def _row_sums(indptr: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Row sums of a CSR matrix, by np.add.reduceat as scipy sums rows."""
+    out = np.zeros(indptr.size - 1)
+    full = np.flatnonzero(np.diff(indptr))
+    out[full] = np.add.reduceat(vals, indptr[full])
+    return out
+
+
+def _f_moments(ctx: ObjectiveContext, d: int) -> tuple[float, float]:
+    """Exact mean and population sd of F(S) over all size-d subsets S of the
+    units, in O(nnz + n).
+
+    With b the base gains and s = w + w^T, F(S) = sum_{i in S} b_i +
+    sum_{i<j in S} s_ij and E[F] = (d/n) sum b + d(d-1)/(n(n-1)) sum_{i<j} s_ij.
+    For the sd, let r be the row sums of s, u = (r - mean(r)) / (n - 2),
+    c = mean(r) / (n - 1), h_ij = s_ij - u_i - u_j - c for every pair i != j
+    and g = b - mean(b) + (d - 1) u.  As |S| = d,
+    F(S) - E[F] = sum_{i in S} g_i + sum_{i<j in S} h_ij; g sums to zero and
+    each row of h sums to zero, so the two parts are uncorrelated and
+        Var F = d(n-d)/(n(n-1)) sum g^2
+                + d(d-1)(n-d)(n-d-1)/(n(n-1)(n-2)(n-3)) sum_{i<j} h^2.
+    Both terms are sums of squares, so a near-constant F gets a near-zero sd
+    rather than the square root of a cancellation error.
+    """
+    n = ctx.n_units
+    b = ctx._base_gain
+    i, j, s = ctx._sym_rows, ctx._sym_cols, ctx._sym_vals
+    if d == n:
+        return float(b.sum()) + 0.5 * float(s.sum()), 0.0
+    r = np.bincount(i, s, minlength=n)
+    mean = d / n * float(b.sum()) + d * (d - 1) / (n * (n - 1)) * 0.5 * float(r.sum())
+    u = (r - r.mean()) / (n - 2) if n > 2 else np.zeros(n)
+    g = b - b.mean() + (d - 1) * u
+    var = d * (n - d) / (n * (n - 1)) * float(g @ g)
+    pair_coef = d * (d - 1) * (n - d) * (n - d - 1)
+    if pair_coef:  # then n >= 4
+        c = r.mean() / (n - 1)
+        fit = u[i] + u[j] + c  # u_i + u_j + c at s's nonzeros
+        # sum_{i<j} h^2 over s's nonzeros, then over the other pairs, where
+        # h = -fit: fit^2 over all pairs in closed form, less the nonzeros'
+        fit2_all = (n - 2) * float(u @ u) + 0.5 * n * (n - 1) * c * c
+        rest = (0.0 if s.size == n * (n - 1)
+                else max(fit2_all - 0.5 * float(fit @ fit), 0.0))
+        h2 = 0.5 * float(((s - fit) ** 2).sum()) + rest
+        var += pair_coef / (n * (n - 1) * (n - 2) * (n - 3)) * h2
+    return mean, math.sqrt(var)
 
 
 def _exposure_triplets(graph: ContactGraph, pop: Population, params: SirParams
@@ -173,21 +233,26 @@ def _exposure_triplets(graph: ContactGraph, pop: Population, params: SirParams
     return i, j, rate, np.maximum(graph.degree, 1).astype(float)
 
 
-def _healthy_share(pop: Population, params: SirParams, v: np.ndarray,
+def _healthy_share(pop: Population, params: SirParams, vaccinated: np.ndarray,
                    z: np.ndarray, mode: str) -> float | np.ndarray:
-    """Weighted mean next-period healthy probability given the vaccination
-    indicator v over all units and the exposure z of the susceptible units
-    only (the others cannot become infected), in ascending unit order: v
-    of shape (n,) and z of shape (s,) for one allocation, or (m, n) and
-    C-ordered (m, s) for a block of m allocations."""
-    sus = np.flatnonzero(pop.susceptible)
+    """Weighted mean next-period healthy probability given the vaccinated
+    units and the exposure z of the susceptible units only (the others
+    cannot become infected), in ascending unit order: vaccinated of shape
+    (k,) and z of shape (s,) for one allocation, or (m, k) ascending rows
+    and C-ordered (m, s) for a block of m allocations.  z is overwritten."""
+    sus = pop.susceptible
     held = pop.weight * (pop.recovered + params.gamma[pop.group] * pop.infected)
-    # v and escape are C-ordered, so vecdot takes one BLAS dot over each
+    escape = (np.subtract(1.0, z, out=z) if mode == "linear"
+              else np.exp(np.negative(z, out=z), out=z))
+    # zero the escape of vaccinated susceptible units at flat (row, position)
+    flat = vaccinated.ravel()
+    hit = np.flatnonzero(sus[flat])
+    escape.reshape(-1)[hit // max(vaccinated.shape[-1], 1) * z.shape[-1]
+                       + (np.cumsum(sus) - 1)[flat[hit]]] = 0.0
+    # escape is C-ordered, so vecdot takes one BLAS dot over each
     # allocation's contiguous row: a row's value depends neither on the rest
     # of the block nor on the BLAS thread count, as with a matrix product.
-    escape = (1.0 - z) if mode == "linear" else np.exp(-z)
-    escape *= 1.0 - np.take(v, sus, axis=-1)
-    return (held.sum() + np.vecdot(v, pop.weight - held)
+    return (held.sum() + np.take(pop.weight - held, vaccinated).sum(axis=-1)
             + np.vecdot(escape, pop.weight[sus])) / pop.n_units
 
 
@@ -209,7 +274,7 @@ def build_context(graph: ContactGraph, pop: Population, params: SirParams) -> Ob
     rows = i[sus]
     vals = -pop.weight[rows] * rate[sus] / (deg[rows] * n)
     z = np.bincount(i, rate, minlength=n) / deg
-    const = _healthy_share(pop, params, np.zeros(n), z[pop.susceptible], "linear")
+    const = _healthy_share(pop, params, np.arange(0), z[pop.susceptible], "linear")
     return ObjectiveContext(n, c, rows, j[sus], vals, const)
 
 
@@ -221,9 +286,8 @@ def objective_value(ctx: ObjectiveContext, alloc: Allocation) -> float:
     order, so the value does not depend on how the allocation was built.
     """
     member = alloc.indicator(ctx.n_units)
-    s = ctx._sym
-    inside = member[ctx._sym_rows] & member[s.indices]
-    return float(ctx._base_gain[member].sum()) + 0.5 * float(s.data[inside].sum())
+    inside = member[ctx._sym_rows] & member[ctx._sym_cols]
+    return float(ctx._base_gain[member].sum()) + 0.5 * float(ctx._sym_vals[inside].sum())
 
 
 def welfare_value(graph: ContactGraph, pop: Population, params: SirParams,
@@ -239,33 +303,48 @@ def welfare_value(graph: ContactGraph, pop: Population, params: SirParams,
     n = graph.n_units
     if pop.n_units != n:
         raise ValueError("graph and population sizes differ")
-    v = alloc.indicator(n).astype(float)
+    v = alloc.indicator(n)
     i, j, rate, deg = _exposure_triplets(graph, pop, params)
     z = np.bincount(i, rate * (1.0 - v[j]), minlength=n) / deg
-    return float(_healthy_share(pop, params, v, z[pop.susceptible], mode))
+    return float(_healthy_share(pop, params, alloc.sorted_units(), z[pop.susceptible], mode))
 
 
 def exact_welfare_evaluator(graph: ContactGraph, pop: Population, params: SirParams
                             ) -> Callable[[np.ndarray], np.ndarray]:
     """Exact-mode welfare_value for blocks of allocations: compiles the
-    exposure matrix once and returns a function mapping an (m, n) 0/1
-    membership block to its (m,) welfare values."""
+    exposure of the susceptible units once and returns a function mapping
+    an (m, k) block of vaccinated unit indices, one allocation per row, to
+    its (m,) welfare values."""
     n = graph.n_units
     if pop.n_units != n:
         raise ValueError("graph and population sizes differ")
     i, j, rate, deg = _exposure_triplets(graph, pop, params)
-    # rows of the susceptible units only, the exposure _healthy_share reads
-    exposure = sparse.csr_array((rate / deg[i], (i, j)), shape=(n, n))[
-        np.flatnonzero(pop.susceptible)]
-    z_empty = np.asarray(exposure.sum(axis=1)).ravel()
+    keep = pop.susceptible[i]
+    i, j, b = i[keep], j[keep], (rate / deg[i])[keep]
+    ptr, _, _, by_row = _csr(n, i, j, b)
+    z_empty = _row_sums(ptr, by_row)[pop.susceptible]
+    # the same entries grouped by infecting source, each exposed unit given
+    # as its position among the susceptible units
+    src_ptr, _, exposed, by_src = _csr(n, j, i, b)
+    exposed = (np.cumsum(pop.susceptible) - 1)[exposed]
+    s = z_empty.size
 
-    def welfare(member: np.ndarray) -> np.ndarray:
-        # scipy multiplies by a C-ordered (n, m) operand without a copy of
-        # its own; the subtraction writes z in the C order vecdot needs, and
-        # the product is freed before _healthy_share's temporaries exist
-        z = np.subtract(z_empty, (exposure @ np.ascontiguousarray(member.T)).T,
-                        order="C")
-        return _healthy_share(pop, params, member, z, "exact")
+    def welfare(idx: np.ndarray) -> np.ndarray:
+        idx = np.sort(idx, axis=1)
+        m, k = idx.shape
+        # (allocation, infecting source) pairs in order, then their entries
+        flat = idx.ravel()
+        count = np.diff(src_ptr)[flat]
+        pair = np.flatnonzero(count)
+        count = count[pair]
+        entry = (np.repeat(src_ptr[flat[pair]] - np.cumsum(count) + count, count)
+                 + np.arange(count.sum()))
+        cell = np.repeat(pair // k * s, count) + exposed[entry]
+        # each cell sums its sources in ascending order, as a CSR product
+        # does; bincount returns integers when no source is hit
+        z = np.bincount(cell, by_src[entry], minlength=m * s).reshape(m, s)
+        z = np.subtract(z_empty, z, out=z.astype(float, copy=False))
+        return _healthy_share(pop, params, idx, z, "exact")
     return welfare
 
 
@@ -314,21 +393,12 @@ def check_submodular(ctx: ObjectiveContext, trials: int = 1000,
         gain_a = marginal_gain(ctx, alloc_a, x)
         gain_b = marginal_gain(ctx, alloc_b, x)
         if gain_a < gain_b - TOLERANCE:
+            found = ("diminishing_returns", gain_b - gain_a)
+        else:
+            f_a, f_b = objective_value(ctx, alloc_a), objective_value(ctx, alloc_b)
+            found = ("monotonicity", f_a - f_b) if f_a > f_b + TOLERANCE else None
+        if found:
             return SubmodularityReport(False, t + 1, {
-                "property": "diminishing_returns",
-                "small": sorted(int(u) for u in a_units),
-                "large": sorted(int(u) for u in b_units),
-                "candidate": x,
-                "gap": gain_b - gain_a,
-            })
-        f_a = objective_value(ctx, alloc_a)
-        f_b = objective_value(ctx, alloc_b)
-        if f_a > f_b + TOLERANCE:
-            return SubmodularityReport(False, t + 1, {
-                "property": "monotonicity",
-                "small": sorted(int(u) for u in a_units),
-                "large": sorted(int(u) for u in b_units),
-                "candidate": x,
-                "gap": f_a - f_b,
-            })
+                "property": found[0], "small": sorted(int(u) for u in a_units),
+                "large": sorted(int(u) for u in b_units), "candidate": x, "gap": found[1]})
     return SubmodularityReport(True, trials, None)

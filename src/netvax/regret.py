@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
 
 from .epidemic import Population, SirParams
 from .graph import ContactGraph
@@ -33,7 +32,6 @@ __all__ = [
     "decompose_regret",
     "empirical_regret",
     "regret_upper_bound",
-    "entry_error_bounds",
 ]
 
 # sqrt((1 + ln 2) / 2): mean absolute deviation of a rate estimator whose
@@ -228,26 +226,3 @@ def regret_upper_bound(n_units: int, d: int, max_degree: int, n_infected: int,
                   * math.sqrt(1.0 / n_external))
     return noise_part + f_star / math.e
 
-
-def entry_error_bounds(graph: ContactGraph, pop: Population, n_external: int
-                       ) -> tuple[sparse.csr_array, np.ndarray]:
-    """Per-entry bounds on the mean absolute coefficient errors.
-
-    Returns (spill_bounds, direct_bounds): a sparse (n, n) array bounding
-    E|w_hat_ij - w_ij| by coef * A_ij * g_i / n, with one entry per edge
-    orientation, and an (n,) array bounding E|c_hat_i - c_i| by
-    coef * I_i * g_i / n, with coef = sqrt((1 + ln 2) / (2 n_external)).
-    """
-    if n_external < 1:
-        raise ValueError(f"n_external must be >= 1, got {n_external}")
-    n = graph.n_units
-    if pop.n_units != n:
-        raise ValueError("graph and population sizes differ")
-    coef = math.sqrt((1.0 + math.log(2.0)) / (2.0 * n_external))
-    e = graph.edges
-    rows = np.concatenate([e[:, 0], e[:, 1]])
-    cols = np.concatenate([e[:, 1], e[:, 0]])
-    spill_bounds = sparse.csr_array((coef * (pop.weight[rows] / n), (rows, cols)),
-                                    shape=(n, n))
-    direct_bounds = coef * pop.infected * pop.weight / n
-    return spill_bounds, direct_bounds

@@ -14,8 +14,8 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .epidemic import GROUP2
-from .objective import Allocation, ObjectiveContext, objective_value
+from .epidemic import GROUP1, GROUP2
+from .objective import Allocation, ObjectiveContext, _f_moments, objective_value
 
 __all__ = [
     "ENUMERATION_BUDGET",
@@ -99,7 +99,7 @@ def _greedy(ctx: ObjectiveContext, d: int, groups: np.ndarray, caps: Sequence[in
     """
     gains = ctx.initial_gains()
     room = list(caps)
-    open_ = np.isin(groups, [g for g, cap in enumerate(room) if cap > 0])
+    open_ = np.asarray(room)[groups] > 0
     trace: list[tuple[int, float]] = []
     while len(trace) < d and open_.any():
         u = _pick(gains, open_)
@@ -142,6 +142,8 @@ def greedy_targeting(ctx: ObjectiveContext, d: int, d1: int, d2: int,
     groups = np.asarray(groups)
     if groups.shape != (ctx.n_units,):
         raise ValueError("groups must have one label per unit")
+    if not np.all(np.isin(groups, (GROUP1, GROUP2))):
+        raise ValueError("group entries must be GROUP1 or GROUP2")
     return _greedy(ctx, d, groups, (d1, d2), (d1, d2))
 
 
@@ -233,60 +235,19 @@ def iter_random_subsets(seed: int, n: int, d: int, draws: int,
         remaining -= m
 
 
-def _f_moments(ctx: ObjectiveContext, d: int) -> tuple[float, float]:
-    """Exact mean and population sd of F(S) over all size-d subsets S of the
-    units, in O(nnz + n).
-
-    With b the base gains and s = _sym, F(S) = sum_{i in S} b_i +
-    sum_{i<j in S} s_ij and E[F] = (d/n) sum b + d(d-1)/(n(n-1)) sum_{i<j} s_ij.
-    For the sd, let r be the row sums of s, u = (r - mean(r)) / (n - 2),
-    c = mean(r) / (n - 1), h_ij = s_ij - u_i - u_j - c for every pair i != j
-    and g = b - mean(b) + (d - 1) u.  As |S| = d,
-    F(S) - E[F] = sum_{i in S} g_i + sum_{i<j in S} h_ij; g sums to zero and
-    each row of h sums to zero, so the two parts are uncorrelated and
-        Var F = d(n-d)/(n(n-1)) sum g^2
-                + d(d-1)(n-d)(n-d-1)/(n(n-1)(n-2)(n-3)) sum_{i<j} h^2.
-    Both terms are sums of squares, so a near-constant F gets a near-zero sd
-    rather than the square root of a cancellation error.
-    """
-    n = ctx.n_units
-    b = ctx._base_gain
-    s = ctx._sym
-    if d == n:
-        return float(b.sum()) + 0.5 * float(s.data.sum()), 0.0
-    i = ctx._sym_rows
-    r = np.bincount(i, s.data, minlength=n)
-    mean = d / n * float(b.sum()) + d * (d - 1) / (n * (n - 1)) * 0.5 * float(r.sum())
-    u = (r - r.mean()) / (n - 2) if n > 2 else np.zeros(n)
-    g = b - b.mean() + (d - 1) * u
-    var = d * (n - d) / (n * (n - 1)) * float(g @ g)
-    pair_coef = d * (d - 1) * (n - d) * (n - d - 1)
-    if pair_coef:  # then n >= 4
-        c = r.mean() / (n - 1)
-        fit = u[i] + u[s.indices] + c  # u_i + u_j + c at s's nonzeros
-        # sum_{i<j} h^2 over s's nonzeros, then over the other pairs, where
-        # h = -fit: fit^2 over all pairs in closed form, less the nonzeros'
-        fit2_all = (n - 2) * float(u @ u) + 0.5 * n * (n - 1) * c * c
-        rest = (0.0 if s.nnz == n * (n - 1)
-                else max(fit2_all - 0.5 * float(fit @ fit), 0.0))
-        h2 = 0.5 * float(((s.data - fit) ** 2).sum()) + rest
-        var += pair_coef / (n * (n - 1) * (n - 2) * (n - 3)) * h2
-    return mean, math.sqrt(var)
-
-
 def random_assignment(ctx: ObjectiveContext, d: int, draws: int, seed: int,
                       welfare: Optional[Callable[[np.ndarray], np.ndarray]] = None
                       ) -> RandomAssignmentSummary:
     """Random baseline: mean and sd of F and welfare over uniformly random
     size-d allocations.
 
-    mean_f and sd_f are exact (_f_moments).  By default welfare is F plus
-    the context's welfare constant, so it is exact too and nothing is drawn:
-    draws is 0 and seed is unused.  Otherwise welfare maps an (m, n) 0/1
-    membership block to (m,) values (objective.exact_welfare_evaluator for
-    exact mode), and its mean and sample sd are estimated over `draws`
-    subsets from iter_random_subsets(seed), in blocks of at most
-    _BLOCK_CELLS / n rows.
+    mean_f and sd_f are exact (objective._f_moments).  By default welfare
+    is F plus the context's welfare constant, so it is exact too and nothing
+    is drawn: draws is 0 and seed is unused.  Otherwise welfare maps an
+    (m, d) block of unit indices, one allocation per row, to (m,) values
+    (objective.exact_welfare_evaluator for exact mode), and its mean and
+    sample sd are estimated over `draws` subsets from
+    iter_random_subsets(seed), in blocks of at most _BLOCK_CELLS / n rows.
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
@@ -298,14 +259,9 @@ def random_assignment(ctx: ObjectiveContext, d: int, draws: int, seed: int,
         return RandomAssignmentSummary(
             mean_f=mean_f, sd_f=sd_f, mean_welfare=mean_f + ctx.welfare_constant,
             sd_welfare=sd_f, draws=0, capacity=d)
-    w_vals = np.empty(draws)
-    pos = 0
-    for idx in iter_random_subsets(seed, n, d, draws, chunk=max(1, _BLOCK_CELLS // n)):
-        m = idx.shape[0]
-        member = np.zeros((m, n))
-        member[np.arange(m)[:, None], idx] = 1.0
-        w_vals[pos:pos + m] = welfare(member)
-        pos += m
+    w_vals = np.concatenate([
+        welfare(idx)
+        for idx in iter_random_subsets(seed, n, d, draws, chunk=max(1, _BLOCK_CELLS // n))])
     sd_w = float(w_vals.std(ddof=1)) if draws > 1 else 0.0
     return RandomAssignmentSummary(
         mean_f=mean_f, sd_f=sd_f, mean_welfare=float(w_vals.mean()), sd_welfare=sd_w,

@@ -9,6 +9,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy import sparse
 
 from netvax import (Allocation, PARAMETER_SETS, draw_instance, objective_value,
                     replicate_seed, transition_probabilities, welfare_value)
@@ -58,14 +59,28 @@ def objective_dense(ctx, units):
     return float(v @ w @ v + c @ v - ones @ w @ v - v @ w @ ones)
 
 
+def scipy_sym(ctx):
+    """w + w^T as scipy builds it from the context's doubled raw triplets,
+    with repeated entries summed."""
+    sym = sparse.csr_array(
+        (np.concatenate([ctx.spill_vals, ctx.spill_vals]),
+         (np.concatenate([ctx.spill_rows, ctx.spill_cols]),
+          np.concatenate([ctx.spill_cols, ctx.spill_rows]))),
+        shape=(ctx.n_units, ctx.n_units))
+    sym.sum_duplicates()
+    return sym
+
+
 def objective_sliced(ctx, alloc):
     """F as base gains plus half the w + w^T block sliced out of the
-    context's sparse matrix by scipy, rows then columns, in ascending unit
+    context's CSR arrays by scipy, rows then columns, in ascending unit
     order; objective_value must equal it bit for bit without slicing."""
     idx = alloc.sorted_units()
     if idx.size == 0:
         return 0.0
-    return float(ctx._base_gain[idx].sum()) + 0.5 * float(ctx._sym[idx][:, idx].sum())
+    sym = sparse.csr_array((ctx._sym_vals, ctx._sym_cols, ctx._sym_indptr),
+                           shape=(ctx.n_units, ctx.n_units))
+    return float(ctx._base_gain[idx].sum()) + 0.5 * float(sym[idx][:, idx].sum())
 
 
 def objective_edge_sum(ctx, units):
@@ -148,3 +163,26 @@ def beta_from_r0(r0: float, gamma: float) -> float:
     if gamma <= 0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
     return r0 * gamma
+
+
+def entry_error_bounds(graph, pop, n_external):
+    """Per-entry bounds on the mean absolute coefficient errors.
+
+    Returns (spill_bounds, direct_bounds): a sparse (n, n) array bounding
+    E|w_hat_ij - w_ij| by coef * A_ij * g_i / n, with one entry per edge
+    orientation, and an (n,) array bounding E|c_hat_i - c_i| by
+    coef * I_i * g_i / n, with coef = sqrt((1 + ln 2) / (2 n_external)).
+    """
+    if n_external < 1:
+        raise ValueError(f"n_external must be >= 1, got {n_external}")
+    n = graph.n_units
+    if pop.n_units != n:
+        raise ValueError("graph and population sizes differ")
+    coef = math.sqrt((1.0 + math.log(2.0)) / (2.0 * n_external))
+    e = graph.edges
+    rows = np.concatenate([e[:, 0], e[:, 1]])
+    cols = np.concatenate([e[:, 1], e[:, 0]])
+    spill_bounds = sparse.csr_array((coef * (pop.weight[rows] / n), (rows, cols)),
+                                    shape=(n, n))
+    direct_bounds = coef * pop.infected * pop.weight / n
+    return spill_bounds, direct_bounds

@@ -237,3 +237,19 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: netvax")
+
+
+@pytest.mark.parametrize("run", [
+    "import netvax",
+    "sys.argv = ['netvax', '--help']\n"
+    "try:\n    runpy.run_module('netvax', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit as stop:\n    assert stop.code == 0",
+], ids=["import", "python_dash_m_help"])
+def test_netvax_loads_no_scipy(run):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(netvax.__file__)))
+    code = (f"import runpy, sys\n{run}\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "assert not loaded, loaded")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

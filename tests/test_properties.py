@@ -34,7 +34,7 @@ from netvax import (
 from netvax.harness import _KNOWN_KEYS, run_policy
 
 from _oracles import (all_subsets_objective, objective_dense, objective_sliced,
-                      welfare_from_transitions)
+                      scipy_sym, welfare_from_transitions)
 
 unit_interval = st.floats(0.0, 1.0)
 
@@ -131,6 +131,30 @@ def test_raw_triplet_context_matches_dense_quadratic_form(case):
 def test_objective_value_equals_sliced_formula_bit_for_bit(case):
     ctx, alloc = case
     assert objective_value(ctx, alloc) == objective_sliced(ctx, alloc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(raw_contexts(max_units=10).map(lambda case: (case[0], False)),
+                 instances(max_units=12).map(
+                     lambda case: (build_context(*case[:3]), True))))
+def test_context_arrays_equal_scipy_csr(case):
+    ctx, compiled = case
+    sym = scipy_sym(ctx)
+    assert np.array_equal(ctx._sym_indptr, sym.indptr)
+    assert np.array_equal(ctx._sym_cols, sym.indices)
+    assert np.array_equal(ctx._sym_rows,
+                          np.repeat(np.arange(ctx.n_units), np.diff(sym.indptr)))
+    base = ctx.direct_gain - sym.sum(axis=1)
+    if compiled:
+        # build_context repeats no entry, so every value is scipy's bit for bit
+        assert ctx._sym_vals.tobytes() == sym.data.tobytes()
+        assert ctx._base_gain.tobytes() == base.tobytes()
+    else:
+        # scipy may sum the repeats of an entry in another order, and two
+        # orders differ in proportion to the magnitudes summed
+        tol = 1e-15 * max(1.0, float(np.abs(ctx.spill_vals).sum()))
+        assert np.max(np.abs(ctx._sym_vals - sym.data), initial=0.0) <= tol
+        assert np.max(np.abs(ctx._base_gain - base)) <= tol
 
 
 @settings(max_examples=100, deadline=None)

@@ -13,14 +13,13 @@ from netvax import (
     SirParams,
     build_context,
     empirical_regret,
-    entry_error_bounds,
     greedy_targeting,
     objective_value,
     regret_upper_bound,
     sample_estimates,
 )
 
-from _oracles import matroid_brute, small_instance
+from _oracles import entry_error_bounds, matroid_brute, small_instance
 
 SET1 = SirParams(beta=[[0.7, 0.5], [0.5, 0.6]], gamma=[0.1, 0.05], delta=[0.0, 0.0])
 

@@ -237,6 +237,21 @@ def test_targeting_stops_when_caps_bind():
     assert len(chosen & {2, 3}) == 1
 
 
+def test_targeting_validation():
+    inst = small_instance(0, n=6)
+    for d, d1, d2 in ((-1, 2, 2), (2, -1, 2), (2, 2, -1)):
+        with pytest.raises(ValueError):
+            greedy_targeting(inst.ctx, d, d1, d2, inst.pop.group)
+    with pytest.raises(ValueError):
+        greedy_targeting(inst.ctx, 2, 2, 2, inst.pop.group[:-1])
+    # a label outside {GROUP1, GROUP2} would otherwise index another group's cap
+    for label in (-1, 2):
+        groups = inst.pop.group.copy()
+        groups[0] = label
+        with pytest.raises(ValueError):
+            greedy_targeting(inst.ctx, 2, 2, 2, groups)
+
+
 def test_targeting_at_least_half_of_matroid_optimum():
     for seed in range(10):
         inst = small_instance(seed, n=12, density=0.5, pset="set2")
@@ -288,17 +303,17 @@ def test_exact_random_baseline_blocks_are_bounded(monkeypatch):
     def run():
         blocks = []
 
-        def welfare(member):
-            blocks.append(member.shape)
-            return evaluator(member)
+        def welfare(idx):
+            blocks.append(idx.shape)
+            return evaluator(idx)
         return random_assignment(inst.ctx, 150, draws=2500, seed=5, welfare=welfare), blocks
 
     summary, blocks = run()
-    assert all(m * n <= 2**20 for m, n in blocks)
+    assert all(m * 1500 <= 2**20 and d == 150 for m, d in blocks)
     assert sum(m for m, _ in blocks) == summary.draws == 2500
     monkeypatch.setattr(solvers, "_BLOCK_CELLS", 2000 * 1500)
     reference, ref_blocks = run()
-    assert ref_blocks == [(2000, 1500), (500, 1500)]
+    assert ref_blocks == [(2000, 150), (500, 150)]
     assert summary == reference
 
 
