@@ -20,8 +20,9 @@ from .harness import (PARAMETER_SETS, ConfigError, ExperimentConfig,
 from .objective import (Allocation, ObjectiveContext, SubmodularityReport,
                         build_context, check_submodular, marginal_gain,
                         objective_value, welfare_value)
-from .regret import (MEAN_DEVIATION_COEF, UNIVERSAL_CONSTANT, EstimationNoiseModel,
-                     RegretReport, empirical_regret, regret_upper_bound, sample_estimates)
+from .regret import (MEAN_DEVIATION_COEF, UNIVERSAL_CONSTANT,
+                     EstimationNoiseModel, RegretReport, empirical_regret,
+                     regret_upper_bound, sample_estimates)
 from .solvers import (ENUMERATION_BUDGET, BudgetError,
                       RandomAssignmentSummary, SolverResult, brute_force,
                       greedy_capacity, greedy_factor, greedy_targeting,

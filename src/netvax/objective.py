@@ -41,6 +41,8 @@ __all__ = [
 ]
 
 TOLERANCE = 1e-12
+# Values in one Monte Carlo block: 8 MiB of float64 or int64 per array
+_BLOCK_CELLS = 2**20
 
 
 @dataclass(frozen=True)
@@ -314,7 +316,9 @@ def exact_welfare_evaluator(graph: ContactGraph, pop: Population, params: SirPar
     """Exact-mode welfare_value for blocks of allocations: compiles the
     exposure of the susceptible units once and returns a function mapping
     an (m, k) block of vaccinated unit indices, one allocation per row, to
-    its (m,) welfare values."""
+    its (m,) welfare values.  It takes the block's rows in runs that hold
+    fewer than _BLOCK_CELLS (allocation, infected source, exposed unit)
+    entries plus one row's, so its temporaries stay bounded at any density."""
     n = graph.n_units
     if pop.n_units != n:
         raise ValueError("graph and population sizes differ")
@@ -327,14 +331,21 @@ def exact_welfare_evaluator(graph: ContactGraph, pop: Population, params: SirPar
     # as its position among the susceptible units
     src_ptr, _, exposed, by_src = _csr(n, j, i, b)
     exposed = (np.cumsum(pop.susceptible) - 1)[exposed]
-    s = z_empty.size
+    s, out_deg = z_empty.size, np.diff(src_ptr)
 
     def welfare(idx: np.ndarray) -> np.ndarray:
+        # rows are independent: start a run of rows at each multiple of
+        # _BLOCK_CELLS (allocation, infected source, exposed unit) entries
         idx = np.sort(idx, axis=1)
+        count = out_deg[idx].sum(axis=1)
+        cuts = np.flatnonzero(np.diff((np.cumsum(count) - count) // _BLOCK_CELLS)) + 1
+        return np.concatenate([rows(part) for part in np.split(idx, cuts)])
+
+    def rows(idx: np.ndarray) -> np.ndarray:
         m, k = idx.shape
         # (allocation, infecting source) pairs in order, then their entries
         flat = idx.ravel()
-        count = np.diff(src_ptr)[flat]
+        count = out_deg[flat]
         pair = np.flatnonzero(count)
         count = count[pair]
         entry = (np.repeat(src_ptr[flat[pair]] - np.cumsum(count) + count, count)
@@ -393,12 +404,21 @@ def check_submodular(ctx: ObjectiveContext, trials: int = 1000,
         gain_a = marginal_gain(ctx, alloc_a, x)
         gain_b = marginal_gain(ctx, alloc_b, x)
         if gain_a < gain_b - TOLERANCE:
-            found = ("diminishing_returns", gain_b - gain_a)
-        else:
-            f_a, f_b = objective_value(ctx, alloc_a), objective_value(ctx, alloc_b)
-            found = ("monotonicity", f_a - f_b) if f_a > f_b + TOLERANCE else None
-        if found:
             return SubmodularityReport(False, t + 1, {
-                "property": found[0], "small": sorted(int(u) for u in a_units),
-                "large": sorted(int(u) for u in b_units), "candidate": x, "gap": found[1]})
+                "property": "diminishing_returns",
+                "small": sorted(int(u) for u in a_units),
+                "large": sorted(int(u) for u in b_units),
+                "candidate": x,
+                "gap": gain_b - gain_a,
+            })
+        f_a = objective_value(ctx, alloc_a)
+        f_b = objective_value(ctx, alloc_b)
+        if f_a > f_b + TOLERANCE:
+            return SubmodularityReport(False, t + 1, {
+                "property": "monotonicity",
+                "small": sorted(int(u) for u in a_units),
+                "large": sorted(int(u) for u in b_units),
+                "candidate": x,
+                "gap": f_a - f_b,
+            })
     return SubmodularityReport(True, trials, None)

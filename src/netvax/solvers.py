@@ -15,7 +15,8 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .epidemic import GROUP1, GROUP2
-from .objective import Allocation, ObjectiveContext, _f_moments, objective_value
+from .objective import (_BLOCK_CELLS, Allocation, ObjectiveContext, _f_moments,
+                        objective_value)
 
 __all__ = [
     "ENUMERATION_BUDGET",
@@ -34,8 +35,6 @@ __all__ = [
 ENUMERATION_BUDGET = 10**8
 _TIE_TOL = 1e-12
 _DENSE_LIMIT = 4096
-# Cells (rows x units) in one Monte Carlo membership block: 8 MiB of float64
-_BLOCK_CELLS = 2**20
 
 
 class BudgetError(RuntimeError):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,8 +27,9 @@ from netvax import (
     random_assignment,
     twni,
 )
-from netvax import solvers
+from netvax import objective, solvers
 from netvax.objective import exact_welfare_evaluator
+from netvax.solvers import iter_random_subsets
 
 from _oracles import (DEFAULT_DIST, all_subsets_objective, grid_instances,
                       matroid_brute, small_instance)
@@ -315,6 +317,27 @@ def test_exact_random_baseline_blocks_are_bounded(monkeypatch):
     reference, ref_blocks = run()
     assert ref_blocks == [(2000, 150), (500, 150)]
     assert summary == reference
+
+
+def test_exact_evaluator_bounds_its_temporaries(monkeypatch):
+    # N=600 at density 0.5: 200 allocations of 120 units hold ~700k
+    # (allocation, infected source, exposed unit) entries, ~22 MB of
+    # temporaries when the evaluator takes them in one run
+    inst = draw_instance(600, 0.5, PARAMETER_SETS["set1"], 0.4, DEFAULT_DIST,
+                         (2.0, 0.5), 3)
+    evaluator = exact_welfare_evaluator(inst.graph, inst.pop, inst.params)
+    idx = next(iter_random_subsets(0, 600, 120, 200, chunk=200))
+    reference = evaluator(idx)
+    # runs of a few rows, then one row at a time as each row exceeds the cap
+    for cap in (2**14, 1):
+        monkeypatch.setattr(objective, "_BLOCK_CELLS", cap)
+        tracemalloc.start()
+        split = evaluator(idx)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert np.array_equal(split, reference)
+        # a few int64/float64 arrays of 2^14 entries plus copies of the block
+        assert peak < 8 * 8 * 2**14 + 4 * idx.nbytes
 
 
 def test_random_assignment_validation():
