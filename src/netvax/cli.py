@@ -14,10 +14,11 @@ import argparse
 import dataclasses
 import json
 import sys
-from typing import Optional, Sequence
+from typing import IO, Optional, Sequence
 
 from . import harness
-from .graph import EdgeListError, erdos_renyi, load_edge_list, save_edge_list
+from .graph import (ContactGraph, EdgeListError, erdos_renyi, load_edge_list,
+                    save_edge_list)
 from .solvers import BudgetError
 
 EXIT_OK = 0
@@ -66,12 +67,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class OutputError(Exception):
+    """Raised when an output file cannot be opened for writing."""
+
+
 def _read_config(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise harness.ConfigError(f"cannot read config {path}: {exc}") from None
+
+
+def _read_edges(path: str) -> ContactGraph:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return load_edge_list(handle)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise harness.ConfigError(f"cannot read edge list {path}: {exc}") from None
+
+
+def _open_out(path: str) -> IO[str]:
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _override(config: harness.ExperimentConfig, args: argparse.Namespace
@@ -97,8 +117,11 @@ def _override(config: harness.ExperimentConfig, args: argparse.Namespace
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    graph = erdos_renyi(args.n, args.density, args.seed)
-    with open(args.out, "w", encoding="utf-8") as sink:
+    try:
+        graph = erdos_renyi(args.n, args.density, args.seed)
+    except ValueError as exc:
+        raise harness.ConfigError(str(exc)) from None
+    with _open_out(args.out) as sink:
         save_edge_list(graph, sink)
     print(f"wrote {graph.n_edges} edges for {graph.n_units} units to {args.out}")
     return EXIT_OK
@@ -109,9 +132,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     params = config.params()
     seed = harness.replicate_seed(config.seed, 0)
     if args.edges is not None:
-        with open(args.edges, encoding="utf-8") as source:
-            graph = load_edge_list(source)
-        inst = harness.instance_on_graph(graph, params, config.group1_probability,
+        inst = harness.instance_on_graph(_read_edges(args.edges), params,
+                                         config.group1_probability,
                                          config.initial_states, config.weights, seed)
     else:
         inst = harness.draw_instance(config.n_units, config.density, params,
@@ -137,7 +159,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
     line = json.dumps(record)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as sink:
+        with _open_out(args.out) as sink:
             sink.write(line + "\n")
     else:
         print(line)
@@ -147,7 +169,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     config = _override(harness.parse_experiment_config(_read_config(args.config)), args)
     rows = harness.run_experiment(config)
-    with open(args.out, "w", encoding="utf-8") as sink:
+    with _open_out(args.out) as sink:
         harness.emit_csv(rows, sink)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
@@ -159,7 +181,7 @@ def _cmd_regret(args: argparse.Namespace) -> int:
         study = dataclasses.replace(
             study, experiment=dataclasses.replace(study.experiment, seed=args.seed))
     rows = harness.run_regret_study(study)
-    with open(args.out, "w", encoding="utf-8") as sink:
+    with _open_out(args.out) as sink:
         harness.emit_regret_csv(rows, sink)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
@@ -200,7 +222,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetError as exc:
         print(f"budget refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as exc:
+    except (OutputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

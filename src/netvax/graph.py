@@ -19,6 +19,8 @@ __all__ = [
     "save_edge_list",
 ]
 
+_SCAN_BLOCK = 2**16  # pairs per block of uniforms in erdos_renyi
+
 
 class EdgeListError(ValueError):
     """Raised when an edge-list stream cannot be parsed."""
@@ -26,44 +28,46 @@ class EdgeListError(ValueError):
 
 class ContactGraph:
     """Immutable undirected graph stored as a canonical edge array plus a
-    CSR-style adjacency (sorted neighbor arrays) for traversal.
+    CSR-style adjacency (sorted neighbor arrays) for traversal, both built
+    by sorting int64 keys ``i * n_units + j``; needs ``n_units**2 < 2**63``.
 
     Parameters
     ----------
     n_units : number of units; must be >= 1.
-    edges : iterable of (i, j) pairs.  Order and orientation do not matter.
+    edges : iterable of (i, j) whole-number pairs, in any order and orientation.
     """
 
     def __init__(self, n_units: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         n_units = int(n_units)
         if n_units < 1:
             raise ValueError(f"n_units must be >= 1, got {n_units}")
-        arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
-                         dtype=np.int64)
+        arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
         if arr.size == 0:
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("edges must be pairs of unit indices")
+        if arr.dtype.kind not in "biu":
+            arr = arr.astype(np.float64)
+            if not np.all(np.isfinite(arr) & (arr == np.trunc(arr))):
+                raise ValueError("edge endpoints must be whole numbers")
         if arr.size:
             if arr.min() < 0 or arr.max() >= n_units:
                 raise ValueError("edge endpoint out of range")
             if np.any(arr[:, 0] == arr[:, 1]):
                 raise ValueError("self-loops are not allowed")
-        lo = np.minimum(arr[:, 0], arr[:, 1])
-        hi = np.maximum(arr[:, 0], arr[:, 1])
-        pairs = np.unique(np.column_stack([lo, hi]), axis=0) if arr.size else arr
+        i, j = arr.astype(np.int64).T
+        key = np.sort(np.minimum(i, j) * n_units + np.maximum(i, j))
+        key = key[np.diff(key, prepend=-1) != 0]
+        lo, hi = np.divmod(key, n_units)
 
         self.n_units = n_units
-        self.edges = pairs  # (m, 2), i < j, lexicographically sorted
+        self.edges = np.column_stack([lo, hi])  # (m, 2), i < j, lexicographically sorted
         self.edges.setflags(write=False)
 
-        # adjacency: both orientations, grouped by source
-        src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-        dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        order = np.lexsort((dst, src))
-        self._adj = dst[order]
+        # adjacency: both orientations, grouped by source, sorted within a source
+        self._adj = np.sort(np.concatenate([key, hi * n_units + lo])) % n_units
         self._adj.setflags(write=False)
-        self.degree = np.bincount(src, minlength=n_units)
+        self.degree = np.bincount(np.concatenate([lo, hi]), minlength=n_units)
         self.degree.setflags(write=False)
         self._indptr = np.concatenate([[0], np.cumsum(self.degree)])
 
@@ -92,6 +96,9 @@ def erdos_renyi(n_units: int, density: float, seed: int) -> ContactGraph:
     Deterministic for a fixed seed: uses NumPy's default PCG64 generator and
     scans unordered pairs in ascending (i, j) order, one uniform draw per
     pair.  density=0 gives the empty graph, density=1 the complete graph.
+
+    Uniforms come in blocks of ``_SCAN_BLOCK`` pairs; PCG64 draws the same
+    doubles in any blocking.  O(N^2) draws, O(block + M) memory for M edges.
     """
     n_units = int(n_units)
     if n_units < 1:
@@ -99,19 +106,16 @@ def erdos_renyi(n_units: int, density: float, seed: int) -> ContactGraph:
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must be in [0, 1], got {density}")
     rng = np.random.default_rng(seed)
-    srcs = []
-    dsts = []
-    for i in range(n_units - 1):
-        draws = rng.random(n_units - 1 - i)
-        hit = np.nonzero(draws < density)[0]
-        if hit.size:
-            srcs.append(np.full(hit.size, i, dtype=np.int64))
-            dsts.append(hit.astype(np.int64) + i + 1)
-    if srcs:
-        edges = np.column_stack([np.concatenate(srcs), np.concatenate(dsts)])
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
-    return ContactGraph(n_units, edges)
+    n_pairs = n_units * (n_units - 1) // 2
+    hits = [np.empty(0, dtype=np.int64)]
+    for offset in range(0, n_pairs, _SCAN_BLOCK):
+        draws = rng.random(min(_SCAN_BLOCK, n_pairs - offset))
+        hits.append(np.flatnonzero(draws < density) + offset)
+    flat = np.concatenate(hits)
+    rows = np.arange(n_units - 1, dtype=np.int64)
+    start = rows * (n_units - 1) - rows * (rows - 1) // 2  # flat index of (i, i + 1)
+    i = np.searchsorted(start, flat, side="right") - 1
+    return ContactGraph(n_units, np.column_stack([i, flat - start[i] + i + 1]))
 
 
 def save_edge_list(graph: ContactGraph, sink: IO[str]) -> None:

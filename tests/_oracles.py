@@ -186,3 +186,34 @@ def entry_error_bounds(graph, pop, n_external):
                                     shape=(n, n))
     direct_bounds = coef * pop.infected * pop.weight / n
     return spill_bounds, direct_bounds
+
+
+def er_row_scan(n_units, density, seed):
+    """G(n, p) edges by the row-by-row pair scan: one ``rng.random`` call and
+    one ``np.nonzero`` per row i, over the pairs (i, i+1 .. n-1)."""
+    rng = np.random.default_rng(seed)
+    srcs = []
+    dsts = []
+    for i in range(n_units - 1):
+        draws = rng.random(n_units - 1 - i)
+        hit = np.nonzero(draws < density)[0]
+        if hit.size:
+            srcs.append(np.full(hit.size, i, dtype=np.int64))
+            dsts.append(hit.astype(np.int64) + i + 1)
+    if srcs:
+        return np.column_stack([np.concatenate(srcs), np.concatenate(dsts)])
+    return np.empty((0, 2), dtype=np.int64)
+
+
+def graph_arrays(n_units, edges):
+    """(edges, adjacency, degree, indptr) of a graph built by pair dedup with
+    ``np.unique(axis=0)`` and an adjacency ``np.lexsort`` on (src, dst)."""
+    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    lo = np.minimum(arr[:, 0], arr[:, 1])
+    hi = np.maximum(arr[:, 0], arr[:, 1])
+    pairs = np.unique(np.column_stack([lo, hi]), axis=0) if arr.size else arr
+    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    adj = dst[np.lexsort((dst, src))]
+    degree = np.bincount(src, minlength=n_units)
+    return pairs, adj, degree, np.concatenate([[0], np.cumsum(degree)])

@@ -8,7 +8,7 @@ import pytest
 
 import netvax
 from netvax import harness, load_edge_list
-from netvax.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, main
+from netvax.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_FAIL, EXIT_OK, main
 
 from _oracles import all_subsets_objective, all_subsets_welfare
 
@@ -146,6 +146,63 @@ def test_bad_edge_list_is_config_error(tmp_path, capsys):
     edges = write(tmp_path / "bad.edges", "n_units=3\n0 3\n")
     assert main(["solve", "--config", config, "--edges", edges]) == EXIT_CONFIG
     assert "index out of range at line 2" in capsys.readouterr().err
+
+
+def test_unreadable_input_file_is_config_error(tmp_path, capsys):
+    config = write(tmp_path / "exp.cfg", TINY_CONFIG)
+    not_utf8 = tmp_path / "bad.bin"
+    not_utf8.write_bytes(b"n_units=3\n0 1\n\xff\xfe\n")
+    for edges in (tmp_path / "missing.edges", tmp_path, not_utf8):
+        assert main(["solve", "--config", config, "--edges", str(edges)]) == EXIT_CONFIG
+        assert "cannot read edge list" in capsys.readouterr().err
+    assert main(["solve", "--config", str(not_utf8)]) == EXIT_CONFIG
+    assert "cannot read config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n", "0", "--density", "0.5"],
+    ["gen", "--n", "-3", "--density", "0.5"],
+    ["gen", "--n", "10", "--density", "1.5"],
+    ["gen", "--n", "10", "--density", "nan"],
+], ids=["n_zero", "n_negative", "density_above_one", "density_nan"])
+def test_gen_bad_arguments_are_config_errors(tmp_path, capsys, argv):
+    out = tmp_path / "net.edges"
+    assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
+def assert_unwritable_out(capsys, argv):
+    assert main(argv) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ")
+    assert err.count("\n") == 1
+
+
+def test_gen_unwritable_out_is_error(tmp_path, capsys):
+    assert_unwritable_out(capsys, ["gen", "--n", "10", "--density", "0.5",
+                                   "--out", str(tmp_path / "absent" / "net.edges")])
+
+
+def test_solve_unwritable_out_is_error(tmp_path, capsys):
+    config = write(tmp_path / "exp.cfg", TINY_CONFIG)
+    assert_unwritable_out(capsys, ["solve", "--config", config,
+                                   "--out", str(tmp_path / "absent" / "res.jsonl")])
+
+
+def test_experiment_unwritable_out_is_error(tmp_path, capsys):
+    config = write(tmp_path / "exp.cfg", TINY_CONFIG)
+    assert_unwritable_out(capsys, ["experiment", "--config", config,
+                                   "--policies", "twni",
+                                   "--out", str(tmp_path / "absent" / "rows.csv")])
+
+
+def test_regret_unwritable_out_is_error(tmp_path, capsys):
+    config = write(tmp_path / "reg.cfg",
+                   "n_units=10\ndensity=0.5\nseed=2\nregret_capacity=2\n"
+                   "regret_n_grid=100\nregret_replications=2\n")
+    assert_unwritable_out(capsys, ["regret", "--config", config,
+                                   "--out", str(tmp_path / "absent" / "regret.csv")])
 
 
 def test_brute_budget_refusal_exit_code(tmp_path, capsys):

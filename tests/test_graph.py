@@ -1,9 +1,15 @@
+import hashlib
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from netvax import ContactGraph, EdgeListError, erdos_renyi, load_edge_list, save_edge_list
+from netvax import ContactGraph, EdgeListError, erdos_renyi, graph, load_edge_list, save_edge_list
+
+from _oracles import er_row_scan, graph_arrays
 
 
 def test_complete_graph():
@@ -112,3 +118,59 @@ def test_neighbors_validates_unit():
     g = erdos_renyi(5, 0.5, seed=1)
     with pytest.raises(ValueError):
         g.neighbors(5)
+
+
+def test_float_endpoints_must_be_whole_numbers():
+    for bad in ([(0.0, 1.9)], [(0, float("nan"))], [(0, float("inf"))]):
+        with pytest.raises(ValueError, match="whole numbers"):
+            ContactGraph(3, bad)
+    with pytest.raises(ValueError, match="whole numbers"):
+        ContactGraph(3, np.array([[0.5, 2.0]]))
+    g = ContactGraph(3, [(0.0, 1.0), (2.0, 1.0)])
+    assert g.edges.dtype == np.int64
+    assert g.edges.tolist() == [[0, 1], [1, 2]]
+    assert ContactGraph(3, np.array([[2.0, 0.0]])) == ContactGraph(3, [(0, 2)])
+
+
+def assert_graph_arrays(g, expected):
+    for name, want in zip(("edges", "_adj", "degree", "_indptr"), expected):
+        got = getattr(g, name)
+        assert got.dtype == want.dtype, name
+        assert got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 300),
+       st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       st.integers(0, 2**64 - 1),
+       st.one_of(st.integers(1, 64), st.just(graph._SCAN_BLOCK)))
+def test_erdos_renyi_matches_row_scan(n, density, seed, block):
+    with mock.patch.object(graph, "_SCAN_BLOCK", block):
+        g = erdos_renyi(n, density, seed)
+    assert_graph_arrays(g, graph_arrays(n, er_row_scan(n, density, seed)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                         .filter(lambda e: e[0] != e[1]), max_size=120))))
+def test_contact_graph_matches_unique_build(case):
+    n, edges = case
+    assert_graph_arrays(ContactGraph(n, edges), graph_arrays(n, edges))
+    assert_graph_arrays(ContactGraph(n, np.array(edges, dtype=np.int64).reshape(-1, 2)),
+                        graph_arrays(n, edges))
+
+
+@pytest.mark.parametrize("n, density, seed, digest", [
+    (1, 1.0, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (2, 1.0, 3, "9d34149fbd1fe777eb238799054c8cbfbce372255f219f8740838def9bfd02db"),
+    (50, 0.3, 9, "ea0f7b47a079ae96e84289dc2690b5afdc636a37b897d0d09bc49f23fe0d3d9d"),
+    (500, 0.1, 11, "4afc61d618fd2a324c13a5aa684fbc46979bdf226c9cabd9a5f570397f4a278e"),
+    # 719,400 pairs: the scan spans several blocks
+    (1200, 0.05, 7, "4f660debde801bec0aa0ecff73c1855004df68ef83fac92ca80ffd6a907e246b"),
+])
+def test_generator_stream_is_pinned(n, density, seed, digest):
+    edges = erdos_renyi(n, density, seed).edges
+    assert edges.dtype == np.int64
+    assert hashlib.sha256(edges.tobytes()).hexdigest() == digest
