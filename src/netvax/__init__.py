@@ -17,9 +17,9 @@ from .harness import (PARAMETER_SETS, ConfigError, ExperimentConfig,
                       emit_regret_csv, parse_experiment_config,
                       parse_regret_config, replicate_seed, run_experiment,
                       run_property_checks, run_regret_study)
-from .objective import (Allocation, ObjectiveContext, SubmodularityReport,
-                        build_context, check_submodular, marginal_gain,
-                        objective_value, welfare_value)
+from .objective import (Allocation, ContextPattern, ObjectiveContext,
+                        SubmodularityReport, build_context, check_submodular,
+                        marginal_gain, objective_value, welfare_value)
 from .regret import (MEAN_DEVIATION_COEF, UNIVERSAL_CONSTANT,
                      EstimationNoiseModel, RegretReport, empirical_regret,
                      regret_upper_bound, sample_estimates)

@@ -121,8 +121,7 @@ def erdos_renyi(n_units: int, density: float, seed: int) -> ContactGraph:
 def save_edge_list(graph: ContactGraph, sink: IO[str]) -> None:
     """Write ``n_units=N`` then one ``i j`` line per edge (i < j, sorted)."""
     sink.write(f"n_units={graph.n_units}\n")
-    for i, j in graph.edges:
-        sink.write(f"{i} {j}\n")
+    sink.write("".join(f"{i} {j}\n" for i, j in graph.edges.tolist()))
 
 
 def load_edge_list(source: IO[str]) -> ContactGraph:

@@ -22,8 +22,8 @@ import numpy as np
 
 from .epidemic import GROUP1, GROUP2, RECOVERED, Population, SirParams
 from .graph import ContactGraph, erdos_renyi
-from .objective import (Allocation, ObjectiveContext, build_context,
-                        check_submodular, exact_welfare_evaluator,
+from .objective import (Allocation, ContextPattern, ObjectiveContext,
+                        build_context, check_submodular, exact_welfare_evaluator,
                         marginal_gain, objective_value, welfare_value)
 from .regret import (EstimationNoiseModel, compile_truth, decompose_regret,
                      sample_estimates)
@@ -393,9 +393,10 @@ def run_regret_study(config: RegretStudyConfig) -> list[RegretStudyRow]:
     at grid index gi estimates the parameters from
     replicate_seed(seed, 1_000_000 + gi * replications + rep).  The true
     objective and its optimum are compiled once per study (compile_truth
-    on the drawn instance's ctx); each replication compiles and solves only
-    its estimate, so every row equals the mean of the empirical_regret
-    reports over the same estimates.
+    on the drawn instance's ctx), and so is the instance's ContextPattern;
+    each replication fills the pattern with its estimate's values and
+    solves it, so every row equals the mean of the empirical_regret reports
+    over the same estimates.
     """
     exp = config.experiment
     params = exp.params()
@@ -404,6 +405,7 @@ def run_regret_study(config: RegretStudyConfig) -> list[RegretStudyRow]:
                          exp.weights, replicate_seed(exp.seed, 0))
     truth = compile_truth(inst.graph, inst.pop, inst.ctx, config.capacity,
                           config.use_brute)
+    pattern = ContextPattern(inst.graph, inst.pop)
     rows = []
     for gi, n_external in enumerate(config.n_grid):
         noise = EstimationNoiseModel(n_external=n_external)
@@ -412,8 +414,7 @@ def run_regret_study(config: RegretStudyConfig) -> list[RegretStudyRow]:
         for rep in range(config.replications):
             est_seed = replicate_seed(exp.seed, 1_000_000 + gi * config.replications + rep)
             est = sample_estimates(params, noise, est_seed)
-            report = decompose_regret(truth, build_context(inst.graph, inst.pop, est),
-                                      n_external)
+            report = decompose_regret(truth, pattern.context(est), n_external)
             totals.append(report.total)
             gap1s.append(report.estimation_gap)
             gap2s.append(report.optimization_gap)

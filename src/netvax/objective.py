@@ -31,6 +31,7 @@ __all__ = [
     "TOLERANCE",
     "Allocation",
     "ObjectiveContext",
+    "ContextPattern",
     "SubmodularityReport",
     "build_context",
     "objective_value",
@@ -113,27 +114,31 @@ class ObjectiveContext:
         vals = np.asarray(spill_vals, dtype=float)
         if not (rows.shape == cols.shape == vals.shape) or rows.ndim != 1:
             raise ValueError("spill triplets must be parallel 1-D arrays")
-        if rows.size and (rows.min() < 0 or rows.max() >= n_units
-                          or cols.min() < 0 or cols.max() >= n_units):
-            raise ValueError("spill indices out of range")
-        if np.any(rows == cols):
-            raise ValueError("spill weights must be off-diagonal")
+        _check_spill(n_units, rows, cols)
+        # w + w^T with repeated (i, j) entries summed into one, which sym_row's
+        # callers and _f_moments rely on; its row sums are w's row plus column sums
+        self._fill(n_units, direct_gain, rows, cols, vals, welfare_constant, *_csr(
+            n_units, np.concatenate([rows, cols]), np.concatenate([cols, rows]),
+            np.concatenate([vals, vals])))
 
+    def _fill(self, n_units: int, direct_gain: np.ndarray, rows: np.ndarray,
+              cols: np.ndarray, vals: np.ndarray, welfare_constant: float,
+              sym_indptr: np.ndarray, sym_rows: np.ndarray, sym_cols: np.ndarray,
+              sym_vals: np.ndarray) -> None:
+        """Store checked arrays, w + w^T in CSR form, and the base gains;
+        every array is set read-only, so contexts may share them."""
         self.n_units = n_units
         self.direct_gain = direct_gain
         self.spill_rows = rows
         self.spill_cols = cols
         self.spill_vals = vals
         self.welfare_constant = float(welfare_constant)
-        for arr in (direct_gain, rows, cols, vals):
+        self._sym_indptr, self._sym_rows = sym_indptr, sym_rows
+        self._sym_cols, self._sym_vals = sym_cols, sym_vals
+        self._base_gain = direct_gain - _row_sums(sym_indptr, sym_vals)
+        for arr in (direct_gain, rows, cols, vals, sym_indptr, sym_rows, sym_cols,
+                    sym_vals, self._base_gain):
             arr.setflags(write=False)
-
-        # w + w^T with repeated (i, j) entries summed into one, which sym_row's
-        # callers and _f_moments rely on; its row sums are w's row plus column sums
-        self._sym_indptr, self._sym_rows, self._sym_cols, self._sym_vals = _csr(
-            n_units, np.concatenate([rows, cols]), np.concatenate([cols, rows]),
-            np.concatenate([vals, vals]))
-        self._base_gain = direct_gain - _row_sums(self._sym_indptr, self._sym_vals)
 
     def initial_gains(self) -> np.ndarray:
         """Marginal gain of each unit at the empty allocation (fresh copy)."""
@@ -149,6 +154,15 @@ class ObjectiveContext:
         out = np.zeros((self.n_units, self.n_units))
         out[self._sym_rows, self._sym_cols] = self._sym_vals
         return out
+
+
+def _check_spill(n: int, rows: np.ndarray, cols: np.ndarray) -> None:
+    """Reject spill entries outside range(n) or on the diagonal."""
+    if rows.size and (rows.min() < 0 or rows.max() >= n
+                      or cols.min() < 0 or cols.max() >= n):
+        raise ValueError("spill indices out of range")
+    if np.any(rows == cols):
+        raise ValueError("spill weights must be off-diagonal")
 
 
 def _csr(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
@@ -215,6 +229,16 @@ def _f_moments(ctx: ObjectiveContext, d: int) -> tuple[float, float]:
     return mean, math.sqrt(var)
 
 
+def _exposure_pairs(graph: ContactGraph, pop: Population) -> tuple[np.ndarray, np.ndarray]:
+    """Both orientations (i, j) of every edge whose source j is infected,
+    first (lo, hi) then (hi, lo): the nonzeros of the exposure matrix."""
+    e = graph.edges
+    i = np.concatenate([e[:, 0], e[:, 1]])
+    j = np.concatenate([e[:, 1], e[:, 0]])
+    keep = pop.infected[j]
+    return i[keep], j[keep]
+
+
 def _exposure_triplets(graph: ContactGraph, pop: Population, params: SirParams
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The exposure matrix B[i, j] = beta[g_i, g_j] * A_ij * I_j / deg_i as
@@ -222,15 +246,10 @@ def _exposure_triplets(graph: ContactGraph, pop: Population, params: SirParams
     B[i, j] = rate / deg[i] and the linear exposure of unit i under
     allocation v is sum_j B[i, j] (1 - v_j).
 
-    Holds both orientations of every edge whose source j is infected, first
-    (lo, hi) then (hi, lo).  Callers divide by deg last, which keeps every
-    derived quantity bit-for-bit stable.
+    The entries are those of _exposure_pairs, in its order.  Callers divide
+    by deg last, which keeps every derived quantity bit-for-bit stable.
     """
-    e = graph.edges
-    i = np.concatenate([e[:, 0], e[:, 1]])
-    j = np.concatenate([e[:, 1], e[:, 0]])
-    keep = pop.infected[j]
-    i, j = i[keep], j[keep]
+    i, j = _exposure_pairs(graph, pop)
     rate = params.beta[pop.group[i], pop.group[j]]
     return i, j, rate, np.maximum(graph.degree, 1).astype(float)
 
@@ -258,26 +277,71 @@ def _healthy_share(pop: Population, params: SirParams, vaccinated: np.ndarray,
             + np.vecdot(escape, pop.weight[sus])) / pop.n_units
 
 
+class ContextPattern:
+    """The parameter-free half of build_context for one instance.
+
+    Holds the spillover entries (susceptible unit i, infected neighbor j) in
+    _exposure_pairs order, the (g_i, g_j) group pair of each, their -weight_i
+    and deg_i * n factors, and the positions of the doubled entries in
+    w + w^T as CSR arrays.  The index range and the off-diagonal rule are
+    checked once here.  No (i, j) repeats, since w_ij needs i susceptible
+    and j infected, so the CSR form is a permutation of the entries.
+
+    context(params) fills in the values only, with build_context's
+    arithmetic in its order, so every array it returns is bit-identical to
+    a fresh compile.  A study that compiles many parameter sets on one
+    instance builds the pattern once.
+    """
+
+    def __init__(self, graph: ContactGraph, pop: Population) -> None:
+        n = graph.n_units
+        if pop.n_units != n:
+            raise ValueError(f"graph has {n} units but population has {pop.n_units}")
+        i, j = _exposure_pairs(graph, pop)
+        sus = pop.susceptible
+        keep = sus[i]
+        rows, cols = i[keep], j[keep]
+        _check_spill(n, rows, cols)
+        deg = np.maximum(graph.degree, 1).astype(float)
+        self.n_units = n
+        self._pop = pop
+        self._rows, self._cols = rows, cols
+        self._pair = 2 * pop.group[rows].astype(np.int64) + pop.group[cols]
+        self._neg_weight = -pop.weight[rows]
+        self._deg_n = deg[rows] * n
+        self._sus, self._deg_sus = sus, deg[sus]
+        self._recovered, self._infected = pop.recovered, pop.infected
+        self._indptr, self._sym_rows, self._sym_cols, self._order = _csr(
+            n, np.concatenate([rows, cols]), np.concatenate([cols, rows]),
+            np.arange(2 * rows.size))
+        assert self._order.size == 2 * rows.size, "a spillover entry repeats"
+        for arr in (rows, cols, self._indptr, self._sym_rows, self._sym_cols):
+            arr.setflags(write=False)
+
+    def context(self, params: SirParams) -> ObjectiveContext:
+        """The objective compiled with params: build_context(graph, pop,
+        params), sharing this pattern's index arrays (all read-only)."""
+        n, pop = self.n_units, self._pop
+        c = pop.weight * (1.0 - self._recovered - params.gamma[pop.group] * self._infected
+                          - self._sus) / n
+        rate = np.take(params.beta, self._pair)
+        vals = self._neg_weight * rate / self._deg_n
+        z = np.bincount(self._rows, rate, minlength=n)[self._sus] / self._deg_sus
+        const = _healthy_share(pop, params, np.arange(0), z, "linear")
+        ctx = ObjectiveContext.__new__(ObjectiveContext)
+        ctx._fill(n, c, self._rows, self._cols, vals, const, self._indptr,
+                  self._sym_rows, self._sym_cols, np.concatenate([vals, vals])[self._order])
+        return ctx
+
+
 def build_context(graph: ContactGraph, pop: Population, params: SirParams) -> ObjectiveContext:
-    """Compile the objective coefficients for one instance.
+    """Compile the objective coefficients for one instance:
+    ContextPattern(graph, pop).context(params).
 
     Every spillover weight comes out non-positive and every direct gain
     non-negative, so the resulting F is monotone submodular by construction.
     """
-    n = graph.n_units
-    if pop.n_units != n:
-        raise ValueError(f"graph has {n} units but population has {pop.n_units}")
-
-    gamma_own = params.gamma[pop.group]
-    c = pop.weight * (1.0 - pop.recovered - gamma_own * pop.infected - pop.susceptible) / n
-
-    i, j, rate, deg = _exposure_triplets(graph, pop, params)
-    sus = pop.susceptible[i]
-    rows = i[sus]
-    vals = -pop.weight[rows] * rate[sus] / (deg[rows] * n)
-    z = np.bincount(i, rate, minlength=n) / deg
-    const = _healthy_share(pop, params, np.arange(0), z[pop.susceptible], "linear")
-    return ObjectiveContext(n, c, rows, j[sus], vals, const)
+    return ContextPattern(graph, pop).context(params)
 
 
 def objective_value(ctx: ObjectiveContext, alloc: Allocation) -> float:

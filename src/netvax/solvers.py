@@ -7,6 +7,7 @@ greedy argmax and toward the first subset in brute-force enumeration.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,6 +36,8 @@ __all__ = [
 ENUMERATION_BUDGET = 10**8
 _TIE_TOL = 1e-12
 _DENSE_LIMIT = 4096
+# Pair values gathered per brute-force block: rows * k * k at most
+_PAIR_CELLS = 2_000_000
 
 
 class BudgetError(RuntimeError):
@@ -156,6 +159,24 @@ def _combo_chunks(n: int, k: int, chunk: int) -> Iterator[np.ndarray]:
         yield np.fromiter(flat, dtype=np.int64, count=rows * k).reshape(rows, k)
 
 
+def _pair_blocks(n: int, k: int, chunk: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """_combo_chunks' blocks, each with the flat index
+    combos[:, :, None] * n + combos[:, None, :] of its subsets' k x k pairs
+    in an n x n matrix."""
+    for combos in _combo_chunks(n, k, chunk):
+        yield combos, combos[:, :, None] * n + combos[:, None, :]
+
+
+@functools.lru_cache(maxsize=4)
+def _enumeration(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """_pair_blocks' one block holding all size-k subsets of range(n), set
+    read-only and kept for the next search with the same (n, k)."""
+    block = next(_pair_blocks(n, k, math.comb(n, k)))
+    for arr in block:
+        arr.setflags(write=False)
+    return block
+
+
 def _tie_scan(vals: np.ndarray, best_val: float) -> tuple[int, float]:
     """Scan vals in order against an incumbent value: a value replaces the
     incumbent only when it beats it by more than the tie window.  Returns the
@@ -177,6 +198,11 @@ def brute_force(ctx: ObjectiveContext, d: int) -> SolverResult:
     incumbent only when its value is higher by more than 1e-12, so among
     maximizers tied within that window the first one wins, as in greedy.
     Refuses instances whose subset count exceeds ENUMERATION_BUDGET.
+
+    Subsets are scored in blocks of at most _PAIR_CELLS / k^2 rows.  When
+    one block holds them all, the block and its pair index are built once
+    per (n, k) and reused by later calls (a small LRU cache); longer
+    enumerations are streamed block by block and not kept.
     """
     if d < 0:
         raise ValueError(f"capacity must be >= 0, got {d}")
@@ -203,10 +229,11 @@ def brute_force(ctx: ObjectiveContext, d: int) -> SolverResult:
     pair = ctx.pairwise_dense()
     best_val = -np.inf
     best: Optional[np.ndarray] = None
-    chunk = max(1, 2_000_000 // (k * k))
-    for combos in _combo_chunks(n, k, chunk):
+    chunk = max(1, _PAIR_CELLS // (k * k))
+    blocks = [_enumeration(n, k)] if count <= chunk else _pair_blocks(n, k, chunk)
+    for combos, pairs in blocks:
         vals = base[combos].sum(axis=1)
-        vals += 0.5 * pair[combos[:, :, None], combos[:, None, :]].sum(axis=(1, 2))
+        vals += 0.5 * np.take(pair, pairs).sum(axis=(1, 2))
         local, best_val = _tie_scan(vals, best_val)
         if local >= 0:
             best = combos[local]

@@ -11,8 +11,11 @@ import math
 import numpy as np
 from scipy import sparse
 
-from netvax import (Allocation, PARAMETER_SETS, draw_instance, objective_value,
-                    replicate_seed, transition_probabilities, welfare_value)
+from netvax import (Allocation, ObjectiveContext, PARAMETER_SETS, draw_instance,
+                    objective_value, replicate_seed, transition_probabilities,
+                    welfare_value)
+from netvax.objective import _exposure_triplets, _healthy_share
+from netvax.solvers import _combo_chunks, _finish, _tie_scan
 
 DEFAULT_DIST = ((0.7, 0.2, 0.1), (0.7, 0.2, 0.1))
 
@@ -217,3 +220,53 @@ def graph_arrays(n_units, edges):
     adj = dst[np.lexsort((dst, src))]
     degree = np.bincount(src, minlength=n_units)
     return pairs, adj, degree, np.concatenate([[0], np.cumsum(degree)])
+
+
+def build_context_direct(graph, pop, params):
+    """The objective compiled in one pass through the public, validating
+    ObjectiveContext constructor, which sorts the doubled triplets itself."""
+    n = graph.n_units
+    if pop.n_units != n:
+        raise ValueError(f"graph has {n} units but population has {pop.n_units}")
+    gamma_own = params.gamma[pop.group]
+    c = pop.weight * (1.0 - pop.recovered - gamma_own * pop.infected - pop.susceptible) / n
+    i, j, rate, deg = _exposure_triplets(graph, pop, params)
+    sus = pop.susceptible[i]
+    rows = i[sus]
+    vals = -pop.weight[rows] * rate[sus] / (deg[rows] * n)
+    z = np.bincount(i, rate, minlength=n) / deg
+    const = _healthy_share(pop, params, np.arange(0), z[pop.susceptible], "linear")
+    return ObjectiveContext(n, c, rows, j[sus], vals, const)
+
+
+def brute_force_streamed(ctx, d):
+    """Exhaustive search that enumerates every subset afresh, in streamed
+    blocks of 2,000,000 / k^2 rows, and gathers pair values by fancy
+    indexing; same tie rule and result as solvers.brute_force."""
+    n = ctx.n_units
+    k = min(d, n)
+    if k == 0:
+        return _finish(ctx, Allocation.empty(d), rounds=0)
+    count = math.comb(n, k)
+    base = ctx.initial_gains()
+    if k == 1:
+        best_idx, _ = _tie_scan(base, -np.inf)
+        return _finish(ctx, Allocation(frozenset([best_idx]), capacity=d), rounds=count)
+    pair = ctx.pairwise_dense()
+    best_val = -np.inf
+    best = None
+    for combos in _combo_chunks(n, k, max(1, 2_000_000 // (k * k))):
+        vals = base[combos].sum(axis=1)
+        vals += 0.5 * pair[combos[:, :, None], combos[:, None, :]].sum(axis=(1, 2))
+        local, best_val = _tie_scan(vals, best_val)
+        if local >= 0:
+            best = combos[local]
+    return _finish(ctx, Allocation(frozenset(int(u) for u in best), capacity=d),
+                   rounds=count)
+
+
+def save_edge_list_by_line(graph, sink):
+    """The edge-list format written one edge, one sink.write at a time."""
+    sink.write(f"n_units={graph.n_units}\n")
+    for i, j in graph.edges:
+        sink.write(f"{i} {j}\n")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from netvax import ContactGraph, EdgeListError, erdos_renyi, graph, load_edge_list, save_edge_list
 
-from _oracles import er_row_scan, graph_arrays
+from _oracles import er_row_scan, graph_arrays, save_edge_list_by_line
 
 
 def test_complete_graph():
@@ -90,6 +90,15 @@ def test_save_writes_each_edge_once():
     buf = io.StringIO()
     save_edge_list(g, buf)
     assert buf.getvalue() == "n_units=4\n0 2\n1 3\n"
+
+
+@pytest.mark.parametrize("g", [ContactGraph(5), ContactGraph(1), erdos_renyi(300, 0.05, 11)],
+                         ids=["empty", "one_unit", "generated"])
+def test_save_matches_line_by_line_writer(g):
+    sink, want = io.StringIO(), io.StringIO()
+    save_edge_list(g, sink)
+    save_edge_list_by_line(g, want)
+    assert sink.getvalue().encode() == want.getvalue().encode()
 
 
 def test_load_skips_comments_and_blanks():

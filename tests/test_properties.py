@@ -12,9 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netvax import (
+    INFECTED,
+    SUSCEPTIBLE,
     Allocation,
     ConfigError,
     ContactGraph,
+    ContextPattern,
     EdgeListError,
     ExperimentConfig,
     Instance,
@@ -33,8 +36,8 @@ from netvax import (
 )
 from netvax.harness import _KNOWN_KEYS, run_policy
 
-from _oracles import (all_subsets_objective, objective_dense, objective_sliced,
-                      scipy_sym, welfare_from_transitions)
+from _oracles import (all_subsets_objective, build_context_direct, objective_dense,
+                      objective_sliced, scipy_sym, welfare_from_transitions)
 
 unit_interval = st.floats(0.0, 1.0)
 
@@ -155,6 +158,34 @@ def test_context_arrays_equal_scipy_csr(case):
         tol = 1e-15 * max(1.0, float(np.abs(ctx.spill_vals).sum()))
         assert np.max(np.abs(ctx._sym_vals - sym.data), initial=0.0) <= tol
         assert np.max(np.abs(ctx._base_gain - base)) <= tol
+
+
+CONTEXT_ARRAYS = ("direct_gain", "spill_rows", "spill_cols", "spill_vals",
+                  "_sym_indptr", "_sym_rows", "_sym_cols", "_sym_vals", "_base_gain")
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(), st.sampled_from(["drawn", "none_infected", "all_infected"]),
+       st.lists(sir_params(), min_size=1, max_size=4))
+def test_context_pattern_fills_match_direct_compile(case, states, param_sets):
+    graph, pop, _, _, _ = case
+    if states != "drawn":
+        state0 = (np.where(pop.state0 == INFECTED, SUSCEPTIBLE, pop.state0)
+                  if states == "none_infected" else np.full(pop.n_units, INFECTED))
+        pop = Population(state0=state0, group=pop.group, weight=pop.weight)
+    pattern = ContextPattern(graph, pop)
+    contexts = [pattern.context(params) for params in param_sets]
+    # every context is checked after the last fill, so reusing the pattern
+    # must leave the earlier ones as they were
+    for ctx, params in zip(contexts, param_sets):
+        want = build_context_direct(graph, pop, params)
+        assert ctx.n_units == want.n_units
+        assert ctx.welfare_constant == want.welfare_constant
+        for name in CONTEXT_ARRAYS:
+            got, ref = getattr(ctx, name), getattr(want, name)
+            assert got.dtype == ref.dtype and got.shape == ref.shape, name
+            assert got.tobytes() == ref.tobytes(), name
+            assert not got.flags.writeable, name
 
 
 @settings(max_examples=100, deadline=None)

@@ -31,8 +31,8 @@ from netvax import objective, solvers
 from netvax.objective import exact_welfare_evaluator
 from netvax.solvers import iter_random_subsets
 
-from _oracles import (DEFAULT_DIST, all_subsets_objective, grid_instances,
-                      matroid_brute, small_instance)
+from _oracles import (DEFAULT_DIST, all_subsets_objective, brute_force_streamed,
+                      grid_instances, matroid_brute, small_instance)
 
 SET1 = SirParams(beta=[[0.7, 0.5], [0.5, 0.6]], gamma=[0.1, 0.05], delta=[0.0, 0.0])
 
@@ -184,6 +184,61 @@ def test_brute_force_budget_error_names_count():
         brute_force(inst.ctx, 10)
     with pytest.raises(ValueError):
         brute_force(inst.ctx, -1)
+
+
+def random_contexts(seed):
+    """A drawn instance and a raw-triplet context with arbitrary values."""
+    rng = np.random.default_rng(seed)
+    n = 6 + seed % 5
+    yield small_instance(seed, n=n, density=0.6, weights=(1.5, 0.5)).ctx
+    rows, cols = np.nonzero(rng.random((n, n)) < 0.4)
+    off = rows != cols
+    yield ObjectiveContext(n, rng.random(n), rows[off], cols[off],
+                           -rng.random(int(off.sum())), 0.25)
+
+
+def assert_same_search(got, want):
+    assert got.allocation == want.allocation
+    assert got.f_value.hex() == want.f_value.hex()
+    assert got.welfare.hex() == want.welfare.hex()
+    assert got.rounds == want.rounds
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_brute_force_matches_streamed_search(seed, monkeypatch):
+    for ctx in random_contexts(seed):
+        n = ctx.n_units
+        for d in (1, 2, n // 2, n - 1, n, n + 2):
+            assert_same_search(brute_force(ctx, d), brute_force_streamed(ctx, d))
+        # a few rows per block forces a streamed, multi-block search
+        solvers._enumeration.cache_clear()
+        monkeypatch.setattr(solvers, "_PAIR_CELLS", 40)
+        for d in (2, 3, n - 2):
+            assert 40 // (d * d) < math.comb(n, d)
+            assert_same_search(brute_force(ctx, d), brute_force_streamed(ctx, d))
+        info = solvers._enumeration.cache_info()
+        assert info.currsize == 0 and info.misses == 0
+        monkeypatch.undo()
+
+
+def test_brute_force_enumeration_cache_is_read_only_and_bounded():
+    solvers._enumeration.cache_clear()
+    maxsize = solvers._enumeration.cache_parameters()["maxsize"]
+    ctx = small_instance(3, n=10).ctx
+    brute_force(ctx, 3)
+    brute_force(ctx, 3)
+    info = solvers._enumeration.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    combos, pairs = solvers._enumeration(10, 3)
+    assert combos.shape == (math.comb(10, 3), 3) and pairs.shape == (math.comb(10, 3), 3, 3)
+    for arr in (combos, pairs):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    for n in range(6, 6 + 2 * maxsize):
+        brute_force(small_instance(n, n=n).ctx, 2)
+        assert solvers._enumeration.cache_info().currsize <= maxsize
+    assert solvers._enumeration.cache_info().currsize == maxsize
 
 
 @pytest.mark.parametrize("n, k, chunk", [(7, 3, 4), (7, 3, 34), (9, 2, 5),
