@@ -188,6 +188,8 @@ def _cmd_regret(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise harness.ConfigError(f"--trials must be >= 1, got {args.trials}")
     results = harness.run_property_checks(seed=args.seed, trials=args.trials)
     failed = 0
     for result in results:

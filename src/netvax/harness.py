@@ -23,8 +23,8 @@ import numpy as np
 from .epidemic import GROUP1, GROUP2, RECOVERED, Population, SirParams
 from .graph import ContactGraph, erdos_renyi
 from .objective import (Allocation, ContextPattern, ObjectiveContext,
-                        build_context, check_submodular, exact_welfare_evaluator,
-                        marginal_gain, objective_value, welfare_value)
+                        build_context, check_submodular, marginal_gain,
+                        objective_value, welfare_value)
 from .regret import (EstimationNoiseModel, compile_truth, decompose_regret,
                      sample_estimates)
 from .solvers import (RandomAssignmentSummary, SolverResult, brute_force,
@@ -142,6 +142,11 @@ class ExperimentConfig:
         for pol in self.policies:
             if pol not in POLICIES:
                 raise ConfigError(f"unknown policy {pol!r}; expected one of {POLICIES}")
+        for name in ("capacity_fractions", "policies"):
+            entries = getattr(self, name)
+            if len(set(entries)) != len(entries):
+                # a repeated cell would run twice per network
+                raise ConfigError(f"{name} repeats an entry: {entries}")
         if self.random_draws < 1:
             raise ConfigError(f"random_draws must be >= 1, got {self.random_draws}")
         if self.mode not in ("linear", "exact"):
@@ -261,7 +266,7 @@ def run_policy(inst: Instance, policy: str, d: int, config: ExperimentConfig,
     group = inst.pop.group
     exact = config.mode == "exact"
     if policy == "random":
-        welfare = (exact_welfare_evaluator(inst.graph, inst.pop, inst.params)
+        welfare = (ContextPattern(inst.graph, inst.pop).exact_welfare(inst.params)
                    if exact else None)
         summary = random_assignment(inst.ctx, d, config.random_draws, seed,
                                     welfare=welfare)

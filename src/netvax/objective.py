@@ -36,7 +36,6 @@ __all__ = [
     "build_context",
     "objective_value",
     "welfare_value",
-    "exact_welfare_evaluator",
     "marginal_gain",
     "check_submodular",
 ]
@@ -239,21 +238,6 @@ def _exposure_pairs(graph: ContactGraph, pop: Population) -> tuple[np.ndarray, n
     return i[keep], j[keep]
 
 
-def _exposure_triplets(graph: ContactGraph, pop: Population, params: SirParams
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The exposure matrix B[i, j] = beta[g_i, g_j] * A_ij * I_j / deg_i as
-    COO triplets (i, j, rate) plus the row divisor deg = max(degree, 1), so
-    B[i, j] = rate / deg[i] and the linear exposure of unit i under
-    allocation v is sum_j B[i, j] (1 - v_j).
-
-    The entries are those of _exposure_pairs, in its order.  Callers divide
-    by deg last, which keeps every derived quantity bit-for-bit stable.
-    """
-    i, j = _exposure_pairs(graph, pop)
-    rate = params.beta[pop.group[i], pop.group[j]]
-    return i, j, rate, np.maximum(graph.degree, 1).astype(float)
-
-
 def _healthy_share(pop: Population, params: SirParams, vaccinated: np.ndarray,
                    z: np.ndarray, mode: str) -> float | np.ndarray:
     """Weighted mean next-period healthy probability given the vaccinated
@@ -290,7 +274,8 @@ class ContextPattern:
     context(params) fills in the values only, with build_context's
     arithmetic in its order, so every array it returns is bit-identical to
     a fresh compile.  A study that compiles many parameter sets on one
-    instance builds the pattern once.
+    instance builds the pattern once.  exact_welfare(params) reads the same
+    CSR arrays for the exact-mode welfare of allocation blocks.
     """
 
     def __init__(self, graph: ContactGraph, pop: Population) -> None:
@@ -309,7 +294,7 @@ class ContextPattern:
         self._pair = 2 * pop.group[rows].astype(np.int64) + pop.group[cols]
         self._neg_weight = -pop.weight[rows]
         self._deg_n = deg[rows] * n
-        self._sus, self._deg_sus = sus, deg[sus]
+        self._sus, self._deg = sus, deg
         self._recovered, self._infected = pop.recovered, pop.infected
         self._indptr, self._sym_rows, self._sym_cols, self._order = _csr(
             n, np.concatenate([rows, cols]), np.concatenate([cols, rows]),
@@ -326,12 +311,59 @@ class ContextPattern:
                           - self._sus) / n
         rate = np.take(params.beta, self._pair)
         vals = self._neg_weight * rate / self._deg_n
-        z = np.bincount(self._rows, rate, minlength=n)[self._sus] / self._deg_sus
+        z = np.bincount(self._rows, rate, minlength=n)[self._sus] / self._deg[self._sus]
         const = _healthy_share(pop, params, np.arange(0), z, "linear")
         ctx = ObjectiveContext.__new__(ObjectiveContext)
         ctx._fill(n, c, self._rows, self._cols, vals, const, self._indptr,
                   self._sym_rows, self._sym_cols, np.concatenate([vals, vals])[self._order])
         return ctx
+
+    def exact_welfare(self, params: SirParams) -> Callable[[np.ndarray], np.ndarray]:
+        """Exact-mode welfare_value for blocks of allocations: a function
+        mapping an (m, k) block of vaccinated unit indices, one allocation
+        per row, to its (m,) welfare values.
+
+        Every unit with spillover entries is susceptible or infected, so the
+        CSR of w + w^T holds both layouts the evaluation needs: a susceptible
+        unit's row lists its infecting neighbors, an infected unit's row the
+        units it exposes, each in ascending order.  The function takes the
+        block's rows in runs that hold fewer than _BLOCK_CELLS (allocation,
+        infected source, exposed unit) entries plus one row's, so its
+        temporaries stay bounded at any density."""
+        pop, sus, ptr = self._pop, self._sus, self._indptr
+        b = np.take(params.beta, self._pair) / self._deg[self._rows]
+        vals = np.concatenate([b, b])[self._order]
+        z_empty = _row_sums(ptr, vals)[sus]
+        # only infected rows are read by source, each exposed unit given as
+        # its position among the susceptible units
+        out_deg = np.where(self._infected, np.diff(ptr), 0)
+        exposed = (np.cumsum(sus) - 1)[self._sym_cols]
+        s = z_empty.size
+
+        def welfare(idx: np.ndarray) -> np.ndarray:
+            # rows are independent: start a run of rows at each multiple of
+            # _BLOCK_CELLS (allocation, infected source, exposed unit) entries
+            idx = np.sort(idx, axis=1)
+            count = out_deg[idx].sum(axis=1)
+            cuts = np.flatnonzero(np.diff((np.cumsum(count) - count) // _BLOCK_CELLS)) + 1
+            return np.concatenate([rows(part) for part in np.split(idx, cuts)])
+
+        def rows(idx: np.ndarray) -> np.ndarray:
+            m, k = idx.shape
+            # (allocation, infecting source) pairs in order, then their entries
+            flat = idx.ravel()
+            count = out_deg[flat]
+            pair = np.flatnonzero(count)
+            count = count[pair]
+            entry = (np.repeat(ptr[flat[pair]] - np.cumsum(count) + count, count)
+                     + np.arange(count.sum()))
+            cell = np.repeat(pair // k * s, count) + exposed[entry]
+            # each cell sums its sources in ascending order, as a CSR product
+            # does; bincount returns integers when no source is hit
+            z = np.bincount(cell, vals[entry], minlength=m * s).reshape(m, s)
+            z = np.subtract(z_empty, z, out=z.astype(float, copy=False))
+            return _healthy_share(pop, params, idx, z, "exact")
+        return welfare
 
 
 def build_context(graph: ContactGraph, pop: Population, params: SirParams) -> ObjectiveContext:
@@ -370,57 +402,10 @@ def welfare_value(graph: ContactGraph, pop: Population, params: SirParams,
     if pop.n_units != n:
         raise ValueError("graph and population sizes differ")
     v = alloc.indicator(n)
-    i, j, rate, deg = _exposure_triplets(graph, pop, params)
-    z = np.bincount(i, rate * (1.0 - v[j]), minlength=n) / deg
+    i, j = _exposure_pairs(graph, pop)
+    rate = params.beta[pop.group[i], pop.group[j]]
+    z = np.bincount(i, rate * (1.0 - v[j]), minlength=n) / np.maximum(graph.degree, 1)
     return float(_healthy_share(pop, params, alloc.sorted_units(), z[pop.susceptible], mode))
-
-
-def exact_welfare_evaluator(graph: ContactGraph, pop: Population, params: SirParams
-                            ) -> Callable[[np.ndarray], np.ndarray]:
-    """Exact-mode welfare_value for blocks of allocations: compiles the
-    exposure of the susceptible units once and returns a function mapping
-    an (m, k) block of vaccinated unit indices, one allocation per row, to
-    its (m,) welfare values.  It takes the block's rows in runs that hold
-    fewer than _BLOCK_CELLS (allocation, infected source, exposed unit)
-    entries plus one row's, so its temporaries stay bounded at any density."""
-    n = graph.n_units
-    if pop.n_units != n:
-        raise ValueError("graph and population sizes differ")
-    i, j, rate, deg = _exposure_triplets(graph, pop, params)
-    keep = pop.susceptible[i]
-    i, j, b = i[keep], j[keep], (rate / deg[i])[keep]
-    ptr, _, _, by_row = _csr(n, i, j, b)
-    z_empty = _row_sums(ptr, by_row)[pop.susceptible]
-    # the same entries grouped by infecting source, each exposed unit given
-    # as its position among the susceptible units
-    src_ptr, _, exposed, by_src = _csr(n, j, i, b)
-    exposed = (np.cumsum(pop.susceptible) - 1)[exposed]
-    s, out_deg = z_empty.size, np.diff(src_ptr)
-
-    def welfare(idx: np.ndarray) -> np.ndarray:
-        # rows are independent: start a run of rows at each multiple of
-        # _BLOCK_CELLS (allocation, infected source, exposed unit) entries
-        idx = np.sort(idx, axis=1)
-        count = out_deg[idx].sum(axis=1)
-        cuts = np.flatnonzero(np.diff((np.cumsum(count) - count) // _BLOCK_CELLS)) + 1
-        return np.concatenate([rows(part) for part in np.split(idx, cuts)])
-
-    def rows(idx: np.ndarray) -> np.ndarray:
-        m, k = idx.shape
-        # (allocation, infecting source) pairs in order, then their entries
-        flat = idx.ravel()
-        count = out_deg[flat]
-        pair = np.flatnonzero(count)
-        count = count[pair]
-        entry = (np.repeat(src_ptr[flat[pair]] - np.cumsum(count) + count, count)
-                 + np.arange(count.sum()))
-        cell = np.repeat(pair // k * s, count) + exposed[entry]
-        # each cell sums its sources in ascending order, as a CSR product
-        # does; bincount returns integers when no source is hit
-        z = np.bincount(cell, by_src[entry], minlength=m * s).reshape(m, s)
-        z = np.subtract(z_empty, z, out=z.astype(float, copy=False))
-        return _healthy_share(pop, params, idx, z, "exact")
-    return welfare
 
 
 def marginal_gain(ctx: ObjectiveContext, alloc: Allocation, candidate: int) -> float:

@@ -16,8 +16,8 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .epidemic import GROUP1, GROUP2
-from .objective import (_BLOCK_CELLS, Allocation, ObjectiveContext, _f_moments,
-                        objective_value)
+from .objective import (_BLOCK_CELLS, TOLERANCE, Allocation, ObjectiveContext,
+                        _f_moments, objective_value)
 
 __all__ = [
     "ENUMERATION_BUDGET",
@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 ENUMERATION_BUDGET = 10**8
-_TIE_TOL = 1e-12
 _DENSE_LIMIT = 4096
 # Pair values gathered per brute-force block: rows * k * k at most
 _PAIR_CELLS = 2_000_000
@@ -89,7 +88,7 @@ def _pick(gains: np.ndarray, open_: np.ndarray) -> int:
     """Lowest-index open unit whose gain is within the tie window of the best."""
     masked = np.where(open_, gains, -np.inf)
     best = masked.max()
-    return int(np.nonzero(open_ & (gains >= best - _TIE_TOL))[0][0])
+    return int(np.nonzero(open_ & (gains >= best - TOLERANCE))[0][0])
 
 
 def _greedy(ctx: ObjectiveContext, d: int, groups: np.ndarray, caps: Sequence[int],
@@ -186,7 +185,7 @@ def _tie_scan(vals: np.ndarray, best_val: float) -> tuple[int, float]:
     # only a new running maximum can replace it
     prev = np.maximum.accumulate(np.concatenate(([best_val], vals[:-1])))
     for p in np.flatnonzero(vals > prev):
-        if vals[p] > best_val + _TIE_TOL:
+        if vals[p] > best_val + TOLERANCE:
             pos, best_val = int(p), float(vals[p])
     return pos, best_val
 
@@ -271,7 +270,7 @@ def random_assignment(ctx: ObjectiveContext, d: int, draws: int, seed: int,
     is F plus the context's welfare constant, so it is exact too and nothing
     is drawn: draws is 0 and seed is unused.  Otherwise welfare maps an
     (m, d) block of unit indices, one allocation per row, to (m,) values
-    (objective.exact_welfare_evaluator for exact mode), and its mean and
+    (objective.ContextPattern.exact_welfare for exact mode), and its mean and
     sample sd are estimated over `draws` subsets from
     iter_random_subsets(seed), in blocks of at most _BLOCK_CELLS / n rows.
     """

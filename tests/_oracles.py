@@ -14,7 +14,8 @@ from scipy import sparse
 from netvax import (Allocation, ObjectiveContext, PARAMETER_SETS, draw_instance,
                     objective_value, replicate_seed, transition_probabilities,
                     welfare_value)
-from netvax.objective import _exposure_triplets, _healthy_share
+from netvax import objective
+from netvax.objective import _csr, _exposure_pairs, _healthy_share, _row_sums
 from netvax.solvers import _combo_chunks, _finish, _tie_scan
 
 DEFAULT_DIST = ((0.7, 0.2, 0.1), (0.7, 0.2, 0.1))
@@ -230,13 +231,56 @@ def build_context_direct(graph, pop, params):
         raise ValueError(f"graph has {n} units but population has {pop.n_units}")
     gamma_own = params.gamma[pop.group]
     c = pop.weight * (1.0 - pop.recovered - gamma_own * pop.infected - pop.susceptible) / n
-    i, j, rate, deg = _exposure_triplets(graph, pop, params)
+    i, j = _exposure_pairs(graph, pop)
+    rate = params.beta[pop.group[i], pop.group[j]]
+    deg = np.maximum(graph.degree, 1).astype(float)
     sus = pop.susceptible[i]
     rows = i[sus]
     vals = -pop.weight[rows] * rate[sus] / (deg[rows] * n)
     z = np.bincount(i, rate, minlength=n) / deg
     const = _healthy_share(pop, params, np.arange(0), z[pop.susceptible], "linear")
     return ObjectiveContext(n, c, rows, j[sus], vals, const)
+
+
+def exact_welfare_evaluator(graph, pop, params):
+    """Exact-mode welfare_value for blocks of allocations, with its own two
+    CSR layouts of the exposure entries: one sorted by exposed unit, one by
+    infecting source.  Returns a function mapping an (m, k) block of
+    vaccinated unit indices to its (m,) welfare values, taken in runs of
+    fewer than objective._BLOCK_CELLS entries plus one row's, as
+    ContextPattern.exact_welfare does."""
+    n = graph.n_units
+    i, j = _exposure_pairs(graph, pop)
+    rate = params.beta[pop.group[i], pop.group[j]]
+    deg = np.maximum(graph.degree, 1).astype(float)
+    keep = pop.susceptible[i]
+    i, j, b = i[keep], j[keep], (rate / deg[i])[keep]
+    ptr, _, _, by_row = _csr(n, i, j, b)
+    z_empty = _row_sums(ptr, by_row)[pop.susceptible]
+    src_ptr, _, exposed, by_src = _csr(n, j, i, b)
+    exposed = (np.cumsum(pop.susceptible) - 1)[exposed]
+    s, out_deg = z_empty.size, np.diff(src_ptr)
+
+    def welfare(idx):
+        idx = np.sort(idx, axis=1)
+        count = out_deg[idx].sum(axis=1)
+        cuts = np.flatnonzero(
+            np.diff((np.cumsum(count) - count) // objective._BLOCK_CELLS)) + 1
+        return np.concatenate([rows(part) for part in np.split(idx, cuts)])
+
+    def rows(idx):
+        m, k = idx.shape
+        flat = idx.ravel()
+        count = out_deg[flat]
+        pair = np.flatnonzero(count)
+        count = count[pair]
+        entry = (np.repeat(src_ptr[flat[pair]] - np.cumsum(count) + count, count)
+                 + np.arange(count.sum()))
+        cell = np.repeat(pair // k * s, count) + exposed[entry]
+        z = np.bincount(cell, by_src[entry], minlength=m * s).reshape(m, s)
+        z = np.subtract(z_empty, z, out=z.astype(float, copy=False))
+        return _healthy_share(pop, params, idx, z, "exact")
+    return welfare
 
 
 def brute_force_streamed(ctx, d):

@@ -115,6 +115,15 @@ def test_experiment_writes_csv(tmp_path, capsys):
     assert {line.split(",")[0] for line in lines[1:]} == {"greedy", "twni"}
 
 
+def test_experiment_repeated_policy_is_config_error(tmp_path, capsys):
+    config = write(tmp_path / "exp.cfg", TINY_CONFIG)
+    out = tmp_path / "rows.csv"
+    assert main(["experiment", "--config", config, "--out", str(out),
+                 "--policies", "greedy,random,greedy"]) == EXIT_CONFIG
+    assert "policies repeats an entry" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_experiment_seed_override_changes_rows(tmp_path):
     config = write(tmp_path / "exp.cfg", TINY_CONFIG)
     out_a = tmp_path / "a.csv"
@@ -221,6 +230,12 @@ def test_regret_command(tmp_path, capsys):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("n_external,replications,capacity,mean_total")
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_check_bad_trials_is_config_error(capsys, trials):
+    assert main(["check", "--trials", trials]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: --trials must be >= 1")
 
 
 def test_check_command(capsys):

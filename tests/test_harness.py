@@ -207,6 +207,14 @@ def test_config_validation():
         ExperimentConfig(n_units=10, density=0.5, random_draws=0)
 
 
+def test_config_rejects_repeated_cells():
+    # a repeated policy or fraction would run its cell twice per network
+    with pytest.raises(ConfigError, match="policies repeats an entry"):
+        ExperimentConfig(n_units=10, density=0.5, policies=("greedy", "random", "greedy"))
+    with pytest.raises(ConfigError, match="capacity_fractions repeats an entry"):
+        parse_experiment_config("n_units=10\ndensity=0.5\ncapacity_fractions=0.1,0.2,0.10\n")
+
+
 def tiny_config(**kw):
     base = dict(n_units=12, density=0.5, n_networks=3,
                 capacity_fractions=(0.1, 0.25), random_draws=200, seed=4)

@@ -6,6 +6,7 @@ against the independent references in ``_oracles``.
 """
 
 import io
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -22,9 +23,11 @@ from netvax import (
     ExperimentConfig,
     Instance,
     ObjectiveContext,
+    PARAMETER_SETS,
     Population,
     SirParams,
     build_context,
+    draw_instance,
     greedy_capacity,
     greedy_targeting,
     iter_random_subsets,
@@ -34,10 +37,12 @@ from netvax import (
     random_assignment,
     welfare_value,
 )
+from netvax import objective
 from netvax.harness import _KNOWN_KEYS, run_policy
 
-from _oracles import (all_subsets_objective, build_context_direct, objective_dense,
-                      objective_sliced, scipy_sym, welfare_from_transitions)
+from _oracles import (DEFAULT_DIST, all_subsets_objective, build_context_direct,
+                      exact_welfare_evaluator, objective_dense, objective_sliced,
+                      scipy_sym, welfare_from_transitions)
 
 unit_interval = st.floats(0.0, 1.0)
 
@@ -216,6 +221,34 @@ def test_exact_random_baseline_matches_welfare_over_its_subsets(case, data):
     welfare = np.array([welfare_value(graph, pop, params, a, "exact") for a in allocs])
     assert abs(welfare.mean() - summary.mean_welfare) <= 1e-12
     assert abs((welfare.std(ddof=1) if draws > 1 else 0.0) - summary.sd_welfare) <= 1e-12
+
+
+@st.composite
+def drawn_instances(draw, max_units=80):
+    """Seeded G(n, p) instances larger than instances() draws, so that
+    rows hold many (infected source, exposed unit) entries."""
+    inst = draw_instance(draw(st.integers(1, max_units)), draw(unit_interval),
+                         draw(st.sampled_from(list(PARAMETER_SETS.values()))), 0.4,
+                         DEFAULT_DIST, (draw(st.floats(0.0, 10.0)), 1.0),
+                         draw(st.integers(0, 2**32)))
+    return inst.graph, inst.pop, inst.params
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(instances().map(lambda case: case[:3]), drawn_instances()), st.data())
+def test_exact_welfare_equals_two_layout_evaluator(case, data):
+    graph, pop, params = case
+    n = graph.n_units
+    d = data.draw(st.integers(1, n))
+    draws = data.draw(st.integers(1, 30))
+    idx = next(iter_random_subsets(data.draw(st.integers(0, 2**32)), n, d, draws,
+                                   chunk=draws))
+    want = exact_welfare_evaluator(graph, pop, params)(idx)
+    # runs of one row, a few rows, or the whole block
+    cap = data.draw(st.sampled_from([1, 5, 40, objective._BLOCK_CELLS]))
+    with mock.patch.object(objective, "_BLOCK_CELLS", cap):
+        got = ContextPattern(graph, pop).exact_welfare(params)(idx)
+    assert np.array_equal(got, want)
 
 
 @settings(max_examples=150, deadline=None)

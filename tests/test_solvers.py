@@ -14,6 +14,7 @@ from netvax import (
     Allocation,
     BudgetError,
     ContactGraph,
+    ContextPattern,
     ObjectiveContext,
     Population,
     SirParams,
@@ -28,7 +29,6 @@ from netvax import (
     twni,
 )
 from netvax import objective, solvers
-from netvax.objective import exact_welfare_evaluator
 from netvax.solvers import iter_random_subsets
 
 from _oracles import (DEFAULT_DIST, all_subsets_objective, brute_force_streamed,
@@ -343,7 +343,7 @@ def test_random_assignment_deterministic_in_seed():
     c = random_assignment(inst.ctx, 4, draws=500, seed=12)
     assert a == b == c
     # exact-mode welfare is drawn from the seed's subsets
-    welfare = exact_welfare_evaluator(inst.graph, inst.pop, inst.params)
+    welfare = ContextPattern(inst.graph, inst.pop).exact_welfare(inst.params)
     a = random_assignment(inst.ctx, 4, draws=500, seed=11, welfare=welfare)
     b = random_assignment(inst.ctx, 4, draws=500, seed=11, welfare=welfare)
     c = random_assignment(inst.ctx, 4, draws=500, seed=12, welfare=welfare)
@@ -355,7 +355,7 @@ def test_random_assignment_deterministic_in_seed():
 def test_exact_random_baseline_blocks_are_bounded(monkeypatch):
     inst = draw_instance(1500, 0.01, PARAMETER_SETS["set1"], 0.4, DEFAULT_DIST,
                          (2.0, 0.5), 8)
-    evaluator = exact_welfare_evaluator(inst.graph, inst.pop, inst.params)
+    evaluator = ContextPattern(inst.graph, inst.pop).exact_welfare(inst.params)
 
     def run():
         blocks = []
@@ -380,7 +380,7 @@ def test_exact_evaluator_bounds_its_temporaries(monkeypatch):
     # temporaries when the evaluator takes them in one run
     inst = draw_instance(600, 0.5, PARAMETER_SETS["set1"], 0.4, DEFAULT_DIST,
                          (2.0, 0.5), 3)
-    evaluator = exact_welfare_evaluator(inst.graph, inst.pop, inst.params)
+    evaluator = ContextPattern(inst.graph, inst.pop).exact_welfare(inst.params)
     idx = next(iter_random_subsets(0, 600, 120, 200, chunk=200))
     reference = evaluator(idx)
     # runs of a few rows, then one row at a time as each row exceeds the cap
