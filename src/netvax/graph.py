@@ -41,6 +41,8 @@ class ContactGraph:
         n_units = int(n_units)
         if n_units < 1:
             raise ValueError(f"n_units must be >= 1, got {n_units}")
+        if n_units * n_units >= 2**63:
+            raise ValueError(f"n_units must satisfy n_units**2 < 2**63, got {n_units}")
         arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
         if arr.size == 0:
             arr = arr.reshape(0, 2)
@@ -160,4 +162,7 @@ def load_edge_list(source: IO[str]) -> ContactGraph:
         edges.append((i, j))
     if n_units is None:
         raise EdgeListError("missing n_units header at line 1")
-    return ContactGraph(n_units, edges)
+    try:
+        return ContactGraph(n_units, edges)
+    except ValueError as exc:  # every edge is checked, so the header is at fault
+        raise EdgeListError(f"invalid n_units header: {exc}") from None

@@ -23,13 +23,13 @@ import numpy as np
 from .epidemic import GROUP1, GROUP2, RECOVERED, Population, SirParams
 from .graph import ContactGraph, erdos_renyi
 from .objective import (Allocation, ContextPattern, ObjectiveContext,
-                        build_context, check_submodular, marginal_gain,
-                        objective_value, welfare_value)
+                        check_submodular, marginal_gain, objective_value,
+                        welfare_value)
 from .regret import (EstimationNoiseModel, compile_truth, decompose_regret,
                      sample_estimates)
-from .solvers import (RandomAssignmentSummary, SolverResult, brute_force,
-                      greedy_capacity, greedy_factor, greedy_targeting,
-                      random_assignment, twni)
+from .solvers import (ENUMERATION_BUDGET, BudgetError, RandomAssignmentSummary,
+                      SolverResult, brute_force, greedy_capacity, greedy_factor,
+                      greedy_targeting, random_assignment, twni)
 
 __all__ = [
     "PARAMETER_SETS",
@@ -124,6 +124,8 @@ class ExperimentConfig:
             raise ConfigError(f"n_networks must be >= 1, got {self.n_networks}")
         if not 0.0 <= self.group1_probability <= 1.0:
             raise ConfigError("group1_probability must be in [0, 1]")
+        if len(self.initial_states) != 2:
+            raise ConfigError("initial_states needs two distributions, one per group")
         for dist in self.initial_states:
             if len(dist) != 3 or not all(0.0 <= p <= 1.0 for p in dist):
                 raise ConfigError("initial state distributions need three"
@@ -177,12 +179,14 @@ class ExperimentRow:
 
 @dataclass(frozen=True)
 class Instance:
-    """One drawn replicate: network, health states, and compiled objective."""
+    """One drawn replicate: network, health states, compiled objective, and
+    the ContextPattern that compiled it, for refills and welfare blocks."""
 
     graph: ContactGraph
     pop: Population
     params: SirParams
     ctx: ObjectiveContext
+    pattern: ContextPattern
 
 
 def draw_instance(n_units: int, density: float, params: SirParams,
@@ -222,7 +226,8 @@ def _populate(graph: ContactGraph, params: SirParams, group1_probability: float,
     state = np.minimum(state, RECOVERED)  # guard against rounding at u ~ 1
     weight = np.where(group == GROUP1, float(weights[0]), float(weights[1]))
     pop = Population(state0=state, group=group, weight=weight)
-    return Instance(graph, pop, params, build_context(graph, pop, params))
+    pattern = ContextPattern(graph, pop)
+    return Instance(graph, pop, params, pattern.context(params), pattern)
 
 
 def capacity_budget(fraction: float, n_units: int) -> int:
@@ -259,17 +264,16 @@ def run_policy(inst: Instance, policy: str, d: int, config: ExperimentConfig,
     in linear mode its F and welfare moments are exact and seed is unused.
     greedy_targeting caps group 1 and group 2 at round(fraction * n) from
     targeting_fractions, or at d when none are configured.  In exact mode
-    the welfare is re-evaluated with the exact infection rate; the solvers
-    always see the linear objective.
+    the welfare is re-evaluated with the exact infection rate on
+    inst.pattern; the solvers always see the linear objective.
     """
     n = inst.graph.n_units
     group = inst.pop.group
-    exact = config.mode == "exact"
+    evaluate = (inst.pattern.welfare(inst.params, "exact")
+                if config.mode == "exact" else None)
     if policy == "random":
-        welfare = (ContextPattern(inst.graph, inst.pop).exact_welfare(inst.params)
-                   if exact else None)
         summary = random_assignment(inst.ctx, d, config.random_draws, seed,
-                                    welfare=welfare)
+                                    welfare=evaluate)
         young = 100.0 * int((group == GROUP1).sum()) / n
         return PolicyOutcome(summary, summary.mean_welfare, summary.mean_f, young)
     if policy == "greedy":
@@ -286,9 +290,8 @@ def run_policy(inst: Instance, policy: str, d: int, config: ExperimentConfig,
     else:
         raise ConfigError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     welfare = res.welfare
-    if exact:
-        welfare = welfare_value(inst.graph, inst.pop, inst.params,
-                                res.allocation, mode="exact")
+    if evaluate is not None:
+        welfare = float(evaluate(res.allocation.sorted_units()[None])[0])
     return PolicyOutcome(res, welfare, res.f_value,
                          _pct_young(res.allocation, group))
 
@@ -398,19 +401,29 @@ def run_regret_study(config: RegretStudyConfig) -> list[RegretStudyRow]:
     at grid index gi estimates the parameters from
     replicate_seed(seed, 1_000_000 + gi * replications + rep).  The true
     objective and its optimum are compiled once per study (compile_truth
-    on the drawn instance's ctx), and so is the instance's ContextPattern;
-    each replication fills the pattern with its estimate's values and
-    solves it, so every row equals the mean of the empirical_regret reports
-    over the same estimates.
+    on the drawn instance's ctx); each replication fills inst.pattern with
+    its estimate's values and solves it, so every row equals the mean of
+    the empirical_regret reports over the same estimates.
+
+    With use_brute the study makes replications * len(n_grid) + 1
+    exhaustive searches; it raises BudgetError before drawing anything when
+    they would enumerate more than ENUMERATION_BUDGET subsets in all.
     """
     exp = config.experiment
+    if config.use_brute:
+        searches = config.replications * len(config.n_grid) + 1
+        k = min(config.capacity, exp.n_units)
+        subsets = searches * math.comb(exp.n_units, k)
+        if subsets > ENUMERATION_BUDGET:
+            raise BudgetError(
+                f"{searches} searches of C({exp.n_units},{k}) subsets = {subsets}"
+                f" exceed the enumeration budget of {ENUMERATION_BUDGET}")
     params = exp.params()
     inst = draw_instance(exp.n_units, exp.density, params,
                          exp.group1_probability, exp.initial_states,
                          exp.weights, replicate_seed(exp.seed, 0))
     truth = compile_truth(inst.graph, inst.pop, inst.ctx, config.capacity,
                           config.use_brute)
-    pattern = ContextPattern(inst.graph, inst.pop)
     rows = []
     for gi, n_external in enumerate(config.n_grid):
         noise = EstimationNoiseModel(n_external=n_external)
@@ -419,7 +432,7 @@ def run_regret_study(config: RegretStudyConfig) -> list[RegretStudyRow]:
         for rep in range(config.replications):
             est_seed = replicate_seed(exp.seed, 1_000_000 + gi * config.replications + rep)
             est = sample_estimates(params, noise, est_seed)
-            report = decompose_regret(truth, pattern.context(est), n_external)
+            report = decompose_regret(truth, inst.pattern.context(est), n_external)
             totals.append(report.total)
             gap1s.append(report.estimation_gap)
             gap2s.append(report.optimization_gap)

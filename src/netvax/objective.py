@@ -228,16 +228,6 @@ def _f_moments(ctx: ObjectiveContext, d: int) -> tuple[float, float]:
     return mean, math.sqrt(var)
 
 
-def _exposure_pairs(graph: ContactGraph, pop: Population) -> tuple[np.ndarray, np.ndarray]:
-    """Both orientations (i, j) of every edge whose source j is infected,
-    first (lo, hi) then (hi, lo): the nonzeros of the exposure matrix."""
-    e = graph.edges
-    i = np.concatenate([e[:, 0], e[:, 1]])
-    j = np.concatenate([e[:, 1], e[:, 0]])
-    keep = pop.infected[j]
-    return i[keep], j[keep]
-
-
 def _healthy_share(pop: Population, params: SirParams, vaccinated: np.ndarray,
                    z: np.ndarray, mode: str) -> float | np.ndarray:
     """Weighted mean next-period healthy probability given the vaccinated
@@ -264,8 +254,9 @@ def _healthy_share(pop: Population, params: SirParams, vaccinated: np.ndarray,
 class ContextPattern:
     """The parameter-free half of build_context for one instance.
 
-    Holds the spillover entries (susceptible unit i, infected neighbor j) in
-    _exposure_pairs order, the (g_i, g_j) group pair of each, their -weight_i
+    Holds the spillover entries (susceptible unit i, infected neighbor j),
+    both orientations of every edge, first (lo, hi) then (hi, lo), in edge
+    order, the (g_i, g_j) group pair of each, their -weight_i
     and deg_i * n factors, and the positions of the doubled entries in
     w + w^T as CSR arrays.  The index range and the off-diagonal rule are
     checked once here.  No (i, j) repeats, since w_ij needs i susceptible
@@ -274,17 +265,18 @@ class ContextPattern:
     context(params) fills in the values only, with build_context's
     arithmetic in its order, so every array it returns is bit-identical to
     a fresh compile.  A study that compiles many parameter sets on one
-    instance builds the pattern once.  exact_welfare(params) reads the same
-    CSR arrays for the exact-mode welfare of allocation blocks.
+    instance builds the pattern once.  welfare(params, mode) reads the same
+    CSR arrays for the welfare of allocation blocks.
     """
 
     def __init__(self, graph: ContactGraph, pop: Population) -> None:
         n = graph.n_units
         if pop.n_units != n:
             raise ValueError(f"graph has {n} units but population has {pop.n_units}")
-        i, j = _exposure_pairs(graph, pop)
-        sus = pop.susceptible
-        keep = sus[i]
+        e, sus = graph.edges, pop.susceptible
+        i = np.concatenate([e[:, 0], e[:, 1]])
+        j = np.concatenate([e[:, 1], e[:, 0]])
+        keep = sus[i] & pop.infected[j]
         rows, cols = i[keep], j[keep]
         _check_spill(n, rows, cols)
         deg = np.maximum(graph.degree, 1).astype(float)
@@ -318,10 +310,10 @@ class ContextPattern:
                   self._sym_rows, self._sym_cols, np.concatenate([vals, vals])[self._order])
         return ctx
 
-    def exact_welfare(self, params: SirParams) -> Callable[[np.ndarray], np.ndarray]:
-        """Exact-mode welfare_value for blocks of allocations: a function
-        mapping an (m, k) block of vaccinated unit indices, one allocation
-        per row, to its (m,) welfare values.
+    def welfare(self, params: SirParams, mode: str) -> Callable[[np.ndarray], np.ndarray]:
+        """welfare_value in mode ("linear" or "exact") for blocks of
+        allocations: a function mapping an (m, k) block of vaccinated unit
+        indices, one allocation per row, to its (m,) welfare values.
 
         Every unit with spillover entries is susceptible or infected, so the
         CSR of w + w^T holds both layouts the evaluation needs: a susceptible
@@ -330,6 +322,8 @@ class ContextPattern:
         block's rows in runs that hold fewer than _BLOCK_CELLS (allocation,
         infected source, exposed unit) entries plus one row's, so its
         temporaries stay bounded at any density."""
+        if mode not in ("linear", "exact"):
+            raise ValueError(f"mode must be 'linear' or 'exact', got {mode!r}")
         pop, sus, ptr = self._pop, self._sus, self._indptr
         b = np.take(params.beta, self._pair) / self._deg[self._rows]
         vals = np.concatenate([b, b])[self._order]
@@ -362,7 +356,7 @@ class ContextPattern:
             # does; bincount returns integers when no source is hit
             z = np.bincount(cell, vals[entry], minlength=m * s).reshape(m, s)
             z = np.subtract(z_empty, z, out=z.astype(float, copy=False))
-            return _healthy_share(pop, params, idx, z, "exact")
+            return _healthy_share(pop, params, idx, z, mode)
         return welfare
 
 
@@ -394,18 +388,13 @@ def welfare_value(graph: ContactGraph, pop: Population, params: SirParams,
     vaccinated) next period, in [0, max weight].
 
     mode picks the infection-rate form; "exact" is a diagnostic and is never
-    fed to the solvers.
+    fed to the solvers.  Compiles a ContextPattern per call: a caller that
+    evaluates many allocations on one instance holds the pattern and calls
+    pattern.welfare(params, mode) on blocks.
     """
-    if mode not in ("linear", "exact"):
-        raise ValueError(f"mode must be 'linear' or 'exact', got {mode!r}")
-    n = graph.n_units
-    if pop.n_units != n:
-        raise ValueError("graph and population sizes differ")
-    v = alloc.indicator(n)
-    i, j = _exposure_pairs(graph, pop)
-    rate = params.beta[pop.group[i], pop.group[j]]
-    z = np.bincount(i, rate * (1.0 - v[j]), minlength=n) / np.maximum(graph.degree, 1)
-    return float(_healthy_share(pop, params, alloc.sorted_units(), z[pop.susceptible], mode))
+    evaluate = ContextPattern(graph, pop).welfare(params, mode)
+    alloc.indicator(graph.n_units)  # rejects units outside the population
+    return float(evaluate(alloc.sorted_units()[None])[0])
 
 
 def marginal_gain(ctx: ObjectiveContext, alloc: Allocation, candidate: int) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .epidemic import Population, SirParams
 from .graph import ContactGraph
-from .objective import ObjectiveContext, build_context, objective_value
+from .objective import ContextPattern, ObjectiveContext, objective_value
 from .solvers import SolverResult, brute_force, greedy_capacity
 
 __all__ = [
@@ -196,14 +196,15 @@ def empirical_regret(graph: ContactGraph, pop: Population,
     enumeration budget); otherwise greedy stands in and the report is marked
     approximate.  At d = 0 every gap is 0 in both modes.  When n_external is
     given, the report carries the matching upper bound computed from the
-    true optimum's value.  Compiles the truth (compile_truth) and decomposes
-    against one estimate (decompose_regret); a study over many estimates on
-    one instance compiles the truth once and calls decompose_regret per
-    estimate, with the same result.
+    true optimum's value.  Builds the instance's ContextPattern once, fills
+    it with both parameter sets, compiles the truth (compile_truth) and
+    decomposes against the estimate (decompose_regret); a study over many
+    estimates on one instance compiles the truth once and calls
+    decompose_regret per estimate, with the same result.
     """
-    truth = compile_truth(graph, pop, build_context(graph, pop, true_params), d,
-                          use_brute)
-    return decompose_regret(truth, build_context(graph, pop, est_params), n_external)
+    pattern = ContextPattern(graph, pop)
+    truth = compile_truth(graph, pop, pattern.context(true_params), d, use_brute)
+    return decompose_regret(truth, pattern.context(est_params), n_external)
 
 
 def regret_upper_bound(n_units: int, d: int, max_degree: int, n_infected: int,

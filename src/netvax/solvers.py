@@ -270,8 +270,8 @@ def random_assignment(ctx: ObjectiveContext, d: int, draws: int, seed: int,
     is F plus the context's welfare constant, so it is exact too and nothing
     is drawn: draws is 0 and seed is unused.  Otherwise welfare maps an
     (m, d) block of unit indices, one allocation per row, to (m,) values
-    (objective.ContextPattern.exact_welfare for exact mode), and its mean and
-    sample sd are estimated over `draws` subsets from
+    (objective.ContextPattern.welfare(params, "exact") for exact mode), and
+    its mean and sample sd are estimated over `draws` subsets from
     iter_random_subsets(seed), in blocks of at most _BLOCK_CELLS / n rows.
     """
     if draws < 1:

@@ -15,7 +15,7 @@ from netvax import (Allocation, ObjectiveContext, PARAMETER_SETS, draw_instance,
                     objective_value, replicate_seed, transition_probabilities,
                     welfare_value)
 from netvax import objective
-from netvax.objective import _csr, _exposure_pairs, _healthy_share, _row_sums
+from netvax.objective import _csr, _healthy_share, _row_sums
 from netvax.solvers import _combo_chunks, _finish, _tie_scan
 
 DEFAULT_DIST = ((0.7, 0.2, 0.1), (0.7, 0.2, 0.1))
@@ -223,6 +223,16 @@ def graph_arrays(n_units, edges):
     return pairs, adj, degree, np.concatenate([[0], np.cumsum(degree)])
 
 
+def _infected_exposures(graph, pop):
+    """Both orientations (i, j) of every edge whose source j is infected,
+    first (lo, hi) then (hi, lo): the nonzeros of the exposure matrix."""
+    e = graph.edges
+    i = np.concatenate([e[:, 0], e[:, 1]])
+    j = np.concatenate([e[:, 1], e[:, 0]])
+    keep = pop.infected[j]
+    return i[keep], j[keep]
+
+
 def build_context_direct(graph, pop, params):
     """The objective compiled in one pass through the public, validating
     ObjectiveContext constructor, which sorts the doubled triplets itself."""
@@ -231,7 +241,7 @@ def build_context_direct(graph, pop, params):
         raise ValueError(f"graph has {n} units but population has {pop.n_units}")
     gamma_own = params.gamma[pop.group]
     c = pop.weight * (1.0 - pop.recovered - gamma_own * pop.infected - pop.susceptible) / n
-    i, j = _exposure_pairs(graph, pop)
+    i, j = _infected_exposures(graph, pop)
     rate = params.beta[pop.group[i], pop.group[j]]
     deg = np.maximum(graph.degree, 1).astype(float)
     sus = pop.susceptible[i]
@@ -248,9 +258,9 @@ def exact_welfare_evaluator(graph, pop, params):
     infecting source.  Returns a function mapping an (m, k) block of
     vaccinated unit indices to its (m,) welfare values, taken in runs of
     fewer than objective._BLOCK_CELLS entries plus one row's, as
-    ContextPattern.exact_welfare does."""
+    ContextPattern.welfare does."""
     n = graph.n_units
-    i, j = _exposure_pairs(graph, pop)
+    i, j = _infected_exposures(graph, pop)
     rate = params.beta[pop.group[i], pop.group[j]]
     deg = np.maximum(graph.degree, 1).astype(float)
     keep = pop.susceptible[i]

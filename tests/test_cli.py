@@ -155,6 +155,10 @@ def test_bad_edge_list_is_config_error(tmp_path, capsys):
     edges = write(tmp_path / "bad.edges", "n_units=3\n0 3\n")
     assert main(["solve", "--config", config, "--edges", edges]) == EXIT_CONFIG
     assert "index out of range at line 2" in capsys.readouterr().err
+    # keys i * n_units + j of this graph overflow int64
+    edges = write(tmp_path / "huge.edges", "n_units=4294967296\n4294967294 4294967295\n")
+    assert main(["solve", "--config", config, "--edges", edges]) == EXIT_CONFIG
+    assert "n_units**2 < 2**63" in capsys.readouterr().err
 
 
 def test_unreadable_input_file_is_config_error(tmp_path, capsys):
@@ -219,6 +223,16 @@ def test_brute_budget_refusal_exit_code(tmp_path, capsys):
                    "n_units=40\ndensity=0.5\ncapacity_fractions=0.5\nn_networks=1\n")
     assert main(["solve", "--config", config, "--policy", "brute"]) == EXIT_BUDGET
     assert "budget refused" in capsys.readouterr().err
+
+
+def test_regret_study_budget_refusal_exit_code(tmp_path, capsys):
+    # each search enumerates C(600, 3) subsets, within budget; the study's
+    # 601 searches are not
+    config = write(tmp_path / "reg.cfg", "n_units=600\ndensity=0.5\n")
+    out = tmp_path / "regret.csv"
+    assert main(["regret", "--config", config, "--out", str(out)]) == EXIT_BUDGET
+    assert "budget refused: 601 searches" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_regret_command(tmp_path, capsys):

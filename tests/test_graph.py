@@ -123,6 +123,13 @@ def test_load_error_names_line_number():
         load_edge_list(io.StringIO("# only comments\n"))
 
 
+def test_size_whose_keys_overflow_is_rejected():
+    with pytest.raises(ValueError, match=r"n_units\*\*2 < 2\*\*63"):
+        ContactGraph(2**32, [(2**32 - 2, 2**32 - 1)])
+    with pytest.raises(EdgeListError, match="invalid n_units header"):
+        load_edge_list(io.StringIO("n_units=4294967296\n4294967294 4294967295\n"))
+
+
 def test_neighbors_validates_unit():
     g = erdos_renyi(5, 0.5, seed=1)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import time
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from netvax import (
     GROUP1,
     GROUP2,
     PARAMETER_SETS,
+    BudgetError,
     ConfigError,
     ContactGraph,
+    ContextPattern,
     EstimationNoiseModel,
     ExperimentConfig,
     Population,
@@ -29,7 +32,7 @@ from netvax import (
     run_regret_study,
     sample_estimates,
 )
-from netvax import regret
+from netvax import harness, objective, regret
 from netvax.harness import instance_on_graph, run_policy
 
 from _oracles import DEFAULT_DIST
@@ -205,6 +208,9 @@ def test_config_validation():
         ExperimentConfig(n_units=10, density=0.5, weights=(1.0, -1.0))
     with pytest.raises(ConfigError):
         ExperimentConfig(n_units=10, density=0.5, random_draws=0)
+    with pytest.raises(ConfigError, match="two distributions"):
+        ExperimentConfig(n_units=10, density=0.5, n_networks=1,
+                         initial_states=((0.7, 0.2, 0.1),))
 
 
 def test_config_rejects_repeated_cells():
@@ -385,6 +391,57 @@ def test_regret_study_rows_are_means_of_empirical_regret(use_brute, monkeypatch)
             mean_evaluation_gap=float(np.mean([r.evaluation_gap for r in reports])),
             mean_noise_gap=float(np.mean([r.noise_gap for r in reports])),
             bound=reports[-1].bound, slack=reports[-1].bound - mean_total)
+
+
+def test_regret_study_refuses_over_budget_before_drawing(monkeypatch):
+    # each search enumerates C(600, 3) = 35,820,200 subsets, within
+    # ENUMERATION_BUDGET; the study's 601 searches are not
+    def no_draw(*args, **kwargs):
+        raise AssertionError("an over-budget study must not draw its instance")
+
+    monkeypatch.setattr(harness, "draw_instance", no_draw)
+    study = RegretStudyConfig(experiment=ExperimentConfig(n_units=600, density=0.5))
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match="601 searches"):
+        run_regret_study(study)
+    assert time.perf_counter() - start < 0.1
+    # greedy mode enumerates nothing
+    monkeypatch.undo()
+    study = RegretStudyConfig(
+        experiment=ExperimentConfig(n_units=600, density=0.5, n_networks=1),
+        n_grid=(100,), replications=1, use_brute=False)
+    assert len(run_regret_study(study)) == 1
+
+
+def _count_patterns(monkeypatch):
+    built = []
+
+    class CountingPattern(ContextPattern):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    # build_context and welfare_value construct theirs in objective
+    for module in (harness, objective):
+        monkeypatch.setattr(module, "ContextPattern", CountingPattern)
+    return built
+
+
+def test_exact_experiment_compiles_each_network_once(monkeypatch):
+    built = _count_patterns(monkeypatch)
+    rows = run_experiment(tiny_config(n_networks=2, policies=("greedy", "random"),
+                                      capacity_fractions=(0.1, 0.25, 0.5),
+                                      mode="exact"))
+    assert len(rows) == 6
+    assert len(built) == 2
+
+
+def test_regret_study_compiles_its_instance_once(monkeypatch):
+    built = _count_patterns(monkeypatch)
+    run_regret_study(RegretStudyConfig(
+        experiment=ExperimentConfig(n_units=12, density=0.6, seed=1),
+        capacity=2, n_grid=(10, 100), replications=3))
+    assert len(built) == 1
 
 
 def test_regret_study_output_is_frozen():

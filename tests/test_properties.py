@@ -72,12 +72,24 @@ def instances(draw, max_units=15):
 
 
 @settings(max_examples=150, deadline=None)
-@given(instances())
-def test_welfare_matches_per_unit_transitions(case):
+@given(instances(), st.data())
+def test_welfare_matches_per_unit_transitions(case, data):
     graph, pop, params, alloc, _ = case
+    n = graph.n_units
+    # a block of equal-size allocations, one per row, evaluated in one call
+    k = data.draw(st.integers(0, n))
+    rows = data.draw(st.lists(st.permutations(range(n)).map(lambda perm: sorted(perm[:k])),
+                              min_size=1, max_size=6))
+    block = np.array(rows, dtype=np.int64).reshape(len(rows), k)
+    pattern = ContextPattern(graph, pop)
     for mode in ("linear", "exact"):
         want = welfare_from_transitions(graph, pop, params, alloc, mode)
         assert abs(welfare_value(graph, pop, params, alloc, mode) - want) <= 1e-12
+        got = pattern.welfare(params, mode)(block)
+        want = [welfare_from_transitions(graph, pop, params, Allocation(row, n), mode)
+                for row in block]
+        assert got.shape == (len(rows),)
+        assert np.all(np.abs(got - want) <= 1e-12)
 
 
 @settings(max_examples=150, deadline=None)
@@ -212,7 +224,8 @@ def test_exact_random_baseline_matches_welfare_over_its_subsets(case, data):
     d = data.draw(st.integers(1, n))
     draws = data.draw(st.integers(1, 40))
     seed = data.draw(st.integers(0, 2**32))
-    inst = Instance(graph, pop, params, build_context(graph, pop, params))
+    pattern = ContextPattern(graph, pop)
+    inst = Instance(graph, pop, params, pattern.context(params), pattern)
     config = ExperimentConfig(n_units=n, density=0.5, random_draws=draws, mode="exact")
     summary = run_policy(inst, "random", d, config, seed).result
     assert summary.draws == draws
@@ -247,7 +260,7 @@ def test_exact_welfare_equals_two_layout_evaluator(case, data):
     # runs of one row, a few rows, or the whole block
     cap = data.draw(st.sampled_from([1, 5, 40, objective._BLOCK_CELLS]))
     with mock.patch.object(objective, "_BLOCK_CELLS", cap):
-        got = ContextPattern(graph, pop).exact_welfare(params)(idx)
+        got = ContextPattern(graph, pop).welfare(params, "exact")(idx)
     assert np.array_equal(got, want)
 
 

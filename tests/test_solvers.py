@@ -14,7 +14,6 @@ from netvax import (
     Allocation,
     BudgetError,
     ContactGraph,
-    ContextPattern,
     ObjectiveContext,
     Population,
     SirParams,
@@ -343,7 +342,7 @@ def test_random_assignment_deterministic_in_seed():
     c = random_assignment(inst.ctx, 4, draws=500, seed=12)
     assert a == b == c
     # exact-mode welfare is drawn from the seed's subsets
-    welfare = ContextPattern(inst.graph, inst.pop).exact_welfare(inst.params)
+    welfare = inst.pattern.welfare(inst.params, "exact")
     a = random_assignment(inst.ctx, 4, draws=500, seed=11, welfare=welfare)
     b = random_assignment(inst.ctx, 4, draws=500, seed=11, welfare=welfare)
     c = random_assignment(inst.ctx, 4, draws=500, seed=12, welfare=welfare)
@@ -355,7 +354,7 @@ def test_random_assignment_deterministic_in_seed():
 def test_exact_random_baseline_blocks_are_bounded(monkeypatch):
     inst = draw_instance(1500, 0.01, PARAMETER_SETS["set1"], 0.4, DEFAULT_DIST,
                          (2.0, 0.5), 8)
-    evaluator = ContextPattern(inst.graph, inst.pop).exact_welfare(inst.params)
+    evaluator = inst.pattern.welfare(inst.params, "exact")
 
     def run():
         blocks = []
@@ -380,7 +379,7 @@ def test_exact_evaluator_bounds_its_temporaries(monkeypatch):
     # temporaries when the evaluator takes them in one run
     inst = draw_instance(600, 0.5, PARAMETER_SETS["set1"], 0.4, DEFAULT_DIST,
                          (2.0, 0.5), 3)
-    evaluator = ContextPattern(inst.graph, inst.pop).exact_welfare(inst.params)
+    evaluator = inst.pattern.welfare(inst.params, "exact")
     idx = next(iter_random_subsets(0, 600, 120, 200, chunk=200))
     reference = evaluator(idx)
     # runs of a few rows, then one row at a time as each row exceeds the cap
