@@ -7,8 +7,7 @@ lost when the disease parameters are only estimated.
 """
 
 from .epidemic import (GROUP1, GROUP2, INFECTED, RECOVERED, SUSCEPTIBLE,
-                       Population, SirParams, infection_rate,
-                       transition_probabilities)
+                       Population, SirParams)
 from .graph import (ContactGraph, EdgeListError, erdos_renyi, load_edge_list,
                     save_edge_list)
 from .harness import (PARAMETER_SETS, ConfigError, ExperimentConfig,
@@ -26,6 +25,7 @@ from .regret import (MEAN_DEVIATION_COEF, UNIVERSAL_CONSTANT,
 from .solvers import (ENUMERATION_BUDGET, BudgetError,
                       RandomAssignmentSummary, SolverResult, brute_force,
                       greedy_capacity, greedy_factor, greedy_targeting,
-                      iter_random_subsets, random_assignment, twni)
+                      iter_random_subsets, random_assignment,
+                      sampled_welfare_sd, twni)
 
 __version__ = "0.1.0"

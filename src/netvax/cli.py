@@ -19,7 +19,7 @@ from typing import IO, Optional, Sequence
 from . import harness
 from .graph import (ContactGraph, EdgeListError, erdos_renyi, load_edge_list,
                     save_edge_list)
-from .solvers import BudgetError
+from .solvers import BudgetError, sampled_welfare_sd
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -141,16 +141,22 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                                      config.initial_states, config.weights, seed)
     fraction = config.capacity_fractions[0]
     d = harness.capacity_budget(fraction, inst.graph.n_units)
-    out = harness.run_policy(inst, args.policy, d, config,
-                             harness.replicate_seed(seed, 10_000))
+    out = harness.run_policy(inst, args.policy, d, config)
 
     record: dict = {"policy": args.policy, "n_units": inst.graph.n_units,
                     "capacity": d, "capacity_fraction": fraction}
     if args.policy == "random":
         summary = out.result
+        # linear welfare is F plus a constant; the exact-mode sd is sampled
+        sd_welfare, draws = summary.sd_f, 0
+        if config.mode == "exact":
+            draws = config.random_draws
+            sd_welfare = sampled_welfare_sd(
+                harness.replicate_seed(seed, 10_000), inst.graph.n_units, d, draws,
+                inst.pattern.welfare(params, "exact"))
         record.update(mean_f=summary.mean_f, sd_f=summary.sd_f,
                       mean_welfare=summary.mean_welfare,
-                      sd_welfare=summary.sd_welfare, draws=summary.draws)
+                      sd_welfare=sd_welfare, draws=draws)
     else:
         res = out.result
         record.update(selected=sorted(res.allocation.selected),

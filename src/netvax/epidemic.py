@@ -1,9 +1,8 @@
 """Two-group SIR machinery on a contact network.
 
-Holds the disease parameters, per-unit health states, and the one-period
-transition probabilities under a vaccine allocation.  Vaccination is treated
-as a perfect treatment: a vaccinated unit is recovered next period with
-probability one regardless of its current state.
+Holds the disease parameters and per-unit health states.  Vaccination is
+treated as a perfect treatment: a vaccinated unit is recovered next period
+with probability one regardless of its current state.
 
 Group 1 is conventionally the younger group, group 2 the older one.  The
 transmission matrix is indexed ``beta[own_group, source_group]``: the entry
@@ -13,15 +12,9 @@ exposes a unit whose own group is ``own_group``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .graph import ContactGraph
-    from .objective import Allocation
 
 __all__ = [
     "SUSCEPTIBLE",
@@ -31,8 +24,6 @@ __all__ = [
     "GROUP2",
     "SirParams",
     "Population",
-    "infection_rate",
-    "transition_probabilities",
 ]
 
 SUSCEPTIBLE, INFECTED, RECOVERED = 0, 1, 2
@@ -124,66 +115,3 @@ class Population:
     @property
     def recovered(self) -> np.ndarray:
         return self.state0 == RECOVERED
-
-
-def _infection_load(unit: int, graph: "ContactGraph", pop: Population,
-                    params: SirParams, vaccinated: np.ndarray) -> float:
-    """Degree-normalized exposure of ``unit`` to infected unvaccinated neighbors."""
-    nbrs = graph.neighbors(unit)
-    if nbrs.size == 0:
-        return 0.0
-    live = pop.infected[nbrs] & ~vaccinated[nbrs]
-    if not live.any():
-        return 0.0
-    src_groups = pop.group[nbrs[live]]
-    own = int(pop.group[unit])
-    count1 = int(np.count_nonzero(src_groups == GROUP1))
-    count2 = int(src_groups.size - count1)
-    denom = max(1, int(graph.degree[unit]))
-    return (params.beta[own, GROUP1] * count1 + params.beta[own, GROUP2] * count2) / denom
-
-
-def infection_rate(unit: int, graph: "ContactGraph", pop: Population,
-                   params: SirParams, alloc: "Allocation",
-                   mode: str = "linear") -> float:
-    """One-period infection probability of ``unit`` given the allocation.
-
-    mode="linear" returns the degree-normalized exposure itself; mode="exact"
-    returns ``1 - exp(-exposure)``.  Defined for any unit regardless of its
-    own state; vaccinated neighbors contribute nothing.
-    """
-    if mode not in ("linear", "exact"):
-        raise ValueError(f"mode must be 'linear' or 'exact', got {mode!r}")
-    if graph.n_units != pop.n_units:
-        raise ValueError("graph and population sizes differ")
-    z = float(_infection_load(unit, graph, pop, params, alloc.indicator(pop.n_units)))
-    if mode == "linear":
-        return z
-    return -math.expm1(-z)
-
-
-def transition_probabilities(unit: int, graph: "ContactGraph", pop: Population,
-                             params: SirParams, alloc: "Allocation",
-                             mode: str = "linear") -> tuple[float, float, float, float]:
-    """One-period transition distribution (P_S, P_I, P_R, P_D) for ``unit``.
-
-    A vaccinated unit moves to recovered with probability one.  Otherwise a
-    susceptible unit is infected with the mode-dependent infection rate, an
-    infected unit recovers/dies at its group's gamma/delta, and recovered
-    units stay recovered.  The four probabilities sum to 1.
-    """
-    q = infection_rate(unit, graph, pop, params, alloc, mode)
-    v = 1.0 if unit in alloc.selected else 0.0
-    g = int(pop.group[unit])
-    gamma = float(params.gamma[g])
-    delta = float(params.delta[g])
-    s = 1.0 if pop.state0[unit] == SUSCEPTIBLE else 0.0
-    i = 1.0 if pop.state0[unit] == INFECTED else 0.0
-    r = 1.0 if pop.state0[unit] == RECOVERED else 0.0
-    stay_infected = 1.0 - gamma - delta
-
-    p_s = (1.0 - v - q * (1.0 - v)) * s
-    p_i = s * q * (1.0 - v) + i * stay_infected * (1.0 - v)
-    p_r = v + (r + i * gamma) * (1.0 - v)
-    p_d = i * delta * (1.0 - v)
-    return (p_s, p_i, p_r, p_d)

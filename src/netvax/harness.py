@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import math
 import time
@@ -95,8 +96,9 @@ class ExperimentConfig:
     budgets d = max(1, round(fraction * n_units)).  weights are the per-group
     welfare weights (group 1, group 2).  mode picks the welfare column's
     infection-rate form; the solvers always see the linear objective.
-    random_draws is the random baseline's Monte Carlo sample size, used only
-    in exact mode: in linear mode its moments are exact.
+    Random-baseline rows are exact expectations in both modes; random_draws
+    only sizes the sample behind the exact-mode sd_welfare of
+    `netvax solve --policy random`.
     """
 
     n_units: int
@@ -245,10 +247,9 @@ def _pct_young(alloc: Allocation, group: np.ndarray) -> float:
 
 class PolicyOutcome(NamedTuple):
     """One policy run on one instance.  welfare is in the config's mode.
-    For the random baseline welfare and f_value are means over uniformly
-    random allocations: exact, except exact-mode welfare, which is a Monte
-    Carlo mean over random_draws subsets; pct_young is the expected share of
-    doses to group 1."""
+    For the random baseline welfare and f_value are exact means over
+    uniformly random allocations, in either mode, and pct_young is the
+    expected share of doses to group 1."""
 
     result: Union[SolverResult, RandomAssignmentSummary]
     welfare: float
@@ -256,24 +257,24 @@ class PolicyOutcome(NamedTuple):
     pct_young: float
 
 
-def run_policy(inst: Instance, policy: str, d: int, config: ExperimentConfig,
-               seed: int) -> PolicyOutcome:
+def run_policy(inst: Instance, policy: str, d: int, config: ExperimentConfig
+               ) -> PolicyOutcome:
     """Allocate d doses on inst with one policy from POLICIES.
 
-    seed drives the random baseline's draws, which only exact mode makes;
-    in linear mode its F and welfare moments are exact and seed is unused.
-    greedy_targeting caps group 1 and group 2 at round(fraction * n) from
-    targeting_fractions, or at d when none are configured.  In exact mode
-    the welfare is re-evaluated with the exact infection rate on
-    inst.pattern; the solvers always see the linear objective.
+    The random baseline draws nothing: in exact mode its mean welfare is
+    inst.pattern.random_welfare, in linear mode F's mean plus the welfare
+    constant.  greedy_targeting caps group 1 and group 2 at
+    round(fraction * n) from targeting_fractions, or at d when none are
+    configured.  In exact mode the welfare is re-evaluated with the exact
+    infection rate on inst.pattern; the solvers always see the linear
+    objective.
     """
     n = inst.graph.n_units
     group = inst.pop.group
-    evaluate = (inst.pattern.welfare(inst.params, "exact")
-                if config.mode == "exact" else None)
+    exact = config.mode == "exact"
     if policy == "random":
-        summary = random_assignment(inst.ctx, d, config.random_draws, seed,
-                                    welfare=evaluate)
+        summary = random_assignment(inst.ctx, d, functools.partial(
+            inst.pattern.random_welfare, inst.params) if exact else None)
         young = 100.0 * int((group == GROUP1).sum()) / n
         return PolicyOutcome(summary, summary.mean_welfare, summary.mean_f, young)
     if policy == "greedy":
@@ -290,7 +291,8 @@ def run_policy(inst: Instance, policy: str, d: int, config: ExperimentConfig,
     else:
         raise ConfigError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     welfare = res.welfare
-    if evaluate is not None:
+    if exact:
+        evaluate = inst.pattern.welfare(inst.params, "exact")
         welfare = float(evaluate(res.allocation.sorted_units()[None])[0])
     return PolicyOutcome(res, welfare, res.f_value,
                          _pct_young(res.allocation, group))
@@ -299,9 +301,8 @@ def run_policy(inst: Instance, policy: str, d: int, config: ExperimentConfig,
 def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     """Run every (policy, capacity fraction) cell over the network replicates.
 
-    Per replicate all policies see the same instance; the random baseline's
-    draw seed is derived from the replicate seed and the capacity index.
-    Rows come back sorted by (policy, capacity fraction).
+    Per replicate all policies see the same instance, and nothing is drawn
+    beyond it.  Rows come back sorted by (policy, capacity fraction).
     """
     params = config.params()
     cells: dict[tuple[str, float], dict[str, list[float]]] = {
@@ -313,13 +314,12 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
         inst = draw_instance(config.n_units, config.density, params,
                              config.group1_probability, config.initial_states,
                              config.weights, seed_k)
-        for ci, frac in enumerate(config.capacity_fractions):
+        for frac in config.capacity_fractions:
             d = capacity_budget(frac, config.n_units)
-            rseed = replicate_seed(seed_k, 10_000 + ci)
             for pol in config.policies:
                 cell = cells[(pol, frac)]
                 start = time.perf_counter()
-                out = run_policy(inst, pol, d, config, rseed)
+                out = run_policy(inst, pol, d, config)
                 cell["welfare"].append(out.welfare)
                 cell["f"].append(out.f_value)
                 cell["pct"].append(out.pct_young)

@@ -359,6 +359,56 @@ class ContextPattern:
             return _healthy_share(pop, params, idx, z, mode)
         return welfare
 
+    def random_welfare(self, params: SirParams, d: int) -> float:
+        """Exact expectation of welfare(params, "exact") over uniformly
+        random size-d allocations, in O(n + nnz + sum_u k_u^2) for the k_u
+        infected neighbors of each susceptible unit u.
+
+        With b_uj = beta[g_u, g_j] / deg_u, x_uj = exp(b_uj), z0_u the sum
+        of u's b_uj and held = weight * (R + gamma * I), n times the welfare
+        of S is sum held + sum_{v in S} (weight_v - held_v) plus, over the
+        susceptible u not in S, weight_u e^{-z0_u} prod_{j in I_u & S} x_uj.
+        The middle sum has mean d/n of its total.  The last term's mean over S
+        is weight_u e^{-z0_u} sum_c e_c(x_u) C(n-1-k_u, d-c) / C(n, d), e_c
+        the elementary symmetric polynomial.  It is summed by drawing u and
+        then its neighbors in turn without replacement: a[c] holds
+        weight_u e^{-z0_u} times the probability that u is not picked and c
+        neighbors are so far, times their product of x, and a neighbor is
+        picked with probability (d - c) / (units left).  Every term is non-negative
+        and bounded (prod_j x_uj = e^{z0_u} <= e), and no binomial is
+        formed.  Units are taken in runs of fewer than _BLOCK_CELLS states.
+        """
+        n, pop, ptr = self.n_units, self._pop, self._indptr
+        if not 0 < d <= n:
+            raise ValueError(f"capacity must lie in [1, {n}], got {d}")
+        held = pop.weight * (self._recovered + params.gamma[pop.group] * self._infected)
+        b = np.take(params.beta, self._pair) / self._deg[self._rows]
+        x = np.exp(np.concatenate([b, b])[self._order])
+        units = np.flatnonzero(self._sus)
+        k = np.diff(ptr)[units]
+        start = (n - d) / n * pop.weight[units] * np.exp(
+            -np.bincount(self._rows, b, minlength=n)[units])
+        # by decreasing k, so the units still drawing at each step are a prefix
+        order = np.argsort(-k, kind="stable")
+        units, k, start = units[order], k[order], start[order]
+        width = min(int(k.max(initial=0)), d) + 1
+        c = np.arange(width)
+        step = max(1, _BLOCK_CELLS // width)
+        escape = 0.0
+        for lo in range(0, units.size, step):
+            first, run_k = ptr[units[lo:lo + step]], k[lo:lo + step]
+            a = np.zeros((run_k.size, width))
+            a[:, 0] = start[lo:lo + step]
+            for i in range(1, int(run_k[0]) + 1):
+                # draw each unit's i-th neighbor, with n - i units left
+                m = np.count_nonzero(run_k >= i)
+                live, reach = min(i, d), min(i - 1, d) + 1
+                picked = a[:m, :live] * ((d - c[:live]) / (n - i)) * x[first[:m] + i - 1, None]
+                a[:m, :reach] *= (n - i - d + c[:reach]) / (n - i)
+                a[:m, 1:live + 1] += picked
+            escape += float(a.sum())
+        return float(held.sum() + d / n * (pop.weight - held).sum() + escape) / n
+
 
 def build_context(graph: ContactGraph, pop: Population, params: SirParams) -> ObjectiveContext:
     """Compile the objective coefficients for one instance:

@@ -1,6 +1,6 @@
 """Allocation policies over a compiled objective context.
 
-All solvers are deterministic for fixed inputs (the random baseline for a
+All solvers are deterministic for fixed inputs (sampled_welfare_sd for a
 fixed seed).  Ties within 1e-12 break toward the lowest unit index in the
 greedy argmax and toward the first subset in brute-force enumeration.
 """
@@ -28,6 +28,7 @@ __all__ = [
     "greedy_targeting",
     "brute_force",
     "random_assignment",
+    "sampled_welfare_sd",
     "twni",
     "greedy_factor",
     "iter_random_subsets",
@@ -62,18 +63,13 @@ class SolverResult:
 
 @dataclass(frozen=True)
 class RandomAssignmentSummary:
-    """Mean and sd of F and welfare over uniformly random size-d allocations.
-
-    mean_f and sd_f are exact; sd is the population sd over all size-d
-    subsets.  mean_welfare and sd_welfare are exact for linear welfare and
-    otherwise a Monte Carlo mean and sample sd over `draws` subsets; draws
-    is 0 when nothing was drawn.
+    """Exact mean and population sd of F, and exact mean welfare, over all
+    uniformly random size-d allocations.  Nothing is drawn, so draws is 0.
     """
 
     mean_f: float
     sd_f: float
     mean_welfare: float
-    sd_welfare: float
     draws: int
     capacity: int
 
@@ -260,37 +256,38 @@ def iter_random_subsets(seed: int, n: int, d: int, draws: int,
         remaining -= m
 
 
-def random_assignment(ctx: ObjectiveContext, d: int, draws: int, seed: int,
-                      welfare: Optional[Callable[[np.ndarray], np.ndarray]] = None
+def random_assignment(ctx: ObjectiveContext, d: int,
+                      welfare: Optional[Callable[[int], float]] = None
                       ) -> RandomAssignmentSummary:
-    """Random baseline: mean and sd of F and welfare over uniformly random
-    size-d allocations.
+    """Random baseline: mean and sd of F and mean welfare over uniformly
+    random size-d allocations, all exact, so nothing is drawn.
 
-    mean_f and sd_f are exact (objective._f_moments).  By default welfare
-    is F plus the context's welfare constant, so it is exact too and nothing
-    is drawn: draws is 0 and seed is unused.  Otherwise welfare maps an
-    (m, d) block of unit indices, one allocation per row, to (m,) values
-    (objective.ContextPattern.welfare(params, "exact") for exact mode), and
-    its mean and sample sd are estimated over `draws` subsets from
-    iter_random_subsets(seed), in blocks of at most _BLOCK_CELLS / n rows.
+    mean_f and sd_f come from objective._f_moments.  By default welfare is F
+    plus the context's welfare constant.  Otherwise welfare maps d to the
+    mean welfare, as functools.partial(pattern.random_welfare, params) does
+    for exact mode.
     """
-    if draws < 1:
-        raise ValueError(f"draws must be >= 1, got {draws}")
     n = ctx.n_units
     if not 0 < d <= n:
         raise ValueError(f"capacity must lie in [1, {n}], got {d}")
     mean_f, sd_f = _f_moments(ctx, d)
-    if welfare is None:
-        return RandomAssignmentSummary(
-            mean_f=mean_f, sd_f=sd_f, mean_welfare=mean_f + ctx.welfare_constant,
-            sd_welfare=sd_f, draws=0, capacity=d)
+    mean_w = mean_f + ctx.welfare_constant if welfare is None else welfare(d)
+    return RandomAssignmentSummary(mean_f=mean_f, sd_f=sd_f, mean_welfare=mean_w,
+                                   draws=0, capacity=d)
+
+
+def sampled_welfare_sd(seed: int, n: int, d: int, draws: int,
+                       welfare: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Sample sd of welfare over `draws` uniformly random size-d subsets of
+    range(n) from iter_random_subsets(seed), in blocks of at most
+    _BLOCK_CELLS / n rows; welfare maps an (m, d) block of unit indices, one
+    allocation per row, to (m,) values, as ContextPattern.welfare does."""
+    if draws < 1:
+        raise ValueError(f"draws must be >= 1, got {draws}")
     w_vals = np.concatenate([
         welfare(idx)
         for idx in iter_random_subsets(seed, n, d, draws, chunk=max(1, _BLOCK_CELLS // n))])
-    sd_w = float(w_vals.std(ddof=1)) if draws > 1 else 0.0
-    return RandomAssignmentSummary(
-        mean_f=mean_f, sd_f=sd_f, mean_welfare=float(w_vals.mean()), sd_welfare=sd_w,
-        draws=draws, capacity=d)
+    return float(w_vals.std(ddof=1)) if draws > 1 else 0.0
 
 
 def twni(ctx: ObjectiveContext, d: int, groups: np.ndarray,

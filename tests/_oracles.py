@@ -2,7 +2,9 @@
 
 Everything here recomputes quantities from their definitions (dense matrix
 algebra, exhaustive enumeration, per-unit transition sums) without touching
-the package's incremental code paths.
+the package's incremental code paths.  infection_rate and
+transition_probabilities are the per-unit one-period SIR model, kept here
+as the reference that welfare_from_transitions sums.
 """
 
 import itertools
@@ -11,8 +13,9 @@ import math
 import numpy as np
 from scipy import sparse
 
-from netvax import (Allocation, ObjectiveContext, PARAMETER_SETS, draw_instance,
-                    objective_value, replicate_seed, transition_probabilities,
+from netvax import (GROUP1, GROUP2, INFECTED, RECOVERED, SUSCEPTIBLE,
+                    Allocation, ObjectiveContext, PARAMETER_SETS, Population,
+                    SirParams, draw_instance, objective_value, replicate_seed,
                     welfare_value)
 from netvax import objective
 from netvax.objective import _csr, _healthy_share, _row_sums
@@ -95,6 +98,69 @@ def objective_edge_sum(ctx, units):
     for i, j, w in zip(ctx.spill_rows, ctx.spill_cols, ctx.spill_vals):
         total -= w * (v[i] + v[j] - v[i] * v[j])
     return total
+
+
+def _infection_load(unit: int, graph: "ContactGraph", pop: Population,
+                    params: SirParams, vaccinated: np.ndarray) -> float:
+    """Degree-normalized exposure of ``unit`` to infected unvaccinated neighbors."""
+    nbrs = graph.neighbors(unit)
+    if nbrs.size == 0:
+        return 0.0
+    live = pop.infected[nbrs] & ~vaccinated[nbrs]
+    if not live.any():
+        return 0.0
+    src_groups = pop.group[nbrs[live]]
+    own = int(pop.group[unit])
+    count1 = int(np.count_nonzero(src_groups == GROUP1))
+    count2 = int(src_groups.size - count1)
+    denom = max(1, int(graph.degree[unit]))
+    return (params.beta[own, GROUP1] * count1 + params.beta[own, GROUP2] * count2) / denom
+
+
+def infection_rate(unit: int, graph: "ContactGraph", pop: Population,
+                   params: SirParams, alloc: "Allocation",
+                   mode: str = "linear") -> float:
+    """One-period infection probability of ``unit`` given the allocation.
+
+    mode="linear" returns the degree-normalized exposure itself; mode="exact"
+    returns ``1 - exp(-exposure)``.  Defined for any unit regardless of its
+    own state; vaccinated neighbors contribute nothing.
+    """
+    if mode not in ("linear", "exact"):
+        raise ValueError(f"mode must be 'linear' or 'exact', got {mode!r}")
+    if graph.n_units != pop.n_units:
+        raise ValueError("graph and population sizes differ")
+    z = float(_infection_load(unit, graph, pop, params, alloc.indicator(pop.n_units)))
+    if mode == "linear":
+        return z
+    return -math.expm1(-z)
+
+
+def transition_probabilities(unit: int, graph: "ContactGraph", pop: Population,
+                             params: SirParams, alloc: "Allocation",
+                             mode: str = "linear") -> tuple[float, float, float, float]:
+    """One-period transition distribution (P_S, P_I, P_R, P_D) for ``unit``.
+
+    A vaccinated unit moves to recovered with probability one.  Otherwise a
+    susceptible unit is infected with the mode-dependent infection rate, an
+    infected unit recovers/dies at its group's gamma/delta, and recovered
+    units stay recovered.  The four probabilities sum to 1.
+    """
+    q = infection_rate(unit, graph, pop, params, alloc, mode)
+    v = 1.0 if unit in alloc.selected else 0.0
+    g = int(pop.group[unit])
+    gamma = float(params.gamma[g])
+    delta = float(params.delta[g])
+    s = 1.0 if pop.state0[unit] == SUSCEPTIBLE else 0.0
+    i = 1.0 if pop.state0[unit] == INFECTED else 0.0
+    r = 1.0 if pop.state0[unit] == RECOVERED else 0.0
+    stay_infected = 1.0 - gamma - delta
+
+    p_s = (1.0 - v - q * (1.0 - v)) * s
+    p_i = s * q * (1.0 - v) + i * stay_infected * (1.0 - v)
+    p_r = v + (r + i * gamma) * (1.0 - v)
+    p_d = i * delta * (1.0 - v)
+    return (p_s, p_i, p_r, p_d)
 
 
 def welfare_from_transitions(graph, pop, params, alloc, mode="linear"):

@@ -11,11 +11,10 @@ from netvax import (
     ContactGraph,
     Population,
     SirParams,
-    infection_rate,
-    transition_probabilities,
 )
 
-from _oracles import DEFAULT_DIST, beta_from_contacts, beta_from_r0, small_instance
+from _oracles import (DEFAULT_DIST, beta_from_contacts, beta_from_r0, infection_rate,
+                      small_instance, transition_probabilities)
 
 
 def make_params(**kw):

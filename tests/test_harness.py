@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import time
@@ -32,7 +33,7 @@ from netvax import (
     run_regret_study,
     sample_estimates,
 )
-from netvax import harness, objective, regret
+from netvax import harness, objective, regret, solvers
 from netvax.harness import instance_on_graph, run_policy
 
 from _oracles import DEFAULT_DIST
@@ -436,6 +437,18 @@ def test_exact_experiment_compiles_each_network_once(monkeypatch):
     assert len(built) == 2
 
 
+def test_exact_experiment_draws_no_subsets(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("an experiment must not sample random subsets")
+
+    monkeypatch.setattr(solvers, "iter_random_subsets", no_draws)
+    # random rows are exact expectations, so random_draws plays no part
+    one, many = ([dataclasses.astuple(row)[:-1] for row in run_experiment(
+        tiny_config(n_networks=2, mode="exact", random_draws=draws))]
+        for draws in (1, 500))
+    assert len(one) == 6 and one == many
+
+
 def test_regret_study_compiles_its_instance_once(monkeypatch):
     built = _count_patterns(monkeypatch)
     run_regret_study(RegretStudyConfig(
@@ -541,11 +554,11 @@ def test_instance_on_graph_matches_draw_instance_population():
 def test_run_policy_targeting_caps_and_pct_young():
     config = ExperimentConfig(n_units=40, density=0.2, targeting_fractions=(0.05, 0.5))
     inst = draw_instance(40, 0.2, config.params(), 0.4, DEFAULT_DIST, (1.0, 1.0), 2)
-    out = run_policy(inst, "greedy_targeting", 10, config, 0)
+    out = run_policy(inst, "greedy_targeting", 10, config)
     picked = out.result.allocation.sorted_units()
     young = int((inst.pop.group[picked] == GROUP1).sum())
     assert out.result.allocation.targeting == (2, 20)
     assert young <= 2
     assert out.pct_young == 100.0 * young / picked.size
     with pytest.raises(ConfigError, match="unknown policy"):
-        run_policy(inst, "optimal", 10, config, 0)
+        run_policy(inst, "optimal", 10, config)

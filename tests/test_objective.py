@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from netvax import (
     GROUP1,
     GROUP2,
     INFECTED,
+    PARAMETER_SETS,
     RECOVERED,
     SUSCEPTIBLE,
     Allocation,
@@ -14,12 +17,16 @@ from netvax import (
     SirParams,
     build_context,
     check_submodular,
+    draw_instance,
+    iter_random_subsets,
     marginal_gain,
     objective_value,
+    replicate_seed,
     welfare_value,
 )
 
 from _oracles import (
+    DEFAULT_DIST,
     grid_instances,
     objective_dense,
     objective_edge_sum,
@@ -244,6 +251,22 @@ def test_welfare_mode_validation():
     graph, pop = two_unit_instance()
     with pytest.raises(ValueError):
         welfare_value(graph, pop, SET1, Allocation.empty(), mode="quadratic")
+
+
+def test_random_welfare_within_four_se_of_sampled_mean_at_5k():
+    # the seed-0 exact5k benchmark instance: N=5,000, mean degree 20
+    inst = draw_instance(5000, 0.004, PARAMETER_SETS["set1"], 0.4, DEFAULT_DIST,
+                         (1.0, 1.0), replicate_seed(0, 0))
+    evaluate = inst.pattern.welfare(inst.params, "exact")
+    for seed, fraction in enumerate((0.07, 0.1, 0.2)):
+        d = round(fraction * 5000)
+        sample = np.concatenate([evaluate(idx) for idx in
+                                 iter_random_subsets(seed, 5000, d, 2000, chunk=200)])
+        se = sample.std(ddof=1) / math.sqrt(sample.size)
+        assert abs(sample.mean() - inst.pattern.random_welfare(inst.params, d)) <= 4 * se
+    for d in (0, 5001):
+        with pytest.raises(ValueError):
+            inst.pattern.random_welfare(inst.params, d)
 
 
 def test_check_submodular_passes_on_built_contexts():

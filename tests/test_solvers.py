@@ -25,6 +25,7 @@ from netvax import (
     greedy_targeting,
     objective_value,
     random_assignment,
+    sampled_welfare_sd,
     twni,
 )
 from netvax import objective, solvers
@@ -319,7 +320,7 @@ def test_targeting_at_least_half_of_matroid_optimum():
 
 def test_random_assignment_full_capacity_has_zero_spread():
     inst = small_instance(2, n=10)
-    summary = random_assignment(inst.ctx, 10, draws=50, seed=7)
+    summary = random_assignment(inst.ctx, 10)
     full_val = objective_value(inst.ctx, Allocation(frozenset(range(10)), 10))
     assert abs(summary.mean_f - full_val) < 1e-12
     assert summary.sd_f == 0.0
@@ -329,26 +330,25 @@ def test_random_assignment_full_capacity_has_zero_spread():
 def test_random_assignment_matches_exhaustive_expectation():
     inst = small_instance(5, n=10, density=0.5)
     exact = all_subsets_objective(inst.ctx, 2).mean()
-    summary = random_assignment(inst.ctx, 2, draws=20000, seed=3)
+    summary = random_assignment(inst.ctx, 2)
     assert abs(summary.mean_f - exact) < 1e-12
     assert abs(summary.mean_welfare - (summary.mean_f + inst.ctx.welfare_constant)) < 1e-12
 
 
 def test_random_assignment_deterministic_in_seed():
     inst = small_instance(2, n=15)
-    # linear welfare is exact, so the seed plays no part
-    a = random_assignment(inst.ctx, 4, draws=500, seed=11)
-    b = random_assignment(inst.ctx, 4, draws=500, seed=11)
-    c = random_assignment(inst.ctx, 4, draws=500, seed=12)
-    assert a == b == c
-    # exact-mode welfare is drawn from the seed's subsets
+    # the baseline is exact in both modes, so it takes no seed
+    linear = random_assignment(inst.ctx, 4)
+    assert linear == random_assignment(inst.ctx, 4)
+    exact = random_assignment(inst.ctx, 4, lambda d: inst.pattern.random_welfare(inst.params, d))
+    assert (exact.mean_f, exact.sd_f) == (linear.mean_f, linear.sd_f)
+    # the sampled exact-mode sd is drawn from the seed's subsets
     welfare = inst.pattern.welfare(inst.params, "exact")
-    a = random_assignment(inst.ctx, 4, draws=500, seed=11, welfare=welfare)
-    b = random_assignment(inst.ctx, 4, draws=500, seed=11, welfare=welfare)
-    c = random_assignment(inst.ctx, 4, draws=500, seed=12, welfare=welfare)
+    a = sampled_welfare_sd(11, 15, 4, 500, welfare)
+    b = sampled_welfare_sd(11, 15, 4, 500, welfare)
+    c = sampled_welfare_sd(12, 15, 4, 500, welfare)
     assert a == b
-    assert a.mean_welfare != c.mean_welfare
-    assert (a.mean_f, a.sd_f) == (c.mean_f, c.sd_f)
+    assert a != c
 
 
 def test_exact_random_baseline_blocks_are_bounded(monkeypatch):
@@ -362,11 +362,11 @@ def test_exact_random_baseline_blocks_are_bounded(monkeypatch):
         def welfare(idx):
             blocks.append(idx.shape)
             return evaluator(idx)
-        return random_assignment(inst.ctx, 150, draws=2500, seed=5, welfare=welfare), blocks
+        return sampled_welfare_sd(5, 1500, 150, 2500, welfare), blocks
 
     summary, blocks = run()
     assert all(m * 1500 <= 2**20 and d == 150 for m, d in blocks)
-    assert sum(m for m, _ in blocks) == summary.draws == 2500
+    assert sum(m for m, _ in blocks) == 2500
     monkeypatch.setattr(solvers, "_BLOCK_CELLS", 2000 * 1500)
     reference, ref_blocks = run()
     assert ref_blocks == [(2000, 150), (500, 150)]
@@ -397,11 +397,11 @@ def test_exact_evaluator_bounds_its_temporaries(monkeypatch):
 def test_random_assignment_validation():
     inst = small_instance(2, n=8)
     with pytest.raises(ValueError):
-        random_assignment(inst.ctx, 0, draws=10, seed=0)
+        random_assignment(inst.ctx, 0)
     with pytest.raises(ValueError):
-        random_assignment(inst.ctx, 9, draws=10, seed=0)
+        random_assignment(inst.ctx, 9)
     with pytest.raises(ValueError):
-        random_assignment(inst.ctx, 2, draws=0, seed=0)
+        sampled_welfare_sd(0, 8, 2, 0, inst.pattern.welfare(inst.params, "exact"))
 
 
 def test_twni_fills_priority_group_first():
