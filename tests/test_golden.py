@@ -1,5 +1,7 @@
-"""Golden CLI outputs: the TINY config's experiment CSV and random-policy
-solve record, in both welfare modes, compared byte for byte.
+"""Golden CLI outputs, compared byte for byte: the TINY config's experiment
+CSV and random-policy solve record in both welfare modes, its regret study
+CSV with brute force, a greedy-mode regret study at N = 60, and one
+generated edge list.
 
 A change that moves one of these outputs regenerates the files with
 
@@ -18,27 +20,40 @@ from netvax.cli import EXIT_OK, main
 from test_cli import TINY_CONFIG
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+CONFIGS = {
+    "linear": TINY_CONFIG + "mode = linear\n",
+    "exact": TINY_CONFIG + "mode = exact\n",
+    "regret_brute": TINY_CONFIG + "regret_capacity = 2\nregret_replications = 8\n",
+    # greedy rows and F sums longer than 8 entries
+    "regret_greedy": TINY_CONFIG.replace("n_units = 12", "n_units = 60")
+    + "regret_capacity = 12\nregret_use_brute = false\n",
+}
+# output file: (config, command); runtime_ms is blanked in experiment CSVs
 COMMANDS = {
-    "experiment_linear.csv": ["experiment"],
-    "experiment_exact.csv": ["experiment", "--mode", "exact"],
-    "solve_random_linear.jsonl": ["solve", "--policy", "random"],
-    "solve_random_exact.jsonl": ["solve", "--policy", "random"],
+    "experiment_linear.csv": ("linear", ["experiment"]),
+    "experiment_exact.csv": ("exact", ["experiment", "--mode", "exact"]),
+    "solve_random_linear.jsonl": ("linear", ["solve", "--policy", "random"]),
+    "solve_random_exact.jsonl": ("exact", ["solve", "--policy", "random"]),
+    "regret_brute.csv": ("regret_brute", ["regret"]),
+    "regret_greedy.csv": ("regret_greedy", ["regret"]),
+    "gen_15.edges": (None, ["gen", "--n", "15", "--density", "0.5", "--seed", "1"]),
 }
 
 
 def render(work: Path) -> dict[str, bytes]:
-    """Run each command on the TINY config in work; experiment CSVs get
-    their runtime_ms column blanked."""
-    for mode in ("linear", "exact"):
-        (work / f"{mode}.cfg").write_text(TINY_CONFIG + f"mode = {mode}\n", encoding="utf-8")
+    """Run each command in work and return its output file's bytes."""
+    for name, text in CONFIGS.items():
+        (work / f"{name}.cfg").write_text(text, encoding="utf-8")
     out = {}
-    for name, command in COMMANDS.items():
-        config = work / ("exact.cfg" if "exact" in name else "linear.cfg")
+    for name, (config, command) in COMMANDS.items():
+        args = [*command, "--out", str(work / name)]
+        if config is not None:
+            args += ["--config", str(work / f"{config}.cfg")]
         with contextlib.redirect_stdout(io.StringIO()):
-            code = main([*command, "--config", str(config), "--out", str(work / name)])
+            code = main(args)
         assert code == EXIT_OK, name
         text = (work / name).read_text(encoding="utf-8")
-        if name.endswith(".csv"):
+        if name.startswith("experiment_"):
             text = "".join(line.rsplit(",", 1)[0] + ",\n" for line in text.splitlines())
         out[name] = text.encode("utf-8")
     return out
