@@ -77,12 +77,6 @@ class ContactGraph:
     def n_edges(self) -> int:
         return int(self.edges.shape[0])
 
-    def neighbors(self, unit: int) -> np.ndarray:
-        """Sorted array of units adjacent to ``unit`` (read-only view)."""
-        if not 0 <= unit < self.n_units:
-            raise ValueError(f"unit {unit} out of range")
-        return self._adj[self._indptr[unit]:self._indptr[unit + 1]]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ContactGraph):
             return NotImplemented

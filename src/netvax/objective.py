@@ -116,14 +116,15 @@ class ObjectiveContext:
         _check_spill(n_units, rows, cols)
         # w + w^T with repeated (i, j) entries summed into one, which sym_row's
         # callers and _f_moments rely on; its row sums are w's row plus column sums
-        self._fill(n_units, direct_gain, rows, cols, vals, welfare_constant, *_csr(
-            n_units, np.concatenate([rows, cols]), np.concatenate([cols, rows]),
-            np.concatenate([vals, vals])))
+        sym = _csr(n_units, np.concatenate([rows, cols]), np.concatenate([cols, rows]),
+                   np.concatenate([vals, vals]))
+        self._fill(n_units, direct_gain, rows, cols, vals, welfare_constant, *sym,
+                   direct_gain - _row_sums(sym[0], sym[3]))
 
     def _fill(self, n_units: int, direct_gain: np.ndarray, rows: np.ndarray,
               cols: np.ndarray, vals: np.ndarray, welfare_constant: float,
               sym_indptr: np.ndarray, sym_rows: np.ndarray, sym_cols: np.ndarray,
-              sym_vals: np.ndarray) -> None:
+              sym_vals: np.ndarray, base_gain: np.ndarray) -> None:
         """Store checked arrays, w + w^T in CSR form, and the base gains;
         every array is set read-only, so contexts may share them."""
         self.n_units = n_units
@@ -134,7 +135,7 @@ class ObjectiveContext:
         self.welfare_constant = float(welfare_constant)
         self._sym_indptr, self._sym_rows = sym_indptr, sym_rows
         self._sym_cols, self._sym_vals = sym_cols, sym_vals
-        self._base_gain = direct_gain - _row_sums(sym_indptr, sym_vals)
+        self._base_gain = base_gain
         for arr in (direct_gain, rows, cols, vals, sym_indptr, sym_rows, sym_cols,
                     sym_vals, self._base_gain):
             arr.setflags(write=False)
@@ -147,12 +148,6 @@ class ObjectiveContext:
         """Nonzero columns and values of row ``unit`` of w + w^T."""
         lo, hi = self._sym_indptr[unit], self._sym_indptr[unit + 1]
         return self._sym_cols[lo:hi], self._sym_vals[lo:hi]
-
-    def pairwise_dense(self) -> np.ndarray:
-        """Dense w + w^T; intended for small instances (brute-force search)."""
-        out = np.zeros((self.n_units, self.n_units))
-        out[self._sym_rows, self._sym_cols] = self._sym_vals
-        return out
 
 
 def _check_spill(n: int, rows: np.ndarray, cols: np.ndarray) -> None:
@@ -181,10 +176,11 @@ def _csr(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
 
 
 def _row_sums(indptr: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Row sums of a CSR matrix, by np.add.reduceat as scipy sums rows."""
-    out = np.zeros(indptr.size - 1)
+    """Row sums of a CSR matrix, by np.add.reduceat as scipy sums rows, or of
+    R matrices on one layout, vals (R, nnz) C-ordered, each as if alone."""
+    out = np.zeros(vals.shape[:-1] + (indptr.size - 1,))
     full = np.flatnonzero(np.diff(indptr))
-    out[full] = np.add.reduceat(vals, indptr[full])
+    out[..., full] = np.add.reduceat(vals, indptr[full], axis=-1)
     return out
 
 
@@ -264,8 +260,9 @@ class ContextPattern:
 
     context(params) fills in the values only, with build_context's
     arithmetic in its order, so every array it returns is bit-identical to
-    a fresh compile.  A study that compiles many parameter sets on one
-    instance builds the pattern once.  welfare(params, mode) reads the same
+    a fresh compile; fill(beta, gamma) gives the base gains and w + w^T of
+    many rate sets at once.  A study that compiles many parameter sets on
+    one instance builds the pattern once.  welfare(params, mode) reads the same
     CSR arrays for the welfare of allocation blocks.
     """
 
@@ -288,27 +285,42 @@ class ContextPattern:
         self._deg_n = deg[rows] * n
         self._sus, self._deg = sus, deg
         self._recovered, self._infected = pop.recovered, pop.infected
-        self._indptr, self._sym_rows, self._sym_cols, self._order = _csr(
+        entry = np.arange(rows.size)  # _entry: the entry at each CSR position
+        self._indptr, self._sym_rows, self._sym_cols, self._entry = _csr(
             n, np.concatenate([rows, cols]), np.concatenate([cols, rows]),
-            np.arange(2 * rows.size))
-        assert self._order.size == 2 * rows.size, "a spillover entry repeats"
+            np.concatenate([entry, entry]))
+        assert self._entry.size == 2 * rows.size, "a spillover entry repeats"
+        self._first = np.empty_like(entry)  # one CSR position of each entry
+        self._first[self._entry] = np.arange(2 * rows.size)
         for arr in (rows, cols, self._indptr, self._sym_rows, self._sym_cols):
             arr.setflags(write=False)
 
     def context(self, params: SirParams) -> ObjectiveContext:
         """The objective compiled with params: build_context(graph, pop,
-        params), sharing this pattern's index arrays (all read-only)."""
-        n, pop = self.n_units, self._pop
-        c = pop.weight * (1.0 - self._recovered - params.gamma[pop.group] * self._infected
-                          - self._sus) / n
-        rate = np.take(params.beta, self._pair)
-        vals = self._neg_weight * rate / self._deg_n
-        z = np.bincount(self._rows, rate, minlength=n)[self._sus] / self._deg[self._sus]
-        const = _healthy_share(pop, params, np.arange(0), z, "linear")
+        params), sharing this pattern's index arrays (all read-only); fill's
+        one-row case, with the spill values read back from w + w^T."""
+        n, pop, sus = self.n_units, self._pop, self._sus
+        base, sym = self.fill(params.beta[None], params.gamma[None])
+        z = np.bincount(self._rows, np.take(params.beta, self._pair), minlength=n)[sus]
+        const = _healthy_share(pop, params, np.arange(0), z / self._deg[sus], "linear")
         ctx = ObjectiveContext.__new__(ObjectiveContext)
-        ctx._fill(n, c, self._rows, self._cols, vals, const, self._indptr,
-                  self._sym_rows, self._sym_cols, np.concatenate([vals, vals])[self._order])
+        ctx._fill(n, self._direct_gain(params.gamma), self._rows, self._cols,
+                  sym[0, self._first], const, self._indptr, self._sym_rows,
+                  self._sym_cols, sym[0], base[0])
         return ctx
+
+    def _direct_gain(self, gamma: np.ndarray) -> np.ndarray:
+        pop = self._pop
+        return pop.weight * (1.0 - self._recovered - gamma[..., pop.group] * self._infected
+                             - self._sus) / self.n_units
+
+    def fill(self, beta: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(R, n) base gains and (R, 2 nnz) values of w + w^T, in the CSR
+        layout of the contexts this pattern fills, of R rate sets beta
+        (R, 2, 2) and gamma (R, 2); build_context's arithmetic in its order."""
+        vals = self._neg_weight * beta.reshape(-1, 4)[:, self._pair]
+        sym = np.take(np.divide(vals, self._deg_n, out=vals), self._entry, axis=1)
+        return self._direct_gain(gamma) - _row_sums(self._indptr, sym), sym
 
     def welfare(self, params: SirParams, mode: str) -> Callable[[np.ndarray], np.ndarray]:
         """welfare_value in mode ("linear" or "exact") for blocks of
@@ -326,7 +338,7 @@ class ContextPattern:
             raise ValueError(f"mode must be 'linear' or 'exact', got {mode!r}")
         pop, sus, ptr = self._pop, self._sus, self._indptr
         b = np.take(params.beta, self._pair) / self._deg[self._rows]
-        vals = np.concatenate([b, b])[self._order]
+        vals = b[self._entry]
         z_empty = _row_sums(ptr, vals)[sus]
         # only infected rows are read by source, each exposed unit given as
         # its position among the susceptible units
@@ -383,7 +395,7 @@ class ContextPattern:
             raise ValueError(f"capacity must lie in [1, {n}], got {d}")
         held = pop.weight * (self._recovered + params.gamma[pop.group] * self._infected)
         b = np.take(params.beta, self._pair) / self._deg[self._rows]
-        x = np.exp(np.concatenate([b, b])[self._order])
+        x = np.exp(b)[self._entry]
         units = np.flatnonzero(self._sus)
         k = np.diff(ptr)[units]
         start = (n - d) / n * pop.weight[units] * np.exp(
@@ -430,6 +442,19 @@ def objective_value(ctx: ObjectiveContext, alloc: Allocation) -> float:
     member = alloc.indicator(ctx.n_units)
     inside = member[ctx._sym_rows] & member[ctx._sym_cols]
     return float(ctx._base_gain[member].sum()) + 0.5 * float(ctx._sym_vals[inside].sum())
+
+
+def _f_rows(base: np.ndarray, sym: np.ndarray, sym_rows: np.ndarray,
+            sym_cols: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """objective_value's arithmetic for the R allocations in the rows of units
+    (R, k), on R objectives given as (R, n) base gains and (R, 2 nnz) values
+    of w + w^T on the CSR layout (sym_rows, sym_cols): the base part sums a
+    C-ordered (R, k) block, the spill part row by row."""
+    member = np.zeros(base.shape, dtype=bool)
+    member[np.arange(len(units))[:, None], units] = True
+    inside = member[:, sym_rows] & member[:, sym_cols]
+    own = base[np.nonzero(member)].reshape(units.shape)
+    return own.sum(axis=1) + 0.5 * np.array([v[m].sum() for v, m in zip(sym, inside)])
 
 
 def welfare_value(graph: ContactGraph, pop: Population, params: SirParams,

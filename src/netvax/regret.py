@@ -18,8 +18,8 @@ import numpy as np
 
 from .epidemic import Population, SirParams
 from .graph import ContactGraph
-from .objective import ContextPattern, ObjectiveContext, objective_value
-from .solvers import SolverResult, brute_force, greedy_capacity
+from .objective import ContextPattern, ObjectiveContext, _f_rows
+from .solvers import _BATCH_CELLS, SolverResult, _brute, _greedy, brute_force, greedy_capacity
 
 __all__ = [
     "UNIVERSAL_CONSTANT",
@@ -77,14 +77,26 @@ def sample_estimates(params: SirParams, noise: EstimationNoiseModel,
     recovery rates with independent Gaussian noise, clipping each rate back
     to [0, 1] (recovery additionally to 1 - delta so the parameter set stays
     valid).  Mortality rates pass through unchanged.  Deterministic for a
-    fixed seed; scale 0 reproduces the input exactly.
+    fixed seed; scale 0 reproduces the input exactly.  The one-seed case of
+    _draw_estimates.
     """
-    rng = np.random.default_rng(seed)
+    beta, gamma = _draw_estimates(params, noise, [seed])
+    return SirParams(beta=beta[0], gamma=gamma[0], delta=params.delta.copy())
+
+
+def _draw_estimates(params: SirParams, noise: EstimationNoiseModel,
+                    seeds: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The (R, 2, 2) transmission and (R, 2) recovery rates of the R
+    estimates sample_estimates draws from seeds: one default_rng per seed,
+    read as sample_estimates reads it, and one clip for all rows."""
     s = noise.effective_scale
-    beta = np.clip(params.beta + rng.normal(0.0, s, size=(2, 2)), 0.0, 1.0)
-    gamma = np.clip(params.gamma + rng.normal(0.0, s, size=2),
-                    0.0, 1.0 - params.delta)
-    return SirParams(beta=beta, gamma=gamma, delta=params.delta.copy())
+    beta, gamma = np.empty((len(seeds), 2, 2)), np.empty((len(seeds), 2))
+    for r, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        beta[r] = rng.normal(0.0, s, size=(2, 2))
+        gamma[r] = rng.normal(0.0, s, size=2)
+    return (np.clip(params.beta + beta, 0.0, 1.0),
+            np.clip(params.gamma + gamma, 0.0, 1.0 - params.delta))
 
 
 @dataclass(frozen=True)
@@ -136,9 +148,13 @@ class RegretTruth:
     max_weight: float
 
 
-def _greedy_or_empty(ctx: ObjectiveContext, d: int) -> SolverResult:
-    # greedy_capacity refuses d = 0; brute force returns the empty allocation
-    return greedy_capacity(ctx, d) if d >= 1 else brute_force(ctx, d)
+    def bound(self, n_external: Optional[int]) -> float:
+        """regret_upper_bound at the true optimum, nan without n_external."""
+        if n_external is None:
+            return float("nan")
+        return regret_upper_bound(self.ctx.n_units, self.capacity, self.max_degree,
+                                  self.n_infected, self.max_weight, n_external,
+                                  self.optimum.f_value)
 
 
 def compile_truth(graph: ContactGraph, pop: Population, ctx_true: ObjectiveContext,
@@ -146,44 +162,44 @@ def compile_truth(graph: ContactGraph, pop: Population, ctx_true: ObjectiveConte
     """Locate the true optimum on ctx_true, the objective compiled with the
     true parameters (build_context(graph, pop, true_params), or the ctx of
     a drawn Instance), by exhaustive search or, without use_brute, greedy."""
-    optimum = brute_force(ctx_true, d) if use_brute else _greedy_or_empty(ctx_true, d)
+    # greedy_capacity refuses d = 0; brute force returns the empty allocation
+    optimum = (greedy_capacity(ctx_true, d) if d >= 1 and not use_brute
+               else brute_force(ctx_true, d))
     return RegretTruth(
         ctx=ctx_true, optimum=optimum, capacity=d, use_brute=use_brute,
         max_degree=int(graph.degree.max()), n_infected=int(pop.infected.sum()),
         max_weight=float(pop.weight.max()))
 
 
-def decompose_regret(truth: RegretTruth, ctx_est: ObjectiveContext,
-                     n_external: Optional[int]) -> RegretReport:
-    """Measure the regret decomposition of one estimated objective against
-    the compiled truth.  The chosen set is greedy on ctx_est; the estimated
-    optimum comes from the same search as the true one, so without use_brute
-    it is the chosen set itself."""
-    d = truth.capacity
-    chosen = _greedy_or_empty(ctx_est, d)
-    opt_est = brute_force(ctx_est, d) if truth.use_brute else chosen
-
+def decompose_regret(truth: RegretTruth, pattern: ContextPattern, beta: np.ndarray,
+                     gamma: np.ndarray) -> np.ndarray:
+    """The (4, R) estimation, optimization and evaluation gaps and totals of
+    R estimates, given as rates beta (R, 2, 2) and gamma (R, 2) on the
+    truth's ContextPattern.  The chosen set is greedy on the estimate; the
+    estimated optimum comes from the same search as the true one, so without
+    use_brute it is the chosen set itself.  Estimates are filled, solved and
+    evaluated in blocks of rows whose (rows, max(n, 2 nnz)) arrays hold at
+    most _BATCH_CELLS values; every value is bit for bit that of
+    pattern.context, greedy_capacity, brute_force and objective_value.
+    """
+    ctx, d = truth.ctx, truth.capacity
+    k = min(d, ctx.n_units)
     f_true_star = truth.optimum.f_value
-    f_est_star = opt_est.f_value
-    f_est_chosen = chosen.f_value
-    f_true_chosen = objective_value(truth.ctx, chosen.allocation)
-
-    gap1 = f_true_star - f_est_star
-    gap2 = f_est_star - f_est_chosen
-    gap3 = f_est_chosen - f_true_chosen
-    total = f_true_star - f_true_chosen
-
-    if n_external is not None:
-        bound = regret_upper_bound(truth.ctx.n_units, d, truth.max_degree,
-                                   truth.n_infected, truth.max_weight,
-                                   n_external, f_true_star)
-    else:
-        bound = float("nan")
-    return RegretReport(
-        estimation_gap=gap1, optimization_gap=gap2, evaluation_gap=gap3,
-        total=total, bound=bound, max_degree=truth.max_degree,
-        n_infected=truth.n_infected, max_weight=truth.max_weight, capacity=d,
-        approximate=not truth.use_brute)
+    layout = ctx._sym_rows, ctx._sym_cols
+    gaps = np.empty((4, len(beta)))
+    step = max(1, _BATCH_CELLS // max(ctx.n_units, ctx._sym_vals.size))
+    for lo in range(0, len(beta), step):
+        base, sym = pattern.fill(beta[lo:lo + step], gamma[lo:lo + step])
+        chosen = _greedy(base, ctx._sym_indptr, ctx._sym_cols, sym, d,
+                         np.zeros(ctx.n_units, dtype=np.int8), (d,))[0]
+        f_est_chosen = _f_rows(base, sym, *layout, chosen)
+        f_true_chosen = _f_rows(np.broadcast_to(ctx._base_gain, base.shape),
+                                np.broadcast_to(ctx._sym_vals, sym.shape), *layout, chosen)
+        f_est_star = (_f_rows(base, sym, *layout, _brute(base, sym, *layout, k))
+                      if truth.use_brute else f_est_chosen)
+        gaps[:, lo:lo + step] = (f_true_star - f_est_star, f_est_star - f_est_chosen,
+                                 f_est_chosen - f_true_chosen, f_true_star - f_true_chosen)
+    return gaps
 
 
 def empirical_regret(graph: ContactGraph, pop: Population,
@@ -196,15 +212,21 @@ def empirical_regret(graph: ContactGraph, pop: Population,
     enumeration budget); otherwise greedy stands in and the report is marked
     approximate.  At d = 0 every gap is 0 in both modes.  When n_external is
     given, the report carries the matching upper bound computed from the
-    true optimum's value.  Builds the instance's ContextPattern once, fills
-    it with both parameter sets, compiles the truth (compile_truth) and
-    decomposes against the estimate (decompose_regret); a study over many
-    estimates on one instance compiles the truth once and calls
-    decompose_regret per estimate, with the same result.
+    true optimum's value.  Builds the instance's ContextPattern once,
+    compiles the truth (compile_truth) and decomposes the one estimate
+    (decompose_regret); a study over many estimates on one instance
+    compiles the truth once and passes decompose_regret all its estimates,
+    with the same result per estimate.
     """
     pattern = ContextPattern(graph, pop)
     truth = compile_truth(graph, pop, pattern.context(true_params), d, use_brute)
-    return decompose_regret(truth, pattern.context(est_params), n_external)
+    gap1, gap2, gap3, total = decompose_regret(
+        truth, pattern, est_params.beta[None], est_params.gamma[None])[:, 0].tolist()
+    return RegretReport(
+        estimation_gap=gap1, optimization_gap=gap2, evaluation_gap=gap3,
+        total=total, bound=truth.bound(n_external), max_degree=truth.max_degree,
+        n_infected=truth.n_infected, max_weight=truth.max_weight, capacity=d,
+        approximate=not use_brute)
 
 
 def regret_upper_bound(n_units: int, d: int, max_degree: int, n_infected: int,

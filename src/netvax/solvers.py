@@ -36,8 +36,9 @@ __all__ = [
 
 ENUMERATION_BUDGET = 10**8
 _DENSE_LIMIT = 4096
-# Pair values gathered per brute-force block: rows * k * k at most
-_PAIR_CELLS = 2_000_000
+# Values in one array of a batched search: objectives x subsets x k * k in a
+# brute-force block, objectives x max(n, 2 nnz) in a regret-study block
+_BATCH_CELLS = 2**15
 
 
 class BudgetError(RuntimeError):
@@ -80,34 +81,40 @@ def _finish(ctx: ObjectiveContext, alloc: Allocation, rounds: int,
     return SolverResult(alloc, f, f + ctx.welfare_constant, rounds, tuple(trace))
 
 
-def _pick(gains: np.ndarray, open_: np.ndarray) -> int:
-    """Lowest-index open unit whose gain is within the tie window of the best."""
-    masked = np.where(open_, gains, -np.inf)
-    best = masked.max()
-    return int(np.nonzero(open_ & (gains >= best - TOLERANCE))[0][0])
+def _greedy(base: np.ndarray, indptr: np.ndarray, cols: np.ndarray, sym: np.ndarray,
+            d: int, groups: np.ndarray, caps: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The greedy loop of both greedy solvers on R objectives, given as (R, n)
+    base gains and (R, nnz) values of w + w^T on the CSR layout (indptr,
+    cols).  A unit is open while it is unchosen and caps[groups[unit]] has
+    room.  Each round adds, per row, the lowest-index open unit within the
+    tie window of the row's best and updates its neighbors' gains in
+    O(deg).  Stops after d rounds or with no unit open, which every row
+    reaches after sum_g min(caps[g], n_g) picks, n_g the units in group g.
+    Returns the (R, rounds) picks and their gains."""
+    # a closed unit's gain is -inf, which the neighbor updates keep
+    gains = np.where(np.asarray(caps)[groups] > 0, base, -np.inf)
+    rounds = min(d, sum(map(min, caps, np.bincount(groups, minlength=len(caps)))))
+    picks, picked = np.empty((rounds, len(gains)), dtype=np.int64), np.empty((rounds, len(gains)))
+    rooms = [list(caps) for _ in gains]
+    for t in range(rounds):
+        best = gains.max(axis=1, keepdims=True)
+        (gains >= best - TOLERANCE).argmax(axis=1, out=picks[t])
+        for r, (gain, vals, room, u) in enumerate(zip(gains, sym, rooms, picks[t].tolist())):
+            picked[t, r] = gain[u]
+            gain[u] = -np.inf
+            g, lo, hi = groups[u], indptr[u], indptr[u + 1]
+            room[g] -= 1
+            if room[g] == 0:
+                gain[groups == g] = -np.inf
+            gain[cols[lo:hi]] += vals[lo:hi]
+    return picks.T, picked.T
 
 
-def _greedy(ctx: ObjectiveContext, d: int, groups: np.ndarray, caps: Sequence[int],
-            targeting: Optional[tuple[int, int]]) -> SolverResult:
-    """The greedy loop of both greedy solvers.  A unit is open while it is
-    unchosen and caps[groups[unit]] has room; a group closes once, when its
-    cap fills.  Each round adds the best open unit and updates its
-    neighbors' gains in O(deg).  Stops after d rounds or with no unit open.
-    """
-    gains = ctx.initial_gains()
-    room = list(caps)
-    open_ = np.asarray(room)[groups] > 0
-    trace: list[tuple[int, float]] = []
-    while len(trace) < d and open_.any():
-        u = _pick(gains, open_)
-        trace.append((u, float(gains[u])))
-        open_[u] = False
-        g = int(groups[u])
-        room[g] -= 1
-        if room[g] == 0:
-            open_[groups == g] = False
-        cols, vals = ctx.sym_row(u)
-        gains[cols] += vals
+def _greedy_result(ctx: ObjectiveContext, d: int, groups: np.ndarray, caps: Sequence[int],
+                   targeting: Optional[tuple[int, int]]) -> SolverResult:
+    picks, gains = _greedy(ctx._base_gain[None], ctx._sym_indptr, ctx._sym_cols,
+                           ctx._sym_vals[None], d, groups, caps)
+    trace = list(zip(picks[0].tolist(), gains[0].tolist()))
     alloc = Allocation(frozenset(u for u, _ in trace), capacity=d, targeting=targeting)
     return _finish(ctx, alloc, len(trace), trace)
 
@@ -121,7 +128,7 @@ def greedy_capacity(ctx: ObjectiveContext, d: int) -> SolverResult:
     """
     if d < 1:
         raise ValueError(f"capacity must be >= 1, got {d}")
-    return _greedy(ctx, d, np.zeros(ctx.n_units, dtype=np.int8), (d,), None)
+    return _greedy_result(ctx, d, np.zeros(ctx.n_units, dtype=np.int8), (d,), None)
 
 
 def greedy_targeting(ctx: ObjectiveContext, d: int, d1: int, d2: int,
@@ -141,7 +148,7 @@ def greedy_targeting(ctx: ObjectiveContext, d: int, d1: int, d2: int,
         raise ValueError("groups must have one label per unit")
     if not np.all(np.isin(groups, (GROUP1, GROUP2))):
         raise ValueError("group entries must be GROUP1 or GROUP2")
-    return _greedy(ctx, d, groups, (d1, d2), (d1, d2))
+    return _greedy_result(ctx, d, groups, (d1, d2), (d1, d2))
 
 
 def _combo_chunks(n: int, k: int, chunk: int) -> Iterator[np.ndarray]:
@@ -172,18 +179,51 @@ def _enumeration(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return block
 
 
-def _tie_scan(vals: np.ndarray, best_val: float) -> tuple[int, float]:
-    """Scan vals in order against an incumbent value: a value replaces the
-    incumbent only when it beats it by more than the tie window.  Returns the
-    position of the last replacement (-1 if none) and the incumbent value."""
-    pos = -1
+def _tie_scan(vals: np.ndarray, best_val: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scan each row of vals (R, m) in order against its incumbent in best_val:
+    a value replaces the incumbent only when it beats it by more than the tie
+    window.  Returns per row the last replacement (-1 if none) and incumbent."""
     # the incumbent stays within the tie window of the running maximum, so
     # only a new running maximum can replace it
-    prev = np.maximum.accumulate(np.concatenate(([best_val], vals[:-1])))
-    for p in np.flatnonzero(vals > prev):
-        if vals[p] > best_val + TOLERANCE:
-            pos, best_val = int(p), float(vals[p])
-    return pos, best_val
+    prev = np.maximum.accumulate(
+        np.concatenate((best_val[:, None], vals[:, :-1]), axis=1), axis=1)
+    pos, best = np.full(len(vals), -1), best_val.tolist()
+    rows, cand = np.nonzero(vals > prev)
+    for r, p, v in zip(rows.tolist(), cand.tolist(), vals[rows, cand].tolist()):
+        if v > best[r] + TOLERANCE:
+            pos[r], best[r] = p, v
+    return pos, np.array(best)
+
+
+def _brute(base: np.ndarray, sym: np.ndarray, sym_rows: np.ndarray,
+           sym_cols: np.ndarray, k: int) -> np.ndarray:
+    """brute_force's (R, k) picks on R objectives, given as (R, n) base gains
+    and (R, 2 nnz) values of w + w^T on the CSR layout (sym_rows, sym_cols).
+    Objectives and subsets are scored in blocks of at most _BATCH_CELLS pair
+    values.  A block that holds every subset is kept per (n, k) in a small
+    LRU cache; longer enumerations are streamed for each block of objectives."""
+    n = base.shape[1]
+    if k == 0:
+        return np.empty((len(base), 0), dtype=np.int64)
+    if k == 1:
+        return _tie_scan(base, np.full(len(base), -np.inf))[0][:, None]
+    count = math.comb(n, k)
+    step = max(1, _BATCH_CELLS // (count * k * k))
+    chunk = max(1, _BATCH_CELLS // (step * k * k))
+    best = np.empty((len(base), k), dtype=np.int64)
+    for lo in range(0, len(base), step):
+        pair = np.zeros((len(base[lo:lo + step]), n * n))
+        pair[:, sym_rows * n + sym_cols] = sym[lo:lo + step]
+        best_val = np.full(len(pair), -np.inf)
+        blocks = [_enumeration(n, k)] if count <= chunk else _pair_blocks(n, k, chunk)
+        for combos, pairs in blocks:
+            # np.take gives C-ordered blocks, whose sums match one objective's
+            vals = np.take(base[lo:lo + step], combos, axis=1).sum(axis=2)
+            vals += 0.5 * np.take(pair, pairs, axis=1).sum(axis=(2, 3))
+            local, best_val = _tie_scan(vals, best_val)
+            hit = np.flatnonzero(local >= 0)
+            best[lo + hit] = combos[local[hit]]
+    return best
 
 
 def brute_force(ctx: ObjectiveContext, d: int) -> SolverResult:
@@ -192,49 +232,26 @@ def brute_force(ctx: ObjectiveContext, d: int) -> SolverResult:
     Enumerates subsets in lexicographic order; a later subset replaces the
     incumbent only when its value is higher by more than 1e-12, so among
     maximizers tied within that window the first one wins, as in greedy.
-    Refuses instances whose subset count exceeds ENUMERATION_BUDGET.
-
-    Subsets are scored in blocks of at most _PAIR_CELLS / k^2 rows.  When
-    one block holds them all, the block and its pair index are built once
-    per (n, k) and reused by later calls (a small LRU cache); longer
-    enumerations are streamed block by block and not kept.
+    Refuses instances whose subset count exceeds ENUMERATION_BUDGET.  The
+    search is _brute's one-objective case.
     """
     if d < 0:
         raise ValueError(f"capacity must be >= 0, got {d}")
     n = ctx.n_units
     k = min(d, n)
-    if k == 0:
-        return _finish(ctx, Allocation.empty(d), rounds=0)
     count = math.comb(n, k)
     if count > ENUMERATION_BUDGET:
         raise BudgetError(
             f"C({n},{k}) = {count} subsets exceeds the enumeration budget "
             f"of {ENUMERATION_BUDGET}")
-
-    base = ctx.initial_gains()
-    if k == 1:
-        best_idx, _ = _tie_scan(base, -np.inf)
-        alloc = Allocation(frozenset([best_idx]), capacity=d)
-        return _finish(ctx, alloc, rounds=count)
-    if n > _DENSE_LIMIT:
+    if k > 1 and n > _DENSE_LIMIT:
         raise BudgetError(
             f"C({n},{k}) = {count} is within budget but pairwise evaluation "
             f"is limited to {_DENSE_LIMIT} units")
-
-    pair = ctx.pairwise_dense()
-    best_val = -np.inf
-    best: Optional[np.ndarray] = None
-    chunk = max(1, _PAIR_CELLS // (k * k))
-    blocks = [_enumeration(n, k)] if count <= chunk else _pair_blocks(n, k, chunk)
-    for combos, pairs in blocks:
-        vals = base[combos].sum(axis=1)
-        vals += 0.5 * np.take(pair, pairs).sum(axis=(1, 2))
-        local, best_val = _tie_scan(vals, best_val)
-        if local >= 0:
-            best = combos[local]
-    assert best is not None
-    alloc = Allocation(frozenset(int(u) for u in best), capacity=d)
-    return _finish(ctx, alloc, rounds=count)
+    best = _brute(ctx._base_gain[None], ctx._sym_vals[None], ctx._sym_rows,
+                  ctx._sym_cols, k)[0]
+    alloc = Allocation(frozenset(best.tolist()), capacity=d)
+    return _finish(ctx, alloc, rounds=count if k else 0)
 
 
 def iter_random_subsets(seed: int, n: int, d: int, draws: int,

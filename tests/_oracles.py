@@ -5,6 +5,8 @@ algebra, exhaustive enumeration, per-unit transition sums) without touching
 the package's incremental code paths.  infection_rate and
 transition_probabilities are the per-unit one-period SIR model, kept here
 as the reference that welfare_from_transitions sums.
+regret_study_by_estimate is the regret study one estimate at a time, the
+reference for the array pass of harness.run_regret_study.
 """
 
 import itertools
@@ -14,12 +16,14 @@ import numpy as np
 from scipy import sparse
 
 from netvax import (GROUP1, GROUP2, INFECTED, RECOVERED, SUSCEPTIBLE,
-                    Allocation, ObjectiveContext, PARAMETER_SETS, Population,
-                    SirParams, draw_instance, objective_value, replicate_seed,
-                    welfare_value)
+                    Allocation, EstimationNoiseModel, ObjectiveContext,
+                    PARAMETER_SETS, Population, RegretStudyRow, SirParams,
+                    brute_force, build_context, draw_instance, greedy_capacity,
+                    objective_value, regret_upper_bound, replicate_seed,
+                    sample_estimates, welfare_value)
 from netvax import objective
-from netvax.objective import _csr, _healthy_share, _row_sums
-from netvax.solvers import _combo_chunks, _finish, _tie_scan
+from netvax.objective import TOLERANCE, _csr, _healthy_share, _row_sums
+from netvax.solvers import _combo_chunks, _finish
 
 DEFAULT_DIST = ((0.7, 0.2, 0.1), (0.7, 0.2, 0.1))
 
@@ -100,10 +104,18 @@ def objective_edge_sum(ctx, units):
     return total
 
 
+def neighbors(graph, unit):
+    """Sorted array of units adjacent to ``unit`` (read-only view of the
+    graph's adjacency)."""
+    if not 0 <= unit < graph.n_units:
+        raise ValueError(f"unit {unit} out of range")
+    return graph._adj[graph._indptr[unit]:graph._indptr[unit + 1]]
+
+
 def _infection_load(unit: int, graph: "ContactGraph", pop: Population,
                     params: SirParams, vaccinated: np.ndarray) -> float:
     """Degree-normalized exposure of ``unit`` to infected unvaccinated neighbors."""
-    nbrs = graph.neighbors(unit)
+    nbrs = neighbors(graph, unit)
     if nbrs.size == 0:
         return 0.0
     live = pop.infected[nbrs] & ~vaccinated[nbrs]
@@ -359,10 +371,29 @@ def exact_welfare_evaluator(graph, pop, params):
     return welfare
 
 
+def first_best(vals, best_val):
+    """The tie rule, one value at a time: a value replaces the incumbent only
+    when it beats it by more than TOLERANCE.  Returns the position of the
+    last replacement (-1 if none) and the incumbent value."""
+    pos = -1
+    for p, v in enumerate(vals.tolist()):
+        if v > best_val + TOLERANCE:
+            pos, best_val = p, v
+    return pos, best_val
+
+
+def pairwise_dense(ctx):
+    """Dense w + w^T from the context's CSR arrays."""
+    out = np.zeros((ctx.n_units, ctx.n_units))
+    out[ctx._sym_rows, ctx._sym_cols] = ctx._sym_vals
+    return out
+
+
 def brute_force_streamed(ctx, d):
     """Exhaustive search that enumerates every subset afresh, in streamed
-    blocks of 2,000,000 / k^2 rows, and gathers pair values by fancy
-    indexing; same tie rule and result as solvers.brute_force."""
+    blocks of 2,000,000 / k^2 rows, gathers pair values by fancy indexing
+    and scans one value at a time; same tie rule and result as
+    solvers.brute_force."""
     n = ctx.n_units
     k = min(d, n)
     if k == 0:
@@ -370,15 +401,15 @@ def brute_force_streamed(ctx, d):
     count = math.comb(n, k)
     base = ctx.initial_gains()
     if k == 1:
-        best_idx, _ = _tie_scan(base, -np.inf)
+        best_idx, _ = first_best(base, -np.inf)
         return _finish(ctx, Allocation(frozenset([best_idx]), capacity=d), rounds=count)
-    pair = ctx.pairwise_dense()
+    pair = pairwise_dense(ctx)
     best_val = -np.inf
     best = None
     for combos in _combo_chunks(n, k, max(1, 2_000_000 // (k * k))):
         vals = base[combos].sum(axis=1)
         vals += 0.5 * pair[combos[:, :, None], combos[:, None, :]].sum(axis=(1, 2))
-        local, best_val = _tie_scan(vals, best_val)
+        local, best_val = first_best(vals, best_val)
         if local >= 0:
             best = combos[local]
     return _finish(ctx, Allocation(frozenset(int(u) for u in best), capacity=d),
@@ -390,3 +421,42 @@ def save_edge_list_by_line(graph, sink):
     sink.write(f"n_units={graph.n_units}\n")
     for i, j in graph.edges:
         sink.write(f"{i} {j}\n")
+
+
+def regret_study_by_estimate(config):
+    """harness.run_regret_study one estimate at a time: for each replication,
+    sample_estimates, a fresh build_context, greedy_capacity (and brute_force
+    with use_brute) on it and objective_value of its choice on the truth,
+    then the means of the gaps in Python floats."""
+    exp, d = config.experiment, config.capacity
+    params = exp.params()
+    inst = draw_instance(exp.n_units, exp.density, params, exp.group1_probability,
+                         exp.initial_states, exp.weights, replicate_seed(exp.seed, 0))
+    search = brute_force if config.use_brute else greedy_capacity
+    f_true_star = search(inst.ctx, d).f_value
+    rows = []
+    for gi, n_external in enumerate(config.n_grid):
+        noise = EstimationNoiseModel(n_external)
+        gaps = []
+        for rep in range(config.replications):
+            est = sample_estimates(params, noise, replicate_seed(
+                exp.seed, 1_000_000 + gi * config.replications + rep))
+            ctx = build_context(inst.graph, inst.pop, est)
+            chosen = greedy_capacity(ctx, d)
+            f_est_star = search(ctx, d).f_value if config.use_brute else chosen.f_value
+            f_true_chosen = objective_value(inst.ctx, chosen.allocation)
+            gaps.append((f_true_star - f_est_star, f_est_star - chosen.f_value,
+                         chosen.f_value - f_true_chosen, f_true_star - f_true_chosen))
+        gap1, gap2, gap3, total = (list(column) for column in zip(*gaps))
+        bound = regret_upper_bound(exp.n_units, d, int(inst.graph.degree.max()),
+                                   int(inst.pop.infected.sum()),
+                                   float(inst.pop.weight.max()), n_external, f_true_star)
+        mean_total = float(np.mean(total))
+        rows.append(RegretStudyRow(
+            n_external=n_external, replications=config.replications, capacity=d,
+            mean_total=mean_total, mean_estimation_gap=float(np.mean(gap1)),
+            mean_optimization_gap=float(np.mean(gap2)),
+            mean_evaluation_gap=float(np.mean(gap3)),
+            mean_noise_gap=float(np.mean([abs(a) + abs(b) for a, b in zip(gap1, gap3)])),
+            bound=bound, slack=bound - mean_total))
+    return rows

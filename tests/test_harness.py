@@ -2,9 +2,12 @@ import dataclasses
 import hashlib
 import io
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netvax import (
     GROUP1,
@@ -36,7 +39,7 @@ from netvax import (
 from netvax import harness, objective, regret, solvers
 from netvax.harness import instance_on_graph, run_policy
 
-from _oracles import DEFAULT_DIST
+from _oracles import DEFAULT_DIST, regret_study_by_estimate
 
 
 def test_replicate_seed_matches_direct_hash():
@@ -367,15 +370,22 @@ def test_regret_study_rows_are_means_of_empirical_regret(use_brute, monkeypatch)
     params = exp.params()
     inst = draw_instance(12, 0.5, params, exp.group1_probability,
                          exp.initial_states, exp.weights, replicate_seed(exp.seed, 0))
-    searches = []
+    searches, blocks = [], []
 
     def counted_brute_force(ctx, d):
         searches.append(d)
         return brute_force(ctx, d)
+
+    def counted_brute(base, *args):
+        blocks.append(len(base))
+        return solvers._brute(base, *args)
     monkeypatch.setattr(regret, "brute_force", counted_brute_force)
+    monkeypatch.setattr(regret, "_brute", counted_brute)
     rows = run_regret_study(study)
-    # the true optimum is searched once per study, each estimate once
-    assert len(searches) == (1 + 2 * 6 if use_brute else 0)
+    # the true optimum is searched once per study; a grid point's six
+    # estimates are searched together, in one block
+    assert len(searches) == (1 if use_brute else 0)
+    assert blocks == ([6, 6] if use_brute else [])
     for gi, (row, n_external) in enumerate(zip(rows, study.n_grid)):
         noise = EstimationNoiseModel(n_external)
         reports = [empirical_regret(
@@ -476,6 +486,55 @@ def test_regret_study_output_is_frozen():
         "mean_optimization_gap,mean_evaluation_gap,mean_noise_gap,bound,slack\n"
         "10,8,2,0.005564,-0.002297,0.000000,0.007862,0.034133,2.955731,2.950167\n"
         "100,8,2,0.000000,0.000738,0.000000,-0.000738,0.009465,0.992858,0.992858\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 20), st.floats(0.1, 0.9), st.integers(0, 4), st.booleans(),
+       st.integers(1, 9), st.integers(0, 2**32))
+def test_regret_study_equals_the_per_estimate_loop(n, density, cap, use_brute, reps, seed):
+    capacity = (1, 2, n - 1, n, n + 2)[cap]
+    study = RegretStudyConfig(
+        experiment=ExperimentConfig(n_units=n, density=density, seed=seed),
+        capacity=capacity, n_grid=(30, 3000), replications=reps,
+        use_brute=use_brute)
+    assert run_regret_study(study) == regret_study_by_estimate(study)
+
+
+@pytest.mark.parametrize("use_brute", [True, False])
+def test_regret_study_split_into_blocks_equals_the_per_estimate_loop(use_brute, monkeypatch):
+    # 100 cells: a few estimates per fill block, one per brute-force block,
+    # whose subsets are streamed
+    for module in (solvers, regret):
+        monkeypatch.setattr(module, "_BATCH_CELLS", 100)
+    study = RegretStudyConfig(
+        experiment=ExperimentConfig(n_units=12, density=0.4, seed=3),
+        capacity=2, n_grid=(10, 1000), replications=7, use_brute=use_brute)
+    assert run_regret_study(study) == regret_study_by_estimate(study)
+
+
+def test_greedy_regret_study_at_n200_equals_the_per_estimate_loop():
+    # greedy rows, base sums and spill sums run past 8 entries
+    study = RegretStudyConfig(
+        experiment=ExperimentConfig(n_units=200, density=0.3, seed=5),
+        capacity=20, n_grid=(50, 5000), replications=6, use_brute=False)
+    assert run_regret_study(study) == regret_study_by_estimate(study)
+
+
+def test_greedy_regret_study_memory_is_bounded():
+    def peak(replications):
+        tracemalloc.start()
+        run_regret_study(RegretStudyConfig(
+            experiment=ExperimentConfig(n_units=500, density=0.1, seed=0),
+            replications=replications, use_brute=False))
+        _, top = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        return top
+
+    peak(1)  # one-time allocations
+    small, large = peak(50), peak(200)
+    assert large < 4 * 2**20
+    # a few floats per replication beyond the blocks
+    assert large - small < 64 * 2**10
 
 
 def test_emit_regret_csv_format():

@@ -212,7 +212,7 @@ def test_brute_force_matches_streamed_search(seed, monkeypatch):
             assert_same_search(brute_force(ctx, d), brute_force_streamed(ctx, d))
         # a few rows per block forces a streamed, multi-block search
         solvers._enumeration.cache_clear()
-        monkeypatch.setattr(solvers, "_PAIR_CELLS", 40)
+        monkeypatch.setattr(solvers, "_BATCH_CELLS", 40)
         for d in (2, 3, n - 2):
             assert 40 // (d * d) < math.comb(n, d)
             assert_same_search(brute_force(ctx, d), brute_force_streamed(ctx, d))
