@@ -401,11 +401,11 @@ def run_regret_study(config: RegretStudyConfig) -> list[RegretStudyRow]:
     at grid index gi estimates the parameters from
     replicate_seed(seed, 1_000_000 + gi * replications + rep).  The true
     objective and its optimum are compiled once per study (compile_truth
-    on the drawn instance's ctx).  A grid point's estimates are drawn as
-    one rate matrix and decompose_regret measures them all as arrays, in
-    blocks whose temporaries hold at most _BATCH_CELLS values, so memory
-    beyond the instance grows by a few floats per replication.  Every row
-    equals the mean of the empirical_regret reports over the same estimates.
+    on the drawn instance's pattern).  decompose_regret measures a grid
+    point's estimates as arrays, in blocks whose arrays hold at most
+    _BATCH_CELLS values (one estimate's if more), so memory beyond the
+    instance grows by a few floats per replication.  Every row equals the
+    mean of the empirical_regret reports over the same estimates.
 
     With use_brute the study makes replications * len(n_grid) + 1
     exhaustive searches; it raises BudgetError before drawing anything when
@@ -424,13 +424,13 @@ def run_regret_study(config: RegretStudyConfig) -> list[RegretStudyRow]:
     inst = draw_instance(exp.n_units, exp.density, params,
                          exp.group1_probability, exp.initial_states,
                          exp.weights, replicate_seed(exp.seed, 0))
-    truth = compile_truth(inst.graph, inst.pop, inst.ctx, config.capacity,
+    truth = compile_truth(inst.graph, inst.pop, inst.pattern, params, config.capacity,
                           config.use_brute)
     rows = []
     for gi, n_external in enumerate(config.n_grid):
         seeds = [replicate_seed(exp.seed, 1_000_000 + gi * config.replications + rep)
                  for rep in range(config.replications)]
-        gap1, gap2, gap3, total = decompose_regret(truth, inst.pattern, *_draw_estimates(
+        gap1, gap2, gap3, total = decompose_regret(truth, *_draw_estimates(
             params, EstimationNoiseModel(n_external=n_external), seeds))
         mean_total = float(np.mean(total))
         bound = truth.bound(n_external)

@@ -437,24 +437,23 @@ def objective_value(ctx: ObjectiveContext, alloc: Allocation) -> float:
 
     Sums the base gains of the allocated units and half of w + w^T over the
     nonzeros whose row and column are both allocated, each in ascending
-    order, so the value does not depend on how the allocation was built.
-    """
-    member = alloc.indicator(ctx.n_units)
-    inside = member[ctx._sym_rows] & member[ctx._sym_cols]
-    return float(ctx._base_gain[member].sum()) + 0.5 * float(ctx._sym_vals[inside].sum())
+    order, so the value does not depend on how the allocation was built:
+    _f_rows' one-row case."""
+    member = alloc.indicator(ctx.n_units)[None]
+    return float(_f_rows(ctx._base_gain[None], ctx._sym_vals[None], ctx._sym_rows,
+                         ctx._sym_cols, member)[0])
 
 
 def _f_rows(base: np.ndarray, sym: np.ndarray, sym_rows: np.ndarray,
-            sym_cols: np.ndarray, units: np.ndarray) -> np.ndarray:
-    """objective_value's arithmetic for the R allocations in the rows of units
-    (R, k), on R objectives given as (R, n) base gains and (R, 2 nnz) values
-    of w + w^T on the CSR layout (sym_rows, sym_cols): the base part sums a
-    C-ordered (R, k) block, the spill part row by row."""
-    member = np.zeros(base.shape, dtype=bool)
-    member[np.arange(len(units))[:, None], units] = True
-    inside = member[:, sym_rows] & member[:, sym_cols]
-    own = base[np.nonzero(member)].reshape(units.shape)
-    return own.sum(axis=1) + 0.5 * np.array([v[m].sum() for v, m in zip(sym, inside)])
+            sym_cols: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """F of R allocations of one size, given as the rows of an (R, n)
+    membership mask, on R objectives given as (R, n) base gains and (R, 2 nnz)
+    values of w + w^T on the CSR layout (sym_rows, sym_cols).  The base part
+    sums a C-ordered (R, size) block and the spill part row by row, so each
+    row's value is bit for bit its value alone."""
+    own = base[member].reshape(len(member), -1)
+    spill = [v[m[sym_rows] & m[sym_cols]].sum() for v, m in zip(sym, member)]
+    return own.sum(axis=1) + 0.5 * np.array(spill)
 
 
 def welfare_value(graph: ContactGraph, pop: Population, params: SirParams,

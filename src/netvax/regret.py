@@ -136,9 +136,10 @@ class RegretReport:
 @dataclass(frozen=True)
 class RegretTruth:
     """The true-parameter half of a regret decomposition, shared by every
-    estimate drawn for one instance and capacity: the true objective, its
-    optimum, and the instance statistics the bound reads."""
+    estimate drawn for one instance and capacity: the instance's pattern,
+    the true objective compiled on it, its optimum and the bound's inputs."""
 
+    pattern: ContextPattern
     ctx: ObjectiveContext
     optimum: SolverResult
     capacity: int
@@ -146,7 +147,6 @@ class RegretTruth:
     max_degree: int
     n_infected: int
     max_weight: float
-
 
     def bound(self, n_external: Optional[int]) -> float:
         """regret_upper_bound at the true optimum, nan without n_external."""
@@ -157,49 +157,57 @@ class RegretTruth:
                                   self.optimum.f_value)
 
 
-def compile_truth(graph: ContactGraph, pop: Population, ctx_true: ObjectiveContext,
-                  d: int, use_brute: bool) -> RegretTruth:
-    """Locate the true optimum on ctx_true, the objective compiled with the
-    true parameters (build_context(graph, pop, true_params), or the ctx of
-    a drawn Instance), by exhaustive search or, without use_brute, greedy."""
+def compile_truth(graph: ContactGraph, pop: Population, pattern: ContextPattern,
+                  true_params: SirParams, d: int, use_brute: bool) -> RegretTruth:
+    """Compile the true objective on pattern, ContextPattern(graph, pop), and
+    locate its optimum by exhaustive search or, without use_brute, greedy."""
+    ctx_true = pattern.context(true_params)
     # greedy_capacity refuses d = 0; brute force returns the empty allocation
     optimum = (greedy_capacity(ctx_true, d) if d >= 1 and not use_brute
                else brute_force(ctx_true, d))
     return RegretTruth(
-        ctx=ctx_true, optimum=optimum, capacity=d, use_brute=use_brute,
+        pattern=pattern, ctx=ctx_true, optimum=optimum, capacity=d, use_brute=use_brute,
         max_degree=int(graph.degree.max()), n_infected=int(pop.infected.sum()),
         max_weight=float(pop.weight.max()))
 
 
-def decompose_regret(truth: RegretTruth, pattern: ContextPattern, beta: np.ndarray,
-                     gamma: np.ndarray) -> np.ndarray:
+def decompose_regret(truth: RegretTruth, beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """The (4, R) estimation, optimization and evaluation gaps and totals of
-    R estimates, given as rates beta (R, 2, 2) and gamma (R, 2) on the
-    truth's ContextPattern.  The chosen set is greedy on the estimate; the
+    R estimates, given as rates beta (R, 2, 2) and gamma (R, 2) filled on
+    the truth's pattern.  The chosen set is greedy on the estimate; the
     estimated optimum comes from the same search as the true one, so without
-    use_brute it is the chosen set itself.  Estimates are filled, solved and
-    evaluated in blocks of rows whose (rows, max(n, 2 nnz)) arrays hold at
-    most _BATCH_CELLS values; every value is bit for bit that of
-    pattern.context, greedy_capacity, brute_force and objective_value.
+    use_brute it is the chosen set itself.  Estimates are taken in blocks
+    whose (rows, max(n, 2 nnz)) arrays hold at most _BATCH_CELLS values, or
+    one row's if more (solvers._brute bounds its blocks alike); every value
+    is bit for bit that of the estimate's context, greedy, brute-force
+    search and objective_value alone.
     """
-    ctx, d = truth.ctx, truth.capacity
-    k = min(d, ctx.n_units)
+    pattern, ctx, d = truth.pattern, truth.ctx, truth.capacity
+    n = ctx.n_units
+    layout = pattern._sym_rows, pattern._sym_cols
     f_true_star = truth.optimum.f_value
-    layout = ctx._sym_rows, ctx._sym_cols
     gaps = np.empty((4, len(beta)))
-    step = max(1, _BATCH_CELLS // max(ctx.n_units, ctx._sym_vals.size))
+    step = max(1, _BATCH_CELLS // max(n, layout[0].size))
     for lo in range(0, len(beta), step):
         base, sym = pattern.fill(beta[lo:lo + step], gamma[lo:lo + step])
-        chosen = _greedy(base, ctx._sym_indptr, ctx._sym_cols, sym, d,
-                         np.zeros(ctx.n_units, dtype=np.int8), (d,))[0]
+        chosen = _members(_greedy(base, pattern._indptr, layout[1], sym, d,
+                                  np.zeros(n, dtype=np.int8), (d,))[0], n)
         f_est_chosen = _f_rows(base, sym, *layout, chosen)
         f_true_chosen = _f_rows(np.broadcast_to(ctx._base_gain, base.shape),
                                 np.broadcast_to(ctx._sym_vals, sym.shape), *layout, chosen)
-        f_est_star = (_f_rows(base, sym, *layout, _brute(base, sym, *layout, k))
+        f_est_star = (_f_rows(base, sym, *layout,
+                              _members(_brute(base, sym, *layout, min(d, n)), n))
                       if truth.use_brute else f_est_chosen)
         gaps[:, lo:lo + step] = (f_true_star - f_est_star, f_est_star - f_est_chosen,
                                  f_est_chosen - f_true_chosen, f_true_star - f_true_chosen)
     return gaps
+
+
+def _members(units: np.ndarray, n: int) -> np.ndarray:
+    """The (R, n) membership mask of the allocations in the rows of units."""
+    member = np.zeros((len(units), n), dtype=bool)
+    np.put_along_axis(member, units, True, axis=1)
+    return member
 
 
 def empirical_regret(graph: ContactGraph, pop: Population,
@@ -219,9 +227,9 @@ def empirical_regret(graph: ContactGraph, pop: Population,
     with the same result per estimate.
     """
     pattern = ContextPattern(graph, pop)
-    truth = compile_truth(graph, pop, pattern.context(true_params), d, use_brute)
+    truth = compile_truth(graph, pop, pattern, true_params, d, use_brute)
     gap1, gap2, gap3, total = decompose_regret(
-        truth, pattern, est_params.beta[None], est_params.gamma[None])[:, 0].tolist()
+        truth, est_params.beta[None], est_params.gamma[None])[:, 0].tolist()
     return RegretReport(
         estimation_gap=gap1, optimization_gap=gap2, evaluation_gap=gap3,
         total=total, bound=truth.bound(n_external), max_degree=truth.max_degree,

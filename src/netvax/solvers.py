@@ -36,8 +36,9 @@ __all__ = [
 
 ENUMERATION_BUDGET = 10**8
 _DENSE_LIMIT = 4096
-# Values in one array of a batched search: objectives x subsets x k * k in a
-# brute-force block, objectives x max(n, 2 nnz) in a regret-study block
+_PAIR_CELLS = 2_000_000  # subsets x k * k pair indices in one enumeration block
+# Values in one array of a batched search (or one objective's, if more), as
+# objectives x max(n, 2 nnz), x max(subsets x k * k, n * n) or x subsets x k * k
 _BATCH_CELLS = 2**15
 
 
@@ -199,17 +200,18 @@ def _brute(base: np.ndarray, sym: np.ndarray, sym_rows: np.ndarray,
            sym_cols: np.ndarray, k: int) -> np.ndarray:
     """brute_force's (R, k) picks on R objectives, given as (R, n) base gains
     and (R, 2 nnz) values of w + w^T on the CSR layout (sym_rows, sym_cols).
-    Objectives and subsets are scored in blocks of at most _BATCH_CELLS pair
-    values.  A block that holds every subset is kept per (n, k) in a small
-    LRU cache; longer enumerations are streamed for each block of objectives."""
+    Subsets come in blocks of at most _PAIR_CELLS / k^2 rows, one kept per
+    (n, k) in a small LRU cache when it holds them all, and are scored in
+    takes of at most _BATCH_CELLS pair values."""
     n = base.shape[1]
     if k == 0:
         return np.empty((len(base), 0), dtype=np.int64)
     if k == 1:
         return _tie_scan(base, np.full(len(base), -np.inf))[0][:, None]
     count = math.comb(n, k)
-    step = max(1, _BATCH_CELLS // (count * k * k))
-    chunk = max(1, _BATCH_CELLS // (step * k * k))
+    step = max(1, _BATCH_CELLS // max(count * k * k, n * n))
+    width = max(1, _BATCH_CELLS // (step * k * k))
+    chunk = max(1, _PAIR_CELLS // (k * k))
     best = np.empty((len(base), k), dtype=np.int64)
     for lo in range(0, len(base), step):
         pair = np.zeros((len(base[lo:lo + step]), n * n))
@@ -217,12 +219,13 @@ def _brute(base: np.ndarray, sym: np.ndarray, sym_rows: np.ndarray,
         best_val = np.full(len(pair), -np.inf)
         blocks = [_enumeration(n, k)] if count <= chunk else _pair_blocks(n, k, chunk)
         for combos, pairs in blocks:
-            # np.take gives C-ordered blocks, whose sums match one objective's
-            vals = np.take(base[lo:lo + step], combos, axis=1).sum(axis=2)
-            vals += 0.5 * np.take(pair, pairs, axis=1).sum(axis=(2, 3))
-            local, best_val = _tie_scan(vals, best_val)
-            hit = np.flatnonzero(local >= 0)
-            best[lo + hit] = combos[local[hit]]
+            for at in range(0, len(combos), width):
+                # np.take gives C-ordered blocks, whose sums match one objective's
+                vals = np.take(base[lo:lo + step], combos[at:at + width], axis=1).sum(axis=2)
+                vals += 0.5 * np.take(pair, pairs[at:at + width], axis=1).sum(axis=(2, 3))
+                local, best_val = _tie_scan(vals, best_val)
+                hit = np.flatnonzero(local >= 0)
+                best[lo + hit] = combos[at + local[hit]]
     return best
 
 

@@ -503,9 +503,10 @@ def test_regret_study_equals_the_per_estimate_loop(n, density, cap, use_brute, r
 @pytest.mark.parametrize("use_brute", [True, False])
 def test_regret_study_split_into_blocks_equals_the_per_estimate_loop(use_brute, monkeypatch):
     # 100 cells: a few estimates per fill block, one per brute-force block,
-    # whose subsets are streamed
+    # whose 66 subsets are streamed in blocks of 40 and scored 25 at a time
     for module in (solvers, regret):
         monkeypatch.setattr(module, "_BATCH_CELLS", 100)
+    monkeypatch.setattr(solvers, "_PAIR_CELLS", 160)
     study = RegretStudyConfig(
         experiment=ExperimentConfig(n_units=12, density=0.4, seed=3),
         capacity=2, n_grid=(10, 1000), replications=7, use_brute=use_brute)

@@ -212,12 +212,18 @@ def test_brute_force_matches_streamed_search(seed, monkeypatch):
             assert_same_search(brute_force(ctx, d), brute_force_streamed(ctx, d))
         # a few rows per block forces a streamed, multi-block search
         solvers._enumeration.cache_clear()
-        monkeypatch.setattr(solvers, "_BATCH_CELLS", 40)
+        monkeypatch.setattr(solvers, "_PAIR_CELLS", 40)
         for d in (2, 3, n - 2):
             assert 40 // (d * d) < math.comb(n, d)
             assert_same_search(brute_force(ctx, d), brute_force_streamed(ctx, d))
         info = solvers._enumeration.cache_info()
         assert info.currsize == 0 and info.misses == 0
+        monkeypatch.undo()
+        # a small take bound scores the cached enumeration a few subsets at a time
+        monkeypatch.setattr(solvers, "_BATCH_CELLS", 24)
+        for d in (2, 3, n - 2):
+            assert 24 // (d * d) < math.comb(n, d)
+            assert_same_search(brute_force(ctx, d), brute_force_streamed(ctx, d))
         monkeypatch.undo()
 
 
