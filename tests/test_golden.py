@@ -1,7 +1,7 @@
 """Golden CLI outputs, compared byte for byte: the TINY config's experiment
-CSV and random-policy solve record in both welfare modes, its regret study
-CSV with brute force, a greedy-mode regret study at N = 60, and one
-generated edge list.
+CSV and every policy's solve record in both welfare modes, a greedy solve
+record on the golden edge list, its regret study CSV with brute force, a
+greedy-mode regret study at N = 60, and one generated edge list.
 
 A change that moves one of these outputs regenerates the files with
 
@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from netvax.cli import EXIT_OK, main
+from netvax.harness import POLICIES
 
 from test_cli import TINY_CONFIG
 
@@ -28,12 +29,19 @@ CONFIGS = {
     "regret_greedy": TINY_CONFIG.replace("n_units = 12", "n_units = 60")
     + "regret_capacity = 12\nregret_use_brute = false\n",
 }
+# seed 1 at d = 3: every policy's exact-mode welfare lies below 1
+SOLVE = ["solve", "--seed", "1", "--capacity-fraction", "0.25", "--policy"]
 # output file: (config, command); runtime_ms is blanked in experiment CSVs
 COMMANDS = {
     "experiment_linear.csv": ("linear", ["experiment"]),
     "experiment_exact.csv": ("exact", ["experiment", "--mode", "exact"]),
     "solve_random_linear.jsonl": ("linear", ["solve", "--policy", "random"]),
     "solve_random_exact.jsonl": ("exact", ["solve", "--policy", "random"]),
+    **{f"solve_{policy}_{mode}.jsonl": (mode, [*SOLVE, policy])
+       for policy in POLICIES if policy != "random" for mode in ("linear", "exact")},
+    # the population drawn on a loaded network; seed 5 leaves some infected
+    "solve_edges_greedy.jsonl": ("exact", ["solve", "--seed", "5", "--capacity-fraction",
+                                           "0.25", "--edges", str(GOLDEN / "gen_15.edges")]),
     "regret_brute.csv": ("regret_brute", ["regret"]),
     "regret_greedy.csv": ("regret_greedy", ["regret"]),
     "gen_15.edges": (None, ["gen", "--n", "15", "--density", "0.5", "--seed", "1"]),
