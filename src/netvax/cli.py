@@ -129,16 +129,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     config = _override(harness.parse_experiment_config(_read_config(args.config)), args)
-    params = config.params()
     seed = harness.replicate_seed(config.seed, 0)
-    if args.edges is not None:
-        inst = harness.instance_on_graph(_read_edges(args.edges), params,
-                                         config.group1_probability,
-                                         config.initial_states, config.weights, seed)
-    else:
-        inst = harness.draw_instance(config.n_units, config.density, params,
-                                     config.group1_probability,
-                                     config.initial_states, config.weights, seed)
+    inst = config.instance(seed, None if args.edges is None else _read_edges(args.edges))
     fraction = config.capacity_fractions[0]
     d = harness.capacity_budget(fraction, inst.graph.n_units)
     out = harness.run_policy(inst, args.policy, d, config)
@@ -153,7 +145,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             draws = config.random_draws
             sd_welfare = sampled_welfare_sd(
                 harness.replicate_seed(seed, 10_000), inst.graph.n_units, d, draws,
-                inst.pattern.welfare(params, "exact"))
+                inst.pattern.welfare(inst.params, "exact"))
         record.update(mean_f=summary.mean_f, sd_f=summary.sd_f,
                       mean_welfare=summary.mean_welfare,
                       sd_welfare=sd_welfare, draws=draws)

@@ -27,9 +27,9 @@ class EdgeListError(ValueError):
 
 
 class ContactGraph:
-    """Immutable undirected graph stored as a canonical edge array plus a
-    CSR-style adjacency (sorted neighbor arrays) for traversal, both built
-    by sorting int64 keys ``i * n_units + j``; needs ``n_units**2 < 2**63``.
+    """Immutable undirected graph stored as a canonical edge array and the
+    unit degrees; edges are deduplicated by sorting int64 keys
+    ``i * n_units + j`` (i < j), so ``n_units**2 < 2**63`` is required.
 
     Parameters
     ----------
@@ -65,13 +65,8 @@ class ContactGraph:
         self.n_units = n_units
         self.edges = np.column_stack([lo, hi])  # (m, 2), i < j, lexicographically sorted
         self.edges.setflags(write=False)
-
-        # adjacency: both orientations, grouped by source, sorted within a source
-        self._adj = np.sort(np.concatenate([key, hi * n_units + lo])) % n_units
-        self._adj.setflags(write=False)
         self.degree = np.bincount(np.concatenate([lo, hi]), minlength=n_units)
         self.degree.setflags(write=False)
-        self._indptr = np.concatenate([[0], np.cumsum(self.degree)])
 
     @property
     def n_edges(self) -> int:

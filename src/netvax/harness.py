@@ -24,8 +24,7 @@ import numpy as np
 from .epidemic import GROUP1, GROUP2, RECOVERED, Population, SirParams
 from .graph import ContactGraph, erdos_renyi
 from .objective import (Allocation, ContextPattern, ObjectiveContext,
-                        check_submodular, marginal_gain, objective_value,
-                        welfare_value)
+                        check_submodular, marginal_gain, objective_value)
 from .regret import (EstimationNoiseModel, _draw_estimates, compile_truth,
                      decompose_regret)
 from .solvers import (ENUMERATION_BUDGET, BudgetError, RandomAssignmentSummary,
@@ -167,6 +166,15 @@ class ExperimentConfig:
             return self.parameter_set
         return PARAMETER_SETS[self.parameter_set]
 
+    def instance(self, seed: int, graph: Optional[ContactGraph] = None) -> "Instance":
+        """This config's instance for seed: draw_instance, or
+        instance_on_graph when a network is given."""
+        drawn = (self.params(), self.group1_probability, self.initial_states,
+                 self.weights, seed)
+        if graph is None:
+            return draw_instance(self.n_units, self.density, *drawn)
+        return instance_on_graph(graph, *drawn)
+
 
 @dataclass(frozen=True)
 class ExperimentRow:
@@ -304,16 +312,12 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     Per replicate all policies see the same instance, and nothing is drawn
     beyond it.  Rows come back sorted by (policy, capacity fraction).
     """
-    params = config.params()
     cells: dict[tuple[str, float], dict[str, list[float]]] = {
         (pol, frac): {"welfare": [], "f": [], "pct": [], "ms": []}
         for pol in config.policies for frac in config.capacity_fractions}
 
     for k in range(config.n_networks):
-        seed_k = replicate_seed(config.seed, k)
-        inst = draw_instance(config.n_units, config.density, params,
-                             config.group1_probability, config.initial_states,
-                             config.weights, seed_k)
+        inst = config.instance(replicate_seed(config.seed, k))
         for frac in config.capacity_fractions:
             d = capacity_budget(frac, config.n_units)
             for pol in config.policies:
@@ -420,18 +424,15 @@ def run_regret_study(config: RegretStudyConfig) -> list[RegretStudyRow]:
             raise BudgetError(
                 f"{searches} searches of C({exp.n_units},{k}) subsets = {subsets}"
                 f" exceed the enumeration budget of {ENUMERATION_BUDGET}")
-    params = exp.params()
-    inst = draw_instance(exp.n_units, exp.density, params,
-                         exp.group1_probability, exp.initial_states,
-                         exp.weights, replicate_seed(exp.seed, 0))
-    truth = compile_truth(inst.graph, inst.pop, inst.pattern, params, config.capacity,
-                          config.use_brute)
+    inst = exp.instance(replicate_seed(exp.seed, 0))
+    truth = compile_truth(inst.graph, inst.pop, inst.pattern, inst.params,
+                          config.capacity, config.use_brute)
     rows = []
     for gi, n_external in enumerate(config.n_grid):
         seeds = [replicate_seed(exp.seed, 1_000_000 + gi * config.replications + rep)
                  for rep in range(config.replications)]
         gap1, gap2, gap3, total = decompose_regret(truth, *_draw_estimates(
-            params, EstimationNoiseModel(n_external=n_external), seeds))
+            inst.params, EstimationNoiseModel(n_external=n_external), seeds))
         mean_total = float(np.mean(total))
         bound = truth.bound(n_external)
         rows.append(RegretStudyRow(
@@ -597,11 +598,6 @@ class CheckResult:
     detail: str
 
 
-def _check_instance(density: float, seed: int) -> Instance:
-    return draw_instance(16, density, PARAMETER_SETS["set1"], 0.4,
-                         ((0.7, 0.2, 0.1), (0.7, 0.2, 0.1)), (1.0, 1.0), seed)
-
-
 def run_property_checks(seed: int = 0, trials: int = 1000) -> list[CheckResult]:
     """Structural invariants on seeded instances; used by the CLI check
     command and exercised directly in the test suite."""
@@ -609,13 +605,14 @@ def run_property_checks(seed: int = 0, trials: int = 1000) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
 
     for density in (0.1, 0.5, 1.0):
-        inst = _check_instance(density, replicate_seed(seed, int(density * 10)))
+        inst = ExperimentConfig(n_units=16, density=density).instance(
+            replicate_seed(seed, int(density * 10)))
         report = check_submodular(inst.ctx, trials=trials, seed=seed)
         results.append(CheckResult(
             f"submodularity_density_{density:g}", report.passed,
             f"{report.trials} chain triples"))
 
-    inst = _check_instance(0.5, replicate_seed(seed, 42))
+    inst = ExperimentConfig(n_units=16, density=0.5).instance(replicate_seed(seed, 42))
     worst = 0.0
     for _ in range(200):
         size = int(rng.integers(0, inst.ctx.n_units))
@@ -632,11 +629,12 @@ def run_property_checks(seed: int = 0, trials: int = 1000) -> list[CheckResult]:
                                f"max deviation {worst:.3e}"))
 
     offsets = []
+    welfare = inst.pattern.welfare(inst.params, "linear")
     for _ in range(100):
         size = int(rng.integers(0, inst.ctx.n_units + 1))
         units = rng.permutation(inst.ctx.n_units)[:size]
         alloc = Allocation(frozenset(int(u) for u in units), capacity=inst.ctx.n_units)
-        w = welfare_value(inst.graph, inst.pop, inst.params, alloc, mode="linear")
+        w = float(welfare(alloc.sorted_units()[None])[0])
         offsets.append(w - objective_value(inst.ctx, alloc))
     spread = max(offsets) - min(offsets)
     results.append(CheckResult("welfare_offset_constant", spread <= 1e-12,
@@ -656,9 +654,7 @@ def run_property_checks(seed: int = 0, trials: int = 1000) -> list[CheckResult]:
                                    if not report.passed else
                                    "flipped spillover weight NOT caught"))
 
-    small = draw_instance(12, 0.5, PARAMETER_SETS["set1"], 0.4,
-                          ((0.7, 0.2, 0.1), (0.7, 0.2, 0.1)), (1.0, 1.0),
-                          replicate_seed(seed, 7))
+    small = ExperimentConfig(n_units=12, density=0.5).instance(replicate_seed(seed, 7))
     greedy_res = greedy_capacity(small.ctx, 3)
     brute_res = brute_force(small.ctx, 3)
     lo = greedy_factor(3) * brute_res.f_value - 1e-12

@@ -113,7 +113,11 @@ class ObjectiveContext:
         vals = np.asarray(spill_vals, dtype=float)
         if not (rows.shape == cols.shape == vals.shape) or rows.ndim != 1:
             raise ValueError("spill triplets must be parallel 1-D arrays")
-        _check_spill(n_units, rows, cols)
+        if rows.size and (rows.min() < 0 or rows.max() >= n_units
+                          or cols.min() < 0 or cols.max() >= n_units):
+            raise ValueError("spill indices out of range")
+        if np.any(rows == cols):
+            raise ValueError("spill weights must be off-diagonal")
         # w + w^T with repeated (i, j) entries summed into one, which sym_row's
         # callers and _f_moments rely on; its row sums are w's row plus column sums
         sym = _csr(n_units, np.concatenate([rows, cols]), np.concatenate([cols, rows]),
@@ -148,15 +152,6 @@ class ObjectiveContext:
         """Nonzero columns and values of row ``unit`` of w + w^T."""
         lo, hi = self._sym_indptr[unit], self._sym_indptr[unit + 1]
         return self._sym_cols[lo:hi], self._sym_vals[lo:hi]
-
-
-def _check_spill(n: int, rows: np.ndarray, cols: np.ndarray) -> None:
-    """Reject spill entries outside range(n) or on the diagonal."""
-    if rows.size and (rows.min() < 0 or rows.max() >= n
-                      or cols.min() < 0 or cols.max() >= n):
-        raise ValueError("spill indices out of range")
-    if np.any(rows == cols):
-        raise ValueError("spill weights must be off-diagonal")
 
 
 def _csr(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
@@ -254,14 +249,15 @@ class ContextPattern:
     both orientations of every edge, first (lo, hi) then (hi, lo), in edge
     order, the (g_i, g_j) group pair of each, their -weight_i
     and deg_i * n factors, and the positions of the doubled entries in
-    w + w^T as CSR arrays.  The index range and the off-diagonal rule are
-    checked once here.  No (i, j) repeats, since w_ij needs i susceptible
-    and j infected, so the CSR form is a permutation of the entries.
+    w + w^T as CSR arrays.  The entries come from the graph's edges, so
+    they lie in range and off the diagonal.  No (i, j) repeats, since w_ij
+    needs i susceptible and j infected, so the CSR form is a permutation of
+    the entries.
 
     context(params) fills in the values only, with build_context's
     arithmetic in its order, so every array it returns is bit-identical to
-    a fresh compile; fill(beta, gamma) gives the base gains and w + w^T of
-    many rate sets at once.  A study that compiles many parameter sets on
+    a fresh compile; fill(beta, gamma) gives the base gains, w + w^T and
+    the spill values of many rate sets at once.  A study that compiles many parameter sets on
     one instance builds the pattern once.  welfare(params, mode) reads the same
     CSR arrays for the welfare of allocation blocks.
     """
@@ -275,7 +271,6 @@ class ContextPattern:
         j = np.concatenate([e[:, 1], e[:, 0]])
         keep = sus[i] & pop.infected[j]
         rows, cols = i[keep], j[keep]
-        _check_spill(n, rows, cols)
         deg = np.maximum(graph.degree, 1).astype(float)
         self.n_units = n
         self._pop = pop
@@ -290,23 +285,20 @@ class ContextPattern:
             n, np.concatenate([rows, cols]), np.concatenate([cols, rows]),
             np.concatenate([entry, entry]))
         assert self._entry.size == 2 * rows.size, "a spillover entry repeats"
-        self._first = np.empty_like(entry)  # one CSR position of each entry
-        self._first[self._entry] = np.arange(2 * rows.size)
         for arr in (rows, cols, self._indptr, self._sym_rows, self._sym_cols):
             arr.setflags(write=False)
 
     def context(self, params: SirParams) -> ObjectiveContext:
         """The objective compiled with params: build_context(graph, pop,
         params), sharing this pattern's index arrays (all read-only); fill's
-        one-row case, with the spill values read back from w + w^T."""
+        one-row case."""
         n, pop, sus = self.n_units, self._pop, self._sus
-        base, sym = self.fill(params.beta[None], params.gamma[None])
+        base, sym, vals = self.fill(params.beta[None], params.gamma[None])
         z = np.bincount(self._rows, np.take(params.beta, self._pair), minlength=n)[sus]
         const = _healthy_share(pop, params, np.arange(0), z / self._deg[sus], "linear")
         ctx = ObjectiveContext.__new__(ObjectiveContext)
-        ctx._fill(n, self._direct_gain(params.gamma), self._rows, self._cols,
-                  sym[0, self._first], const, self._indptr, self._sym_rows,
-                  self._sym_cols, sym[0], base[0])
+        ctx._fill(n, self._direct_gain(params.gamma), self._rows, self._cols, vals[0],
+                  const, self._indptr, self._sym_rows, self._sym_cols, sym[0], base[0])
         return ctx
 
     def _direct_gain(self, gamma: np.ndarray) -> np.ndarray:
@@ -314,13 +306,15 @@ class ContextPattern:
         return pop.weight * (1.0 - self._recovered - gamma[..., pop.group] * self._infected
                              - self._sus) / self.n_units
 
-    def fill(self, beta: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(R, n) base gains and (R, 2 nnz) values of w + w^T, in the CSR
-        layout of the contexts this pattern fills, of R rate sets beta
-        (R, 2, 2) and gamma (R, 2); build_context's arithmetic in its order."""
+    def fill(self, beta: np.ndarray, gamma: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(R, n) base gains, (R, 2 nnz) values of w + w^T in the CSR layout
+        of the contexts this pattern fills, and (R, nnz) spill values in
+        entry order, of R rate sets beta (R, 2, 2) and gamma (R, 2);
+        build_context's arithmetic in its order."""
         vals = self._neg_weight * beta.reshape(-1, 4)[:, self._pair]
         sym = np.take(np.divide(vals, self._deg_n, out=vals), self._entry, axis=1)
-        return self._direct_gain(gamma) - _row_sums(self._indptr, sym), sym
+        return self._direct_gain(gamma) - _row_sums(self._indptr, sym), sym, vals
 
     def welfare(self, params: SirParams, mode: str) -> Callable[[np.ndarray], np.ndarray]:
         """welfare_value in mode ("linear" or "exact") for blocks of

@@ -105,11 +105,12 @@ def objective_edge_sum(ctx, units):
 
 
 def neighbors(graph, unit):
-    """Sorted array of units adjacent to ``unit`` (read-only view of the
-    graph's adjacency)."""
+    """Sorted array of units adjacent to ``unit``, read from the adjacency
+    that graph_arrays builds from the graph's edges."""
     if not 0 <= unit < graph.n_units:
         raise ValueError(f"unit {unit} out of range")
-    return graph._adj[graph._indptr[unit]:graph._indptr[unit + 1]]
+    _, adj, _, indptr = graph_arrays(graph.n_units, graph.edges)
+    return adj[indptr[unit]:indptr[unit + 1]]
 
 
 def _infection_load(unit: int, graph: "ContactGraph", pop: Population,
