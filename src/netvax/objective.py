@@ -257,9 +257,10 @@ class ContextPattern:
     context(params) fills in the values only, with build_context's
     arithmetic in its order, so every array it returns is bit-identical to
     a fresh compile; fill(beta, gamma) gives the base gains, w + w^T and
-    the spill values of many rate sets at once.  A study that compiles many parameter sets on
-    one instance builds the pattern once.  welfare(params, mode) reads the same
-    CSR arrays for the welfare of allocation blocks.
+    the spill values of many rate sets at once.  A study that compiles many
+    parameter sets on one instance builds the pattern once.
+    welfare(params, mode) reads the same CSR arrays for the welfare of
+    allocation blocks.
     """
 
     def __init__(self, graph: ContactGraph, pop: Population) -> None:
@@ -281,11 +282,11 @@ class ContextPattern:
         self._sus, self._deg = sus, deg
         self._recovered, self._infected = pop.recovered, pop.infected
         entry = np.arange(rows.size)  # _entry: the entry at each CSR position
-        self._indptr, self._sym_rows, self._sym_cols, self._entry = _csr(
+        self._sym_indptr, self._sym_rows, self._sym_cols, self._entry = _csr(
             n, np.concatenate([rows, cols]), np.concatenate([cols, rows]),
             np.concatenate([entry, entry]))
         assert self._entry.size == 2 * rows.size, "a spillover entry repeats"
-        for arr in (rows, cols, self._indptr, self._sym_rows, self._sym_cols):
+        for arr in (rows, cols, self._sym_indptr, self._sym_rows, self._sym_cols):
             arr.setflags(write=False)
 
     def context(self, params: SirParams) -> ObjectiveContext:
@@ -298,7 +299,7 @@ class ContextPattern:
         const = _healthy_share(pop, params, np.arange(0), z / self._deg[sus], "linear")
         ctx = ObjectiveContext.__new__(ObjectiveContext)
         ctx._fill(n, self._direct_gain(params.gamma), self._rows, self._cols, vals[0],
-                  const, self._indptr, self._sym_rows, self._sym_cols, sym[0], base[0])
+                  const, self._sym_indptr, self._sym_rows, self._sym_cols, sym[0], base[0])
         return ctx
 
     def _direct_gain(self, gamma: np.ndarray) -> np.ndarray:
@@ -314,7 +315,7 @@ class ContextPattern:
         build_context's arithmetic in its order."""
         vals = self._neg_weight * beta.reshape(-1, 4)[:, self._pair]
         sym = np.take(np.divide(vals, self._deg_n, out=vals), self._entry, axis=1)
-        return self._direct_gain(gamma) - _row_sums(self._indptr, sym), sym, vals
+        return self._direct_gain(gamma) - _row_sums(self._sym_indptr, sym), sym, vals
 
     def welfare(self, params: SirParams, mode: str) -> Callable[[np.ndarray], np.ndarray]:
         """welfare_value in mode ("linear" or "exact") for blocks of
@@ -330,7 +331,7 @@ class ContextPattern:
         temporaries stay bounded at any density."""
         if mode not in ("linear", "exact"):
             raise ValueError(f"mode must be 'linear' or 'exact', got {mode!r}")
-        pop, sus, ptr = self._pop, self._sus, self._indptr
+        pop, sus, ptr = self._pop, self._sus, self._sym_indptr
         b = np.take(params.beta, self._pair) / self._deg[self._rows]
         vals = b[self._entry]
         z_empty = _row_sums(ptr, vals)[sus]
@@ -384,7 +385,7 @@ class ContextPattern:
         and bounded (prod_j x_uj = e^{z0_u} <= e), and no binomial is
         formed.  Units are taken in runs of fewer than _BLOCK_CELLS states.
         """
-        n, pop, ptr = self.n_units, self._pop, self._indptr
+        n, pop, ptr = self.n_units, self._pop, self._sym_indptr
         if not 0 < d <= n:
             raise ValueError(f"capacity must lie in [1, {n}], got {d}")
         held = pop.weight * (self._recovered + params.gamma[pop.group] * self._infected)

@@ -28,6 +28,7 @@ from netvax import (
     empirical_regret,
     emit_csv,
     emit_regret_csv,
+    erdos_renyi,
     parse_experiment_config,
     parse_regret_config,
     replicate_seed,
@@ -40,6 +41,7 @@ from netvax import harness, objective, regret, solvers
 from netvax.harness import instance_on_graph, run_policy
 
 from _oracles import DEFAULT_DIST, regret_study_by_estimate
+from test_properties import CONTEXT_ARRAYS
 
 
 def test_replicate_seed_matches_direct_hash():
@@ -609,6 +611,37 @@ def test_instance_on_graph_matches_draw_instance_population():
     assert np.array_equal(placed.pop.group, drawn.pop.group)
     assert np.array_equal(placed.pop.weight, drawn.pop.weight)
     assert placed.graph.n_edges == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 30), st.floats(0.0, 1.0), st.sampled_from(sorted(PARAMETER_SETS)),
+       st.floats(0.0, 1.0),
+       st.sampled_from([DEFAULT_DIST, ((0.5, 0.3, 0.2), (0.9, 0.0, 0.1))]),
+       st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0)), st.integers(0, 2**64 - 1),
+       st.booleans())
+def test_config_instance_equals_spelled_out_draw(n, density, pset, share, dist, weights,
+                                                 seed, on_graph):
+    config = ExperimentConfig(n_units=n, density=density, parameter_set=pset,
+                              group1_probability=share, initial_states=dist,
+                              weights=weights)
+    params = PARAMETER_SETS[pset]
+    if on_graph:
+        graph = erdos_renyi(n, 1.0 - density, seed)
+        got = config.instance(seed, graph)
+        want = instance_on_graph(graph, params, share, dist, weights, seed)
+    else:
+        got = config.instance(seed)
+        want = draw_instance(n, density, params, share, dist, weights, seed)
+    pairs = [(got.graph, want.graph, ("edges", "degree")),
+             (got.pop, want.pop, ("state0", "group", "weight")),
+             (got.ctx, want.ctx, CONTEXT_ARRAYS)]
+    for a, b, names in pairs:
+        for name in names:
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.shape == y.shape, name
+            assert x.tobytes() == y.tobytes(), name
+    assert got.ctx.welfare_constant == want.ctx.welfare_constant
+    assert got.params is params
 
 
 def test_run_policy_targeting_caps_and_pct_young():
