@@ -147,7 +147,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 harness.replicate_seed(seed, 10_000), inst.graph.n_units, d, draws,
                 inst.pattern.welfare(inst.params, "exact"))
         record.update(mean_f=summary.mean_f, sd_f=summary.sd_f,
-                      mean_welfare=summary.mean_welfare,
+                      mean_welfare=out.welfare,
                       sd_welfare=sd_welfare, draws=draws)
     else:
         res = out.result

@@ -74,6 +74,7 @@ class Population:
     state0 : current health state per unit (SUSCEPTIBLE/INFECTED/RECOVERED).
     group : group label per unit (GROUP1/GROUP2).
     weight : non-negative welfare weight per unit.
+    susceptible/infected/recovered : boolean masks of state0, set once.
     """
 
     state0: np.ndarray
@@ -94,24 +95,13 @@ class Population:
             raise ValueError("group entries must be GROUP1 or GROUP2")
         if not np.all((weight >= 0) & np.isfinite(weight)):
             raise ValueError("weights must be finite and non-negative")
-        for arr in (state0, group, weight):
+        for name, arr in (("state0", state0), ("group", group), ("weight", weight),
+                          ("susceptible", state0 == SUSCEPTIBLE),
+                          ("infected", state0 == INFECTED),
+                          ("recovered", state0 == RECOVERED)):
             arr.setflags(write=False)
-        object.__setattr__(self, "state0", state0)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "weight", weight)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_units(self) -> int:
         return int(self.state0.size)
-
-    @property
-    def susceptible(self) -> np.ndarray:
-        return self.state0 == SUSCEPTIBLE
-
-    @property
-    def infected(self) -> np.ndarray:
-        return self.state0 == INFECTED
-
-    @property
-    def recovered(self) -> np.ndarray:
-        return self.state0 == RECOVERED

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
 import hashlib
 import math
 import time
@@ -34,8 +33,6 @@ from .solvers import (ENUMERATION_BUDGET, BudgetError, RandomAssignmentSummary,
 __all__ = [
     "PARAMETER_SETS",
     "POLICIES",
-    "CSV_HEADER",
-    "REGRET_CSV_HEADER",
     "ConfigError",
     "ExperimentConfig",
     "ExperimentRow",
@@ -66,13 +63,6 @@ PARAMETER_SETS = {
 }
 
 POLICIES = ("greedy", "greedy_targeting", "brute", "random", "twni")
-
-CSV_HEADER = ("policy", "capacity_fraction", "mean_welfare", "sd_welfare",
-              "mean_f", "pct_young_vaccinated", "runtime_ms")
-
-REGRET_CSV_HEADER = ("n_external", "replications", "capacity", "mean_total",
-                     "mean_estimation_gap", "mean_optimization_gap",
-                     "mean_evaluation_gap", "mean_noise_gap", "bound", "slack")
 
 
 class ConfigError(ValueError):
@@ -281,10 +271,11 @@ def run_policy(inst: Instance, policy: str, d: int, config: ExperimentConfig
     group = inst.pop.group
     exact = config.mode == "exact"
     if policy == "random":
-        summary = random_assignment(inst.ctx, d, functools.partial(
-            inst.pattern.random_welfare, inst.params) if exact else None)
+        summary = random_assignment(inst.ctx, d)
+        welfare = (inst.pattern.random_welfare(inst.params, d) if exact
+                   else summary.mean_welfare)
         young = 100.0 * int((group == GROUP1).sum()) / n
-        return PolicyOutcome(summary, summary.mean_welfare, summary.mean_f, young)
+        return PolicyOutcome(summary, welfare, summary.mean_f, young)
     if policy == "greedy":
         res = greedy_capacity(inst.ctx, d)
     elif policy == "brute":
@@ -345,23 +336,22 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     return rows
 
 
-def emit_csv(rows: Sequence[ExperimentRow], sink: IO[str]) -> None:
-    """Write experiment rows with the fixed header; welfare columns carry six
-    decimal places.  Refuses an empty row list."""
+def _emit(rows: Sequence, sink: IO[str], formats: Sequence[str]) -> None:
+    """Write rows of one dataclass as CSV under its field names, each value
+    formatted with the spec at its position.  Refuses an empty row list."""
     if not rows:
-        raise ValueError("no experiment rows to emit")
+        raise ValueError("no rows to emit")
+    names = [f.name for f in dataclasses.fields(rows[0])]
     writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for row in rows:
-        writer.writerow([
-            row.policy,
-            f"{row.capacity_fraction:g}",
-            f"{row.mean_welfare:.6f}",
-            f"{row.sd_welfare:.6f}",
-            f"{row.mean_f:.6f}",
-            f"{row.pct_young_vaccinated:.2f}",
-            f"{row.runtime_ms:.3f}",
-        ])
+    writer.writerow(names)
+    writer.writerows([format(getattr(row, name), spec) for name, spec in zip(names, formats)]
+                     for row in rows)
+
+
+def emit_csv(rows: Sequence[ExperimentRow], sink: IO[str]) -> None:
+    """Write experiment rows under ExperimentRow's field names; welfare
+    columns carry six decimal places.  Refuses an empty row list."""
+    _emit(rows, sink, ("", "g", ".6f", ".6f", ".6f", ".2f", ".3f"))
 
 
 @dataclass(frozen=True)
@@ -447,17 +437,8 @@ def run_regret_study(config: RegretStudyConfig) -> list[RegretStudyRow]:
 
 
 def emit_regret_csv(rows: Sequence[RegretStudyRow], sink: IO[str]) -> None:
-    if not rows:
-        raise ValueError("no regret rows to emit")
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(REGRET_CSV_HEADER)
-    for row in rows:
-        writer.writerow([
-            row.n_external, row.replications, row.capacity,
-            f"{row.mean_total:.6f}", f"{row.mean_estimation_gap:.6f}",
-            f"{row.mean_optimization_gap:.6f}", f"{row.mean_evaluation_gap:.6f}",
-            f"{row.mean_noise_gap:.6f}", f"{row.bound:.6f}", f"{row.slack:.6f}",
-        ])
+    """emit_csv for regret rows; every float carries six decimal places."""
+    _emit(rows, sink, ("", "", "") + (".6f",) * 7)
 
 
 _EXPERIMENT_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}

@@ -144,10 +144,6 @@ class ObjectiveContext:
                     sym_vals, self._base_gain):
             arr.setflags(write=False)
 
-    def initial_gains(self) -> np.ndarray:
-        """Marginal gain of each unit at the empty allocation (fresh copy)."""
-        return self._base_gain.copy()
-
     def sym_row(self, unit: int) -> tuple[np.ndarray, np.ndarray]:
         """Nonzero columns and values of row ``unit`` of w + w^T."""
         lo, hi = self._sym_indptr[unit], self._sym_indptr[unit + 1]
@@ -259,8 +255,9 @@ class ContextPattern:
     a fresh compile; fill(beta, gamma) gives the base gains, w + w^T and
     the spill values of many rate sets at once.  A study that compiles many
     parameter sets on one instance builds the pattern once.
-    welfare(params, mode) reads the same CSR arrays for the welfare of
-    allocation blocks.
+    welfare(params, mode) and random_welfare(params, d) read the same CSR
+    arrays, through _exposure, for the welfare of allocation blocks and its
+    mean over random allocations.
     """
 
     def __init__(self, graph: ContactGraph, pop: Population) -> None:
@@ -279,8 +276,7 @@ class ContextPattern:
         self._pair = 2 * pop.group[rows].astype(np.int64) + pop.group[cols]
         self._neg_weight = -pop.weight[rows]
         self._deg_n = deg[rows] * n
-        self._sus, self._deg = sus, deg
-        self._recovered, self._infected = pop.recovered, pop.infected
+        self._deg = deg
         entry = np.arange(rows.size)  # _entry: the entry at each CSR position
         self._sym_indptr, self._sym_rows, self._sym_cols, self._entry = _csr(
             n, np.concatenate([rows, cols]), np.concatenate([cols, rows]),
@@ -293,7 +289,7 @@ class ContextPattern:
         """The objective compiled with params: build_context(graph, pop,
         params), sharing this pattern's index arrays (all read-only); fill's
         one-row case."""
-        n, pop, sus = self.n_units, self._pop, self._sus
+        n, pop, sus = self.n_units, self._pop, self._pop.susceptible
         base, sym, vals = self.fill(params.beta[None], params.gamma[None])
         z = np.bincount(self._rows, np.take(params.beta, self._pair), minlength=n)[sus]
         const = _healthy_share(pop, params, np.arange(0), z / self._deg[sus], "linear")
@@ -304,8 +300,8 @@ class ContextPattern:
 
     def _direct_gain(self, gamma: np.ndarray) -> np.ndarray:
         pop = self._pop
-        return pop.weight * (1.0 - self._recovered - gamma[..., pop.group] * self._infected
-                             - self._sus) / self.n_units
+        return pop.weight * (1.0 - pop.recovered - gamma[..., pop.group] * pop.infected
+                             - pop.susceptible) / self.n_units
 
     def fill(self, beta: np.ndarray, gamma: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -316,6 +312,13 @@ class ContextPattern:
         vals = self._neg_weight * beta.reshape(-1, 4)[:, self._pair]
         sym = np.take(np.divide(vals, self._deg_n, out=vals), self._entry, axis=1)
         return self._direct_gain(gamma) - _row_sums(self._sym_indptr, sym), sym, vals
+
+    def _exposure(self, params: SirParams) -> tuple[np.ndarray, np.ndarray]:
+        """beta[g_i, g_j] / deg_i of each entry (susceptible i, infected j) at
+        its CSR positions in w + w^T, and the exposure z0 of each susceptible
+        unit with no one vaccinated: its row sums, in ascending unit order."""
+        vals = (np.take(params.beta, self._pair) / self._deg[self._rows])[self._entry]
+        return vals, _row_sums(self._sym_indptr, vals)[self._pop.susceptible]
 
     def welfare(self, params: SirParams, mode: str) -> Callable[[np.ndarray], np.ndarray]:
         """welfare_value in mode ("linear" or "exact") for blocks of
@@ -331,14 +334,12 @@ class ContextPattern:
         temporaries stay bounded at any density."""
         if mode not in ("linear", "exact"):
             raise ValueError(f"mode must be 'linear' or 'exact', got {mode!r}")
-        pop, sus, ptr = self._pop, self._sus, self._sym_indptr
-        b = np.take(params.beta, self._pair) / self._deg[self._rows]
-        vals = b[self._entry]
-        z_empty = _row_sums(ptr, vals)[sus]
+        pop, ptr = self._pop, self._sym_indptr
+        vals, z_empty = self._exposure(params)
         # only infected rows are read by source, each exposed unit given as
         # its position among the susceptible units
-        out_deg = np.where(self._infected, np.diff(ptr), 0)
-        exposed = (np.cumsum(sus) - 1)[self._sym_cols]
+        out_deg = np.where(pop.infected, np.diff(ptr), 0)
+        exposed = (np.cumsum(pop.susceptible) - 1)[self._sym_cols]
         s = z_empty.size
 
         def welfare(idx: np.ndarray) -> np.ndarray:
@@ -388,13 +389,12 @@ class ContextPattern:
         n, pop, ptr = self.n_units, self._pop, self._sym_indptr
         if not 0 < d <= n:
             raise ValueError(f"capacity must lie in [1, {n}], got {d}")
-        held = pop.weight * (self._recovered + params.gamma[pop.group] * self._infected)
-        b = np.take(params.beta, self._pair) / self._deg[self._rows]
-        x = np.exp(b)[self._entry]
-        units = np.flatnonzero(self._sus)
+        held = pop.weight * (pop.recovered + params.gamma[pop.group] * pop.infected)
+        vals, z0 = self._exposure(params)
+        x = np.exp(vals)
+        units = np.flatnonzero(pop.susceptible)
         k = np.diff(ptr)[units]
-        start = (n - d) / n * pop.weight[units] * np.exp(
-            -np.bincount(self._rows, b, minlength=n)[units])
+        start = (n - d) / n * pop.weight[units] * np.exp(-z0)
         # by decreasing k, so the units still drawing at each step are a prefix
         order = np.argsort(-k, kind="stable")
         units, k, start = units[order], k[order], start[order]

@@ -65,7 +65,7 @@ class SolverResult:
 
 @dataclass(frozen=True)
 class RandomAssignmentSummary:
-    """Exact mean and population sd of F, and exact mean welfare, over all
+    """Exact mean and population sd of F, and mean linear welfare, over all
     uniformly random size-d allocations.  Nothing is drawn, so draws is 0.
     """
 
@@ -276,23 +276,20 @@ def iter_random_subsets(seed: int, n: int, d: int, draws: int,
         remaining -= m
 
 
-def random_assignment(ctx: ObjectiveContext, d: int,
-                      welfare: Optional[Callable[[int], float]] = None
-                      ) -> RandomAssignmentSummary:
-    """Random baseline: mean and sd of F and mean welfare over uniformly
-    random size-d allocations, all exact, so nothing is drawn.
+def random_assignment(ctx: ObjectiveContext, d: int) -> RandomAssignmentSummary:
+    """Random baseline: mean and sd of F and mean linear welfare over
+    uniformly random size-d allocations, all exact, so nothing is drawn.
 
-    mean_f and sd_f come from objective._f_moments.  By default welfare is F
-    plus the context's welfare constant.  Otherwise welfare maps d to the
-    mean welfare, as functools.partial(pattern.random_welfare, params) does
-    for exact mode.
+    mean_f and sd_f come from objective._f_moments, and the welfare is F
+    plus the context's welfare constant; the exact-mode mean is
+    ContextPattern.random_welfare.
     """
     n = ctx.n_units
     if not 0 < d <= n:
         raise ValueError(f"capacity must lie in [1, {n}], got {d}")
     mean_f, sd_f = _f_moments(ctx, d)
-    mean_w = mean_f + ctx.welfare_constant if welfare is None else welfare(d)
-    return RandomAssignmentSummary(mean_f=mean_f, sd_f=sd_f, mean_welfare=mean_w,
+    return RandomAssignmentSummary(mean_f=mean_f, sd_f=sd_f,
+                                   mean_welfare=mean_f + ctx.welfare_constant,
                                    draws=0, capacity=d)
 
 

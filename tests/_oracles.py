@@ -53,6 +53,11 @@ def grid_instances(count=50):
     return out
 
 
+def initial_gains(ctx):
+    """Marginal gain of each unit at the empty allocation (fresh copy)."""
+    return ctx._base_gain.copy()
+
+
 def dense_coefficients(ctx):
     """Dense spillover matrix and linear coefficients straight from the
     context's raw triplets."""
@@ -400,7 +405,7 @@ def brute_force_streamed(ctx, d):
     if k == 0:
         return _finish(ctx, Allocation.empty(d), rounds=0)
     count = math.comb(n, k)
-    base = ctx.initial_gains()
+    base = initial_gains(ctx)
     if k == 1:
         best_idx, _ = first_best(base, -np.inf)
         return _finish(ctx, Allocation(frozenset([best_idx]), capacity=d), rounds=count)

@@ -61,6 +61,13 @@ def test_population_masks():
     assert pop.susceptible.tolist() == [True, False, False, False]
     assert pop.infected.tolist() == [False, True, False, True]
     assert pop.recovered.tolist() == [False, False, True, False]
+    for name, code in (("susceptible", SUSCEPTIBLE), ("infected", INFECTED),
+                       ("recovered", RECOVERED)):
+        mask = getattr(pop, name)
+        assert np.array_equal(mask, pop.state0 == code)
+        assert not mask.flags.writeable
+        # computed once: every read returns the same array
+        assert getattr(pop, name) is mask
 
 
 def test_beta_from_contacts_frozen():

@@ -655,3 +655,17 @@ def test_run_policy_targeting_caps_and_pct_young():
     assert out.pct_young == 100.0 * young / picked.size
     with pytest.raises(ConfigError, match="unknown policy"):
         run_policy(inst, "optimal", 10, config)
+
+
+def test_run_policy_random_welfare_per_mode():
+    # the solvers are mode-free: exact mode reads the pattern's mean, linear
+    # mode the summary's F mean plus the welfare constant
+    config = ExperimentConfig(n_units=15, density=0.3)
+    inst = config.instance(replicate_seed(2, 0))
+    exact = run_policy(inst, "random", 4, dataclasses.replace(config, mode="exact"))
+    linear = run_policy(inst, "random", 4, config)
+    assert exact.welfare == inst.pattern.random_welfare(inst.params, 4)
+    assert linear.welfare == linear.result.mean_f + inst.ctx.welfare_constant
+    assert exact.f_value == linear.f_value
+    assert exact.result == linear.result
+    assert exact.welfare != linear.welfare

@@ -41,8 +41,8 @@ from netvax import objective
 from netvax.harness import _KNOWN_KEYS
 
 from _oracles import (DEFAULT_DIST, all_subsets_objective, build_context_direct,
-                      exact_welfare_evaluator, objective_dense, objective_sliced,
-                      scipy_sym, welfare_from_transitions)
+                      exact_welfare_evaluator, initial_gains, objective_dense,
+                      objective_sliced, scipy_sym, welfare_from_transitions)
 
 unit_interval = st.floats(0.0, 1.0)
 
@@ -140,7 +140,7 @@ def test_raw_triplet_context_matches_dense_quadratic_form(case):
     want = objective_dense(ctx, units)
     assert abs(objective_value(ctx, Allocation(units, ctx.n_units)) - want) <= 1e-12
     singles = [objective_dense(ctx, {u}) for u in range(ctx.n_units)]
-    assert np.max(np.abs(ctx.initial_gains() - singles)) <= 1e-12
+    assert np.max(np.abs(initial_gains(ctx) - singles)) <= 1e-12
 
 
 @settings(max_examples=200, deadline=None)
