@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netvax import (
     MEAN_DEVIATION_COEF,
@@ -9,13 +11,17 @@ from netvax import (
     Allocation,
     ContactGraph,
     EstimationNoiseModel,
+    ExperimentConfig,
     Population,
+    RegretStudyConfig,
     SirParams,
     build_context,
     empirical_regret,
     greedy_targeting,
     objective_value,
     regret_upper_bound,
+    replicate_seed,
+    run_regret_study,
     sample_estimates,
 )
 
@@ -259,3 +265,33 @@ def test_targeted_choice_on_estimates_stays_near_constrained_optimum():
                 err = abs(objective_value(ctx_est, alloc) - objective_value(inst.ctx, alloc))
                 sup_err = max(sup_err, err)
         assert opt - achieved <= 2.5 * sup_err + 0.5 * opt + 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(density=st.floats(0.1, 0.9), infected=st.floats(0.05, 0.6),
+       n=st.integers(8, 20), pset=st.sampled_from(["set1", "set2"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_regret_bound_and_rate_across_network_riskiness(density, infected, n, pset, seed):
+    # criterion 8's checks on networks of every riskiness: sparse to dense,
+    # few to many infected units
+    dist = (0.9 - infected, infected, 0.1)
+    exp = ExperimentConfig(n_units=n, density=density, parameter_set=pset,
+                           initial_states=(dist, dist), seed=seed)
+    grid = (100, 1000, 10000)
+    rows = run_regret_study(RegretStudyConfig(exp, capacity=3, n_grid=grid,
+                                              replications=100, use_brute=True))
+    for row in rows:
+        assert row.mean_total <= row.bound
+        assert abs(row.mean_estimation_gap + row.mean_optimization_gap
+                   + row.mean_evaluation_gap - row.mean_total) <= 1e-12
+        assert row.mean_optimization_gap >= -1e-12
+    if not exp.instance(replicate_seed(seed, 0)).pop.infected.any():
+        # with no infected unit F is 0 for every rate set: no regret
+        assert all(gap == 0.0 for row in rows
+                   for gap in (row.mean_total, row.mean_estimation_gap,
+                               row.mean_optimization_gap, row.mean_evaluation_gap,
+                               row.mean_noise_gap))
+    noise = [row.mean_noise_gap for row in rows]
+    if all(gap > 0 for gap in noise):
+        slope = float(np.polyfit(np.log(grid), np.log(noise), 1)[0])
+        assert -0.7 <= slope <= -0.3
