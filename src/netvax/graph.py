@@ -59,14 +59,16 @@ class ContactGraph:
                 raise ValueError("self-loops are not allowed")
         i, j = arr.astype(np.int64).T
         key = np.sort(np.minimum(i, j) * n_units + np.maximum(i, j))
-        key = key[np.diff(key, prepend=-1) != 0]
-        lo, hi = np.divmod(key, n_units)
+        self._store(n_units, *np.divmod(key[np.diff(key, prepend=-1) != 0], n_units))
 
+    def _store(self, n_units: int, lo: np.ndarray, hi: np.ndarray) -> ContactGraph:
+        """Set and return the graph of sorted unique edges (lo, hi), lo < hi."""
         self.n_units = n_units
         self.edges = np.column_stack([lo, hi])  # (m, 2), i < j, lexicographically sorted
         self.edges.setflags(write=False)
         self.degree = np.bincount(np.concatenate([lo, hi]), minlength=n_units)
         self.degree.setflags(write=False)
+        return self
 
     @property
     def n_edges(self) -> int:
@@ -106,7 +108,8 @@ def erdos_renyi(n_units: int, density: float, seed: int) -> ContactGraph:
     rows = np.arange(n_units - 1, dtype=np.int64)
     start = rows * (n_units - 1) - rows * (rows - 1) // 2  # flat index of (i, i + 1)
     i = np.searchsorted(start, flat, side="right") - 1
-    return ContactGraph(n_units, np.column_stack([i, flat - start[i] + i + 1]))
+    # ascending flat indices are sorted, unique, in-range pairs i < j
+    return ContactGraph.__new__(ContactGraph)._store(n_units, i, flat - start[i] + i + 1)
 
 
 def save_edge_list(graph: ContactGraph, sink: IO[str]) -> None:
