@@ -213,10 +213,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except harness.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except EdgeListError as exc:
+    except (harness.ConfigError, EdgeListError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BudgetError as exc:

@@ -398,8 +398,9 @@ def run_regret_study(config: RegretStudyConfig) -> list[RegretStudyRow]:
     on the drawn instance's pattern).  decompose_regret measures a grid
     point's estimates as arrays, in blocks whose arrays hold at most
     _BATCH_CELLS values (one estimate's if more), so memory beyond the
-    instance grows by a few floats per replication.  Every row equals the
-    mean of the empirical_regret reports over the same estimates.
+    instance and the cached subset enumeration grows by a few floats per
+    replication.  Every row equals the mean of the empirical_regret reports
+    over the same estimates.
 
     With use_brute the study makes replications * len(n_grid) + 1
     exhaustive searches; it raises BudgetError before drawing anything when

@@ -510,22 +510,17 @@ def check_submodular(ctx: ObjectiveContext, trials: int = 1000,
         alloc_b = Allocation(frozenset(int(u) for u in b_units), capacity=n)
         gain_a = marginal_gain(ctx, alloc_a, x)
         gain_b = marginal_gain(ctx, alloc_b, x)
-        if gain_a < gain_b - TOLERANCE:
-            return SubmodularityReport(False, t + 1, {
-                "property": "diminishing_returns",
-                "small": sorted(int(u) for u in a_units),
-                "large": sorted(int(u) for u in b_units),
-                "candidate": x,
-                "gap": gain_b - gain_a,
-            })
         f_a = objective_value(ctx, alloc_a)
         f_b = objective_value(ctx, alloc_b)
-        if f_a > f_b + TOLERANCE:
-            return SubmodularityReport(False, t + 1, {
-                "property": "monotonicity",
-                "small": sorted(int(u) for u in a_units),
-                "large": sorted(int(u) for u in b_units),
-                "candidate": x,
-                "gap": f_a - f_b,
-            })
+        for prop, broken, gap in (
+                ("diminishing_returns", gain_a < gain_b - TOLERANCE, gain_b - gain_a),
+                ("monotonicity", f_a > f_b + TOLERANCE, f_a - f_b)):
+            if broken:
+                return SubmodularityReport(False, t + 1, {
+                    "property": prop,
+                    "small": sorted(int(u) for u in a_units),
+                    "large": sorted(int(u) for u in b_units),
+                    "candidate": x,
+                    "gap": gap,
+                })
     return SubmodularityReport(True, trials, None)

@@ -176,11 +176,11 @@ def decompose_regret(truth: RegretTruth, beta: np.ndarray, gamma: np.ndarray) ->
     R estimates, given as rates beta (R, 2, 2) and gamma (R, 2) filled on
     the truth's pattern.  The chosen set is greedy on the estimate; the
     estimated optimum comes from the same search as the true one, so without
-    use_brute it is the chosen set itself.  Estimates are taken in blocks
+    use_brute it is the chosen set itself.  Estimates are filled in blocks
     whose (rows, max(n, 2 nnz)) arrays hold at most _BATCH_CELLS values, or
-    one row's if more (solvers._brute bounds its blocks alike); every value
-    is bit for bit that of the estimate's context, greedy, brute-force
-    search and objective_value alone.
+    one row's if more; solvers._brute scores a block's rows elementwise, so
+    every value is bit for bit that of the estimate's context, greedy,
+    brute-force search and objective_value alone.
     """
     pattern, ctx, d = truth.pattern, truth.ctx, truth.capacity
     n = ctx.n_units

@@ -36,9 +36,9 @@ __all__ = [
 
 ENUMERATION_BUDGET = 10**8
 _DENSE_LIMIT = 4096
-_PAIR_CELLS = 2_000_000  # subsets x k * k pair indices in one enumeration block
+_PAIR_CELLS = 2_000_000  # subsets x k(k+1)/2 unit and pair indices in one enumeration block
 # Values in one array of a batched search (or one objective's, if more), as
-# objectives x max(n, 2 nnz), x max(subsets x k * k, n * n) or x subsets x k * k
+# objectives x max(n, 2 nnz), x max(subsets, n * n) or x subsets
 _BATCH_CELLS = 2**15
 
 
@@ -162,19 +162,19 @@ def _combo_chunks(n: int, k: int, chunk: int) -> Iterator[np.ndarray]:
         yield np.fromiter(flat, dtype=np.int64, count=rows * k).reshape(rows, k)
 
 
-def _pair_blocks(n: int, k: int, chunk: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """_combo_chunks' blocks, each with the flat index
-    combos[:, :, None] * n + combos[:, None, :] of its subsets' k x k pairs
-    in an n x n matrix."""
+def _subset_blocks(n: int, k: int, chunk: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """_combo_chunks' blocks, each with its subsets' k(k-1)/2 pairs u < v as
+    flat indices u * n + v; both column-major, so every column is contiguous."""
+    u, v = np.triu_indices(k, 1)
     for combos in _combo_chunks(n, k, chunk):
-        yield combos, combos[:, :, None] * n + combos[:, None, :]
+        yield np.asfortranarray(combos), np.asfortranarray(combos[:, u] * n + combos[:, v])
 
 
 @functools.lru_cache(maxsize=4)
-def _enumeration(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """_pair_blocks' one block holding all size-k subsets of range(n), set
+def _subsets(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """_subset_blocks' one block holding all size-k subsets of range(n), set
     read-only and kept for the next search with the same (n, k)."""
-    block = next(_pair_blocks(n, k, math.comb(n, k)))
+    block = next(_subset_blocks(n, k, math.comb(n, k)))
     for arr in block:
         arr.setflags(write=False)
     return block
@@ -186,8 +186,8 @@ def _tie_scan(vals: np.ndarray, best_val: np.ndarray) -> tuple[np.ndarray, np.nd
     window.  Returns per row the last replacement (-1 if none) and incumbent."""
     # the incumbent stays within the tie window of the running maximum, so
     # only a new running maximum can replace it
-    prev = np.maximum.accumulate(
-        np.concatenate((best_val[:, None], vals[:, :-1]), axis=1), axis=1)
+    prev = np.concatenate((best_val[:, None], vals[:, :-1]), axis=1)
+    np.maximum.accumulate(prev, axis=1, out=prev)
     pos, best = np.full(len(vals), -1), best_val.tolist()
     rows, cand = np.nonzero(vals > prev)
     for r, p, v in zip(rows.tolist(), cand.tolist(), vals[rows, cand].tolist()):
@@ -200,29 +200,33 @@ def _brute(base: np.ndarray, sym: np.ndarray, sym_rows: np.ndarray,
            sym_cols: np.ndarray, k: int) -> np.ndarray:
     """brute_force's (R, k) picks on R objectives, given as (R, n) base gains
     and (R, 2 nnz) values of w + w^T on the CSR layout (sym_rows, sym_cols).
-    Subsets come in blocks of at most _PAIR_CELLS / k^2 rows, one kept per
-    (n, k) in a small LRU cache when it holds them all, and are scored in
-    takes of at most _BATCH_CELLS pair values."""
+    A subset adds its k base gains, then its k(k-1)/2 values of w + w^T above
+    the diagonal, each by an elementwise take, so no pick depends on the block.
+    Subsets come in blocks of _PAIR_CELLS / (k(k+1)/2) rows, one kept per
+    (n, k) in a small LRU cache if it holds all; takes hold _BATCH_CELLS values."""
     n = base.shape[1]
     if k == 0:
         return np.empty((len(base), 0), dtype=np.int64)
     if k == 1:
         return _tie_scan(base, np.full(len(base), -np.inf))[0][:, None]
     count = math.comb(n, k)
-    step = max(1, _BATCH_CELLS // max(count * k * k, n * n))
-    width = max(1, _BATCH_CELLS // (step * k * k))
-    chunk = max(1, _PAIR_CELLS // (k * k))
+    step = max(1, _BATCH_CELLS // max(count, n * n))
+    width = max(1, _BATCH_CELLS // step)
+    chunk = max(1, _PAIR_CELLS // (k * (k + 1) // 2))
     best = np.empty((len(base), k), dtype=np.int64)
     for lo in range(0, len(base), step):
-        pair = np.zeros((len(base[lo:lo + step]), n * n))
+        gains = base[lo:lo + step]
+        pair = np.zeros((len(gains), n * n))
         pair[:, sym_rows * n + sym_cols] = sym[lo:lo + step]
-        best_val = np.full(len(pair), -np.inf)
-        blocks = [_enumeration(n, k)] if count <= chunk else _pair_blocks(n, k, chunk)
+        best_val = np.full(len(gains), -np.inf)
+        blocks = [_subsets(n, k)] if count <= chunk else _subset_blocks(n, k, chunk)
         for combos, pairs in blocks:
             for at in range(0, len(combos), width):
-                # np.take gives C-ordered blocks, whose sums match one objective's
-                vals = np.take(base[lo:lo + step], combos[at:at + width], axis=1).sum(axis=2)
-                vals += 0.5 * np.take(pair, pairs[at:at + width], axis=1).sum(axis=(2, 3))
+                part = slice(at, at + width)
+                vals = np.take(gains, combos[part, 0], axis=1)
+                for src, cols in ((gains, combos[part, 1:]), (pair, pairs[part])):
+                    for col in cols.T:
+                        vals += np.take(src, col, axis=1)
                 local, best_val = _tie_scan(vals, best_val)
                 hit = np.flatnonzero(local >= 0)
                 best[lo + hit] = combos[at + local[hit]]
@@ -235,8 +239,8 @@ def brute_force(ctx: ObjectiveContext, d: int) -> SolverResult:
     Enumerates subsets in lexicographic order; a later subset replaces the
     incumbent only when its value is higher by more than 1e-12, so among
     maximizers tied within that window the first one wins, as in greedy.
-    Refuses instances whose subset count exceeds ENUMERATION_BUDGET.  The
-    search is _brute's one-objective case.
+    Refuses instances whose subset count exceeds ENUMERATION_BUDGET.  It is
+    _brute's one-objective case; f_value is objective_value of the pick.
     """
     if d < 0:
         raise ValueError(f"capacity must be >= 0, got {d}")

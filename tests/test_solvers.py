@@ -1,9 +1,12 @@
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netvax import (
     GROUP1,
@@ -211,40 +214,98 @@ def test_brute_force_matches_streamed_search(seed, monkeypatch):
         for d in (1, 2, n // 2, n - 1, n, n + 2):
             assert_same_search(brute_force(ctx, d), brute_force_streamed(ctx, d))
         # a few rows per block forces a streamed, multi-block search
-        solvers._enumeration.cache_clear()
+        solvers._subsets.cache_clear()
         monkeypatch.setattr(solvers, "_PAIR_CELLS", 40)
         for d in (2, 3, n - 2):
-            assert 40 // (d * d) < math.comb(n, d)
+            assert 40 // (d * (d + 1) // 2) < math.comb(n, d)
             assert_same_search(brute_force(ctx, d), brute_force_streamed(ctx, d))
-        info = solvers._enumeration.cache_info()
+        info = solvers._subsets.cache_info()
         assert info.currsize == 0 and info.misses == 0
         monkeypatch.undo()
-        # a small take bound scores the cached enumeration a few subsets at a time
-        monkeypatch.setattr(solvers, "_BATCH_CELLS", 24)
+        # a small take bound scores the cached enumeration a few subsets at a
+        # time: n * n > 8 leaves one objective per block and 8 subsets per take
+        monkeypatch.setattr(solvers, "_BATCH_CELLS", 8)
         for d in (2, 3, n - 2):
-            assert 24 // (d * d) < math.comb(n, d)
+            assert n * n > 8 and 8 < math.comb(n, d)
             assert_same_search(brute_force(ctx, d), brute_force_streamed(ctx, d))
         monkeypatch.undo()
+
+
+@st.composite
+def tied_searches(draw):
+    """R objectives on one spill layout, with a subset size k and a search
+    regime.  Units fall into classes of exchangeable copies: a copy has its
+    original's direct gain and mirrors its spill entries, so swapping copies
+    ties two subsets exactly; some layouts have no spill at all."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, min(5, n)))
+    cls = []
+    for u in range(n):
+        src = draw(st.integers(0, u))
+        cls.append(cls[src] if src < u else u)
+    reps = sorted(set(cls))
+    links = [] if draw(st.booleans()) else draw(st.lists(
+        st.tuples(st.sampled_from(reps), st.sampled_from(reps)).filter(
+            lambda p: p[0] != p[1]), unique=True, max_size=12))
+    entries = [(i, j, links.index((cls[i], cls[j]))) for i in range(n) for j in range(n)
+               if (cls[i], cls[j]) in links]
+    rows = np.array([i for i, _, _ in entries], dtype=np.int64)
+    cols = np.array([j for _, j, _ in entries], dtype=np.int64)
+    value = st.one_of(st.sampled_from([0.0, 0.25, 0.5]), st.floats(0.0, 1.0))
+    ctxs = []
+    for _ in range(draw(st.integers(1, 3))):
+        gain = dict(zip(reps, draw(st.lists(value, min_size=len(reps), max_size=len(reps)))))
+        spill = draw(st.lists(value, min_size=len(links), max_size=len(links)))
+        ctxs.append(ObjectiveContext(n, [gain[c] for c in cls], rows, cols,
+                                     [-spill[e] for _, _, e in entries], 0.0))
+    regime = draw(st.sampled_from(["cached", "streamed", "multi-take"]))
+    bound = {"cached": ("_PAIR_CELLS", solvers._PAIR_CELLS),
+             "streamed": ("_PAIR_CELLS", k * (k + 1) // 2 * draw(st.integers(1, 3))),
+             "multi-take": ("_BATCH_CELLS", draw(st.integers(1, 3)))}[regime]
+    return ctxs, k, bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_searches())
+def test_brute_picks_equal_streamed_search_with_planted_ties(case):
+    ctxs, k, bound = case
+    layout = ctxs[0]._sym_rows, ctxs[0]._sym_cols
+    assert all(np.array_equal(c._sym_cols, layout[1]) for c in ctxs)
+    with mock.patch.object(solvers, *bound):
+        picks = solvers._brute(np.stack([c._base_gain for c in ctxs]),
+                               np.stack([c._sym_vals for c in ctxs]), *layout, k)
+        # an objective's picks do not depend on the block it is scored in
+        alone = [solvers._brute(c._base_gain[None], c._sym_vals[None], *layout, k)[0]
+                 for c in ctxs]
+        searches = [brute_force(c, k) for c in ctxs]
+    assert picks.tolist() == [a.tolist() for a in alone]
+    for ctx, pick, search in zip(ctxs, picks, searches):
+        want = brute_force_streamed(ctx, k)
+        assert frozenset(pick.tolist()) == want.allocation.selected
+        assert_same_search(search, want)
 
 
 def test_brute_force_enumeration_cache_is_read_only_and_bounded():
-    solvers._enumeration.cache_clear()
-    maxsize = solvers._enumeration.cache_parameters()["maxsize"]
+    solvers._subsets.cache_clear()
+    maxsize = solvers._subsets.cache_parameters()["maxsize"]
     ctx = small_instance(3, n=10).ctx
-    brute_force(ctx, 3)
-    brute_force(ctx, 3)
-    info = solvers._enumeration.cache_info()
+    brute_force(ctx, 4)
+    brute_force(ctx, 4)
+    info = solvers._subsets.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
-    combos, pairs = solvers._enumeration(10, 3)
-    assert combos.shape == (math.comb(10, 3), 3) and pairs.shape == (math.comb(10, 3), 3, 3)
+    combos, pairs = solvers._subsets(10, 4)
+    assert combos.shape == (math.comb(10, 4), 4) and pairs.shape == (math.comb(10, 4), 6)
+    assert combos.tolist() == [list(c) for c in itertools.combinations(range(10), 4)]
+    assert pairs.tolist() == [[u * 10 + v for u, v in itertools.combinations(c, 2)]
+                              for c in combos.tolist()]
     for arr in (combos, pairs):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0
     for n in range(6, 6 + 2 * maxsize):
         brute_force(small_instance(n, n=n).ctx, 2)
-        assert solvers._enumeration.cache_info().currsize <= maxsize
-    assert solvers._enumeration.cache_info().currsize == maxsize
+        assert solvers._subsets.cache_info().currsize <= maxsize
+    assert solvers._subsets.cache_info().currsize == maxsize
 
 
 @pytest.mark.parametrize("n, k, chunk", [(7, 3, 4), (7, 3, 34), (9, 2, 5),
