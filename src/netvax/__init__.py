@@ -25,7 +25,6 @@ from .regret import (MEAN_DEVIATION_COEF, UNIVERSAL_CONSTANT,
 from .solvers import (ENUMERATION_BUDGET, BudgetError,
                       RandomAssignmentSummary, SolverResult, brute_force,
                       greedy_capacity, greedy_factor, greedy_targeting,
-                      iter_random_subsets, random_assignment,
-                      sampled_welfare_sd, twni)
+                      iter_random_subsets, random_assignment, twni)
 
 __version__ = "0.1.0"

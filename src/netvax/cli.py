@@ -19,7 +19,7 @@ from typing import IO, Optional, Sequence
 from . import harness
 from .graph import (ContactGraph, EdgeListError, erdos_renyi, load_edge_list,
                     save_edge_list)
-from .solvers import BudgetError, sampled_welfare_sd
+from .solvers import BudgetError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -139,16 +139,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                     "capacity": d, "capacity_fraction": fraction}
     if args.policy == "random":
         summary = out.result
-        # linear welfare is F plus a constant; the exact-mode sd is sampled
-        sd_welfare, draws = summary.sd_f, 0
-        if config.mode == "exact":
-            draws = config.random_draws
-            sd_welfare = sampled_welfare_sd(
-                harness.replicate_seed(seed, 10_000), inst.graph.n_units, d, draws,
-                inst.pattern.welfare(inst.params, "exact"))
-        record.update(mean_f=summary.mean_f, sd_f=summary.sd_f,
-                      mean_welfare=out.welfare,
-                      sd_welfare=sd_welfare, draws=draws)
+        record.update(mean_f=summary.mean_f, sd_f=summary.sd_f, mean_welfare=out.welfare)
     else:
         res = out.result
         record.update(selected=sorted(res.allocation.selected),

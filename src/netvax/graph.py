@@ -26,6 +26,17 @@ class EdgeListError(ValueError):
     """Raised when an edge-list stream cannot be parsed."""
 
 
+def _unit_count(n_units: int) -> int:
+    """n_units as an int, checked to be >= 1 with n_units**2 < 2**63, so that
+    every edge key i * n_units + j fits in int64."""
+    n_units = int(n_units)
+    if n_units < 1:
+        raise ValueError(f"n_units must be >= 1, got {n_units}")
+    if n_units * n_units >= 2**63:
+        raise ValueError(f"n_units must satisfy n_units**2 < 2**63, got {n_units}")
+    return n_units
+
+
 class ContactGraph:
     """Immutable undirected graph stored as a canonical edge array and the
     unit degrees; edges are deduplicated by sorting int64 keys
@@ -38,11 +49,7 @@ class ContactGraph:
     """
 
     def __init__(self, n_units: int, edges: Iterable[tuple[int, int]] = ()) -> None:
-        n_units = int(n_units)
-        if n_units < 1:
-            raise ValueError(f"n_units must be >= 1, got {n_units}")
-        if n_units * n_units >= 2**63:
-            raise ValueError(f"n_units must satisfy n_units**2 < 2**63, got {n_units}")
+        n_units = _unit_count(n_units)
         arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
         if arr.size == 0:
             arr = arr.reshape(0, 2)
@@ -93,9 +100,7 @@ def erdos_renyi(n_units: int, density: float, seed: int) -> ContactGraph:
     Uniforms come in blocks of ``_SCAN_BLOCK`` pairs; PCG64 draws the same
     doubles in any blocking.  O(N^2) draws, O(block + M) memory for M edges.
     """
-    n_units = int(n_units)
-    if n_units < 1:
-        raise ValueError(f"n_units must be >= 1, got {n_units}")
+    n_units = _unit_count(n_units)
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must be in [0, 1], got {density}")
     rng = np.random.default_rng(seed)

@@ -85,9 +85,7 @@ class ExperimentConfig:
     budgets d = max(1, round(fraction * n_units)).  weights are the per-group
     welfare weights (group 1, group 2).  mode picks the welfare column's
     infection-rate form; the solvers always see the linear objective.
-    Random-baseline rows are exact expectations in both modes; random_draws
-    only sizes the sample behind the exact-mode sd_welfare of
-    `netvax solve --policy random`.
+    Random-baseline rows are exact expectations in both modes.
     """
 
     n_units: int
@@ -101,7 +99,6 @@ class ExperimentConfig:
     capacity_fractions: tuple[float, ...] = (0.07, 0.10, 0.20)
     weights: tuple[float, float] = (1.0, 1.0)
     policies: tuple[str, ...] = ("greedy", "random", "twni")
-    random_draws: int = 10000
     seed: int = 0
     mode: str = "linear"
     targeting_fractions: Optional[tuple[float, float]] = None
@@ -140,8 +137,6 @@ class ExperimentConfig:
             if len(set(entries)) != len(entries):
                 # a repeated cell would run twice per network
                 raise ConfigError(f"{name} repeats an entry: {entries}")
-        if self.random_draws < 1:
-            raise ConfigError(f"random_draws must be >= 1, got {self.random_draws}")
         if self.mode not in ("linear", "exact"):
             raise ConfigError(f"mode must be 'linear' or 'exact', got {self.mode!r}")
         if isinstance(self.parameter_set, str) and self.parameter_set not in PARAMETER_SETS:
@@ -448,6 +443,7 @@ _PARAM_KEYS = ("beta11", "beta12", "beta21", "beta22", "gamma1", "gamma2")
 _DELTA_KEYS = ("delta1", "delta2")
 _KNOWN_KEYS = frozenset(
     [name for name in _EXPERIMENT_FIELDS if name != "initial_states"]
+    + ["random_draws"]  # retired: accepted with any value and ignored
     + list(_STATE_KEYS) + list(_PARAM_KEYS) + list(_DELTA_KEYS)
     + [f"regret_{f.name}" for f in dataclasses.fields(RegretStudyConfig)
        if f.name != "experiment"])
@@ -511,7 +507,7 @@ def _bool(value: str, key: str) -> bool:
 _FIELD_PARSERS = {
     "n_units": _int, "density": _float, "n_networks": _int,
     "group1_probability": _float, "capacity_fractions": _floats,
-    "weights": _floats, "policies": _names, "random_draws": _int,
+    "weights": _floats, "policies": _names,
     "seed": _int, "mode": lambda value, key: value,
     "targeting_fractions": _floats,
 }

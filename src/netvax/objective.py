@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 TOLERANCE = 1e-12
-# Values in one Monte Carlo block: 8 MiB of float64 or int64 per array
+# Values in one run of the welfare evaluators: 8 MiB of float64 or int64 per array
 _BLOCK_CELLS = 2**20
 
 
@@ -252,9 +252,9 @@ class ContextPattern:
 
     context(params) fills in the values only, with build_context's
     arithmetic in its order, so every array it returns is bit-identical to
-    a fresh compile; fill(beta, gamma) gives the base gains, w + w^T and
-    the spill values of many rate sets at once.  A study that compiles many
-    parameter sets on one instance builds the pattern once.
+    a fresh compile; fill(beta, gamma) gives the direct and base gains,
+    w + w^T and the spill values of many rate sets at once.  A study that
+    compiles many parameter sets on one instance builds the pattern once.
     welfare(params, mode) and random_welfare(params, d) read the same CSR
     arrays, through _exposure, for the welfare of allocation blocks and its
     mean over random allocations.
@@ -290,28 +290,26 @@ class ContextPattern:
         params), sharing this pattern's index arrays (all read-only); fill's
         one-row case."""
         n, pop, sus = self.n_units, self._pop, self._pop.susceptible
-        base, sym, vals = self.fill(params.beta[None], params.gamma[None])
+        direct, base, sym, vals = self.fill(params.beta[None], params.gamma[None])
         z = np.bincount(self._rows, np.take(params.beta, self._pair), minlength=n)[sus]
         const = _healthy_share(pop, params, np.arange(0), z / self._deg[sus], "linear")
         ctx = ObjectiveContext.__new__(ObjectiveContext)
-        ctx._fill(n, self._direct_gain(params.gamma), self._rows, self._cols, vals[0],
-                  const, self._sym_indptr, self._sym_rows, self._sym_cols, sym[0], base[0])
+        ctx._fill(n, direct[0], self._rows, self._cols, vals[0], const,
+                  self._sym_indptr, self._sym_rows, self._sym_cols, sym[0], base[0])
         return ctx
 
-    def _direct_gain(self, gamma: np.ndarray) -> np.ndarray:
-        pop = self._pop
-        return pop.weight * (1.0 - pop.recovered - gamma[..., pop.group] * pop.infected
-                             - pop.susceptible) / self.n_units
-
     def fill(self, beta: np.ndarray, gamma: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(R, n) base gains, (R, 2 nnz) values of w + w^T in the CSR layout
-        of the contexts this pattern fills, and (R, nnz) spill values in
-        entry order, of R rate sets beta (R, 2, 2) and gamma (R, 2);
-        build_context's arithmetic in its order."""
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(R, n) direct gains, (R, n) base gains, (R, 2 nnz) values of
+        w + w^T in the CSR layout of the contexts this pattern fills, and
+        (R, nnz) spill values in entry order, of R rate sets beta (R, 2, 2)
+        and gamma (R, 2); build_context's arithmetic in its order."""
+        pop = self._pop
+        direct = pop.weight * (1.0 - pop.recovered - gamma[:, pop.group] * pop.infected
+                               - pop.susceptible) / self.n_units
         vals = self._neg_weight * beta.reshape(-1, 4)[:, self._pair]
         sym = np.take(np.divide(vals, self._deg_n, out=vals), self._entry, axis=1)
-        return self._direct_gain(gamma) - _row_sums(self._sym_indptr, sym), sym, vals
+        return direct, direct - _row_sums(self._sym_indptr, sym), sym, vals
 
     def _exposure(self, params: SirParams) -> tuple[np.ndarray, np.ndarray]:
         """beta[g_i, g_j] / deg_i of each entry (susceptible i, infected j) at

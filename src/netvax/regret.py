@@ -189,7 +189,7 @@ def decompose_regret(truth: RegretTruth, beta: np.ndarray, gamma: np.ndarray) ->
     gaps = np.empty((4, len(beta)))
     step = max(1, _BATCH_CELLS // max(n, layout[0].size))
     for lo in range(0, len(beta), step):
-        base, sym, _ = pattern.fill(beta[lo:lo + step], gamma[lo:lo + step])
+        _, base, sym, _ = pattern.fill(beta[lo:lo + step], gamma[lo:lo + step])
         chosen = _members(_greedy(base, pattern._sym_indptr, layout[1], sym, d,
                                   np.zeros(n, dtype=np.int8), (d,))[0], n)
         f_est_chosen = _f_rows(base, sym, *layout, chosen)

@@ -1,8 +1,8 @@
 """Allocation policies over a compiled objective context.
 
-All solvers are deterministic for fixed inputs (sampled_welfare_sd for a
-fixed seed).  Ties within 1e-12 break toward the lowest unit index in the
-greedy argmax and toward the first subset in brute-force enumeration.
+All solvers are deterministic for fixed inputs.  Ties within 1e-12 break
+toward the lowest unit index in the greedy argmax and toward the first
+subset in brute-force enumeration.
 """
 
 from __future__ import annotations
@@ -11,13 +11,13 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .epidemic import GROUP1, GROUP2
-from .objective import (_BLOCK_CELLS, TOLERANCE, Allocation, ObjectiveContext,
-                        _f_moments, objective_value)
+from .objective import (TOLERANCE, Allocation, ObjectiveContext, _f_moments,
+                        objective_value)
 
 __all__ = [
     "ENUMERATION_BUDGET",
@@ -28,7 +28,6 @@ __all__ = [
     "greedy_targeting",
     "brute_force",
     "random_assignment",
-    "sampled_welfare_sd",
     "twni",
     "greedy_factor",
     "iter_random_subsets",
@@ -265,7 +264,8 @@ def iter_random_subsets(seed: int, n: int, d: int, draws: int,
                         chunk: int = 2000) -> Iterator[np.ndarray]:
     """Yield uniformly random size-d subsets of range(n) in (m, d) blocks of
     at most chunk rows.  Each subset holds the d smallest of n uniform keys
-    read in turn from one stream, so the subsets do not depend on chunk."""
+    read in turn from one stream, so the subsets do not depend on chunk.
+    No policy draws subsets; tests take oracle allocations from here."""
     if not 0 < d <= n:
         raise ValueError(f"subset size must lie in [1, {n}], got {d}")
     rng = np.random.default_rng(seed)
@@ -295,20 +295,6 @@ def random_assignment(ctx: ObjectiveContext, d: int) -> RandomAssignmentSummary:
     return RandomAssignmentSummary(mean_f=mean_f, sd_f=sd_f,
                                    mean_welfare=mean_f + ctx.welfare_constant,
                                    draws=0, capacity=d)
-
-
-def sampled_welfare_sd(seed: int, n: int, d: int, draws: int,
-                       welfare: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Sample sd of welfare over `draws` uniformly random size-d subsets of
-    range(n) from iter_random_subsets(seed), in blocks of at most
-    _BLOCK_CELLS / n rows; welfare maps an (m, d) block of unit indices, one
-    allocation per row, to (m,) values, as ContextPattern.welfare does."""
-    if draws < 1:
-        raise ValueError(f"draws must be >= 1, got {draws}")
-    w_vals = np.concatenate([
-        welfare(idx)
-        for idx in iter_random_subsets(seed, n, d, draws, chunk=max(1, _BLOCK_CELLS // n))])
-    return float(w_vals.std(ddof=1)) if draws > 1 else 0.0
 
 
 def twni(ctx: ObjectiveContext, d: int, groups: np.ndarray,

@@ -58,16 +58,19 @@ def test_solve_capacity_override_and_out_file(tmp_path):
     assert len(record["selected"]) == 3
 
 
-def assert_random_record_is_exhaustive(record, inst):
-    """The linear random record against F and welfare at every subset."""
+RANDOM_KEYS = ["policy", "n_units", "capacity", "capacity_fraction", "mean_f", "sd_f",
+               "mean_welfare", "pct_young_vaccinated"]
+
+
+def assert_random_record_is_exhaustive(record, inst, mode="linear"):
+    """The random record against F and welfare at every subset."""
     d = record["capacity"]
     f_vals = all_subsets_objective(inst.ctx, d)
-    welfare = all_subsets_welfare(inst, d)
-    assert record["draws"] == 0
+    welfare = all_subsets_welfare(inst, d, mode)
+    assert list(record) == RANDOM_KEYS
     assert abs(record["mean_f"] - f_vals.mean()) <= 1e-12
     assert abs(record["sd_f"] - f_vals.std()) <= 1e-9 * f_vals.std()
     assert abs(record["mean_welfare"] - welfare.mean()) <= 1e-12
-    assert abs(record["sd_welfare"] - welfare.std()) <= 1e-9 * welfare.std()
 
 
 def test_solve_random_policy(tmp_path, capsys):
@@ -82,6 +85,28 @@ def test_solve_random_policy(tmp_path, capsys):
         record = json.loads(capsys.readouterr().out)
         assert record["capacity"] == d
         assert_random_record_is_exhaustive(record, inst)
+
+
+def test_solve_random_exact_record(tmp_path):
+    cfg = harness.parse_experiment_config(TINY_CONFIG)
+    inst = harness.draw_instance(12, 0.5, cfg.params(), cfg.group1_probability,
+                                 cfg.initial_states, cfg.weights,
+                                 harness.replicate_seed(4, 0))
+    records = {}
+    for name, text in (("linear", TINY_CONFIG),
+                       ("exact", TINY_CONFIG + "mode = exact\n"),
+                       ("one_draw", TINY_CONFIG.replace("random_draws = 200",
+                                                        "random_draws = 1") + "mode = exact\n")):
+        out = tmp_path / f"{name}.jsonl"
+        assert main(["solve", "--config", write(tmp_path / f"{name}.cfg", text),
+                     "--policy", "random", "--capacity-fraction", "0.25",
+                     "--out", str(out)]) == EXIT_OK
+        records[name] = out.read_bytes()
+    # the retired random_draws key changes no byte of the exact record
+    assert records["exact"] == records["one_draw"]
+    linear, exact = (json.loads(records[name]) for name in ("linear", "exact"))
+    assert (exact["mean_f"], exact["sd_f"]) == (linear["mean_f"], linear["sd_f"])
+    assert_random_record_is_exhaustive(exact, inst, "exact")
 
 
 def test_solve_with_edge_list(tmp_path, capsys):
@@ -177,7 +202,9 @@ def test_unreadable_input_file_is_config_error(tmp_path, capsys):
     ["gen", "--n", "-3", "--density", "0.5"],
     ["gen", "--n", "10", "--density", "1.5"],
     ["gen", "--n", "10", "--density", "nan"],
-], ids=["n_zero", "n_negative", "density_above_one", "density_nan"])
+    # N^2 reaches 2^63 from N = 3,037,000,500: refused before any pair is drawn
+    ["gen", "--n", "3037000500", "--density", "0"],
+], ids=["n_zero", "n_negative", "density_above_one", "density_nan", "n_squared_past_int64"])
 def test_gen_bad_arguments_are_config_errors(tmp_path, capsys, argv):
     out = tmp_path / "net.edges"
     assert main(argv + ["--out", str(out)]) == EXIT_CONFIG

@@ -126,6 +126,9 @@ def test_load_error_names_line_number():
 def test_size_whose_keys_overflow_is_rejected():
     with pytest.raises(ValueError, match=r"n_units\*\*2 < 2\*\*63"):
         ContactGraph(2**32, [(2**32 - 2, 2**32 - 1)])
+    # refused before the scan over its ~2^63 pairs starts
+    with pytest.raises(ValueError, match=r"n_units\*\*2 < 2\*\*63"):
+        erdos_renyi(2**32, 0.0, 0)
     with pytest.raises(EdgeListError, match="invalid n_units header"):
         load_edge_list(io.StringIO("n_units=4294967296\n4294967294 4294967295\n"))
 

@@ -119,7 +119,6 @@ def test_parse_minimal_config_applies_defaults():
     assert config.capacity_fractions == (0.07, 0.1, 0.2)
     assert config.weights == (1.0, 1.0)
     assert config.policies == ("greedy", "random", "twni")
-    assert config.random_draws == 10000
     assert config.seed == 0
     assert config.mode == "linear"
     assert config.targeting_fractions is None
@@ -152,6 +151,14 @@ targeting_fractions = 0.1,0.2
     assert config.policies == ("greedy", "brute")
     assert config.mode == "exact"
     assert config.targeting_fractions == (0.1, 0.2)
+
+
+@pytest.mark.parametrize("value", ["1", "200", "0", "-5", "ten", ""])
+def test_parse_ignores_retired_random_draws(value):
+    text = "n_units=10\ndensity=0.5\nmode=exact\n"
+    with_key = parse_experiment_config(text + f"random_draws = {value}\n")
+    assert with_key == parse_experiment_config(text)
+    assert not hasattr(with_key, "random_draws")
 
 
 def test_parse_explicit_parameters():
@@ -212,8 +219,6 @@ def test_config_validation():
         ExperimentConfig(n_units=10, density=0.5, mode="both")
     with pytest.raises(ConfigError):
         ExperimentConfig(n_units=10, density=0.5, weights=(1.0, -1.0))
-    with pytest.raises(ConfigError):
-        ExperimentConfig(n_units=10, density=0.5, random_draws=0)
     with pytest.raises(ConfigError, match="two distributions"):
         ExperimentConfig(n_units=10, density=0.5, n_networks=1,
                          initial_states=((0.7, 0.2, 0.1),))
@@ -229,7 +234,7 @@ def test_config_rejects_repeated_cells():
 
 def tiny_config(**kw):
     base = dict(n_units=12, density=0.5, n_networks=3,
-                capacity_fractions=(0.1, 0.25), random_draws=200, seed=4)
+                capacity_fractions=(0.1, 0.25), seed=4)
     base.update(kw)
     return ExperimentConfig(**base)
 
@@ -450,15 +455,23 @@ def test_exact_experiment_compiles_each_network_once(monkeypatch):
 
 
 def test_exact_experiment_draws_no_subsets(monkeypatch):
-    def no_draws(*args, **kwargs):
-        raise AssertionError("an experiment must not sample random subsets")
+    blocks = []
+    evaluators = ContextPattern.welfare
 
-    monkeypatch.setattr(solvers, "iter_random_subsets", no_draws)
-    # random rows are exact expectations, so random_draws plays no part
+    def recording(self, params, mode):
+        evaluate = evaluators(self, params, mode)
+        return lambda idx: blocks.append(idx.shape) or evaluate(idx)
+
+    monkeypatch.setattr(ContextPattern, "welfare", recording)
+    # random rows are exact expectations, so the retired random_draws key
+    # plays no part, and only the policies' own picks are evaluated
+    text = "n_units=12\ndensity=0.5\nn_networks=2\ncapacity_fractions=0.1,0.25\nmode=exact\n"
     one, many = ([dataclasses.astuple(row)[:-1] for row in run_experiment(
-        tiny_config(n_networks=2, mode="exact", random_draws=draws))]
+        parse_experiment_config(f"{text}random_draws={draws}\nseed=4\n"))]
         for draws in (1, 500))
     assert len(one) == 6 and one == many
+    # greedy and twni at two capacities on two networks, in two runs
+    assert len(blocks) == 16 and all(rows == 1 for rows, _ in blocks)
 
 
 def test_regret_study_compiles_its_instance_once(monkeypatch):

@@ -34,7 +34,6 @@ from netvax import (
     objective_value,
     parse_experiment_config,
     random_assignment,
-    sampled_welfare_sd,
     welfare_value,
 )
 from netvax import objective
@@ -246,21 +245,6 @@ def test_random_welfare_matches_enumeration(case):
     for d in range(1, n + 1):
         subsets = np.array(list(itertools.combinations(range(n), d)))
         assert abs(pattern.random_welfare(params, d) - evaluate(subsets).mean()) <= 1e-12
-
-
-@settings(max_examples=60, deadline=None)
-@given(instances(), st.data())
-def test_exact_random_baseline_matches_welfare_over_its_subsets(case, data):
-    graph, pop, params, _, _ = case
-    n = graph.n_units
-    d = data.draw(st.integers(1, n))
-    draws = data.draw(st.integers(1, 40))
-    seed = data.draw(st.integers(0, 2**32))
-    sd = sampled_welfare_sd(seed, n, d, draws, ContextPattern(graph, pop).welfare(params, "exact"))
-    subsets = np.concatenate(list(iter_random_subsets(seed, n, d, draws)))
-    allocs = [Allocation(row, d) for row in subsets]
-    welfare = np.array([welfare_value(graph, pop, params, a, "exact") for a in allocs])
-    assert abs((welfare.std(ddof=1) if draws > 1 else 0.0) - sd) <= 1e-12
 
 
 @st.composite

@@ -28,7 +28,6 @@ from netvax import (
     greedy_targeting,
     objective_value,
     random_assignment,
-    sampled_welfare_sd,
     twni,
 )
 from netvax import objective, solvers
@@ -407,35 +406,6 @@ def test_random_assignment_deterministic_in_seed():
     # the baseline is exact in both modes, so it takes no seed
     linear = random_assignment(inst.ctx, 4)
     assert linear == random_assignment(inst.ctx, 4)
-    # the sampled exact-mode sd is drawn from the seed's subsets
-    welfare = inst.pattern.welfare(inst.params, "exact")
-    a = sampled_welfare_sd(11, 15, 4, 500, welfare)
-    b = sampled_welfare_sd(11, 15, 4, 500, welfare)
-    c = sampled_welfare_sd(12, 15, 4, 500, welfare)
-    assert a == b
-    assert a != c
-
-
-def test_exact_random_baseline_blocks_are_bounded(monkeypatch):
-    inst = draw_instance(1500, 0.01, PARAMETER_SETS["set1"], 0.4, DEFAULT_DIST,
-                         (2.0, 0.5), 8)
-    evaluator = inst.pattern.welfare(inst.params, "exact")
-
-    def run():
-        blocks = []
-
-        def welfare(idx):
-            blocks.append(idx.shape)
-            return evaluator(idx)
-        return sampled_welfare_sd(5, 1500, 150, 2500, welfare), blocks
-
-    summary, blocks = run()
-    assert all(m * 1500 <= 2**20 and d == 150 for m, d in blocks)
-    assert sum(m for m, _ in blocks) == 2500
-    monkeypatch.setattr(solvers, "_BLOCK_CELLS", 2000 * 1500)
-    reference, ref_blocks = run()
-    assert ref_blocks == [(2000, 150), (500, 150)]
-    assert summary == reference
 
 
 def test_exact_evaluator_bounds_its_temporaries(monkeypatch):
@@ -465,8 +435,6 @@ def test_random_assignment_validation():
         random_assignment(inst.ctx, 0)
     with pytest.raises(ValueError):
         random_assignment(inst.ctx, 9)
-    with pytest.raises(ValueError):
-        sampled_welfare_sd(0, 8, 2, 0, inst.pattern.welfare(inst.params, "exact"))
 
 
 def test_twni_fills_priority_group_first():
