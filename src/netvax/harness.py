@@ -286,8 +286,7 @@ def run_policy(inst: Instance, policy: str, d: int, config: ExperimentConfig
         raise ConfigError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     welfare = res.welfare
     if exact:
-        evaluate = inst.pattern.welfare(inst.params, "exact")
-        welfare = float(evaluate(res.allocation.sorted_units()[None])[0])
+        welfare = inst.pattern.welfare(inst.params, "exact")(res.allocation.sorted_units())
     return PolicyOutcome(res, welfare, res.f_value,
                          _pct_young(res.allocation, group))
 
@@ -612,8 +611,7 @@ def run_property_checks(seed: int = 0, trials: int = 1000) -> list[CheckResult]:
         size = int(rng.integers(0, inst.ctx.n_units + 1))
         units = rng.permutation(inst.ctx.n_units)[:size]
         alloc = Allocation(frozenset(int(u) for u in units), capacity=inst.ctx.n_units)
-        w = float(welfare(alloc.sorted_units()[None])[0])
-        offsets.append(w - objective_value(inst.ctx, alloc))
+        offsets.append(welfare(alloc.sorted_units()) - objective_value(inst.ctx, alloc))
     spread = max(offsets) - min(offsets)
     results.append(CheckResult("welfare_offset_constant", spread <= 1e-12,
                                f"offset spread {spread:.3e}"))

@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 TOLERANCE = 1e-12
-# Values in one run of the welfare evaluators: 8 MiB of float64 or int64 per array
+# States in one run of random_welfare: 8 MiB of float64 per array
 _BLOCK_CELLS = 2**20
 
 
@@ -118,8 +118,8 @@ class ObjectiveContext:
             raise ValueError("spill indices out of range")
         if np.any(rows == cols):
             raise ValueError("spill weights must be off-diagonal")
-        # w + w^T with repeated (i, j) entries summed into one, which sym_row's
-        # callers and _f_moments rely on; its row sums are w's row plus column sums
+        # w + w^T with repeated (i, j) entries summed into one, which
+        # marginal_gain and _f_moments rely on; its row sums are w's row plus column sums
         sym = _csr(n_units, np.concatenate([rows, cols]), np.concatenate([cols, rows]),
                    np.concatenate([vals, vals]))
         self._fill(n_units, direct_gain, rows, cols, vals, welfare_constant, *sym,
@@ -143,11 +143,6 @@ class ObjectiveContext:
         for arr in (direct_gain, rows, cols, vals, sym_indptr, sym_rows, sym_cols,
                     sym_vals, self._base_gain):
             arr.setflags(write=False)
-
-    def sym_row(self, unit: int) -> tuple[np.ndarray, np.ndarray]:
-        """Nonzero columns and values of row ``unit`` of w + w^T."""
-        lo, hi = self._sym_indptr[unit], self._sym_indptr[unit + 1]
-        return self._sym_cols[lo:hi], self._sym_vals[lo:hi]
 
 
 def _csr(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
@@ -216,26 +211,20 @@ def _f_moments(ctx: ObjectiveContext, d: int) -> tuple[float, float]:
 
 
 def _healthy_share(pop: Population, params: SirParams, vaccinated: np.ndarray,
-                   z: np.ndarray, mode: str) -> float | np.ndarray:
+                   z: np.ndarray, mode: str) -> float:
     """Weighted mean next-period healthy probability given the vaccinated
-    units and the exposure z of the susceptible units only (the others
-    cannot become infected), in ascending unit order: vaccinated of shape
-    (k,) and z of shape (s,) for one allocation, or (m, k) ascending rows
-    and C-ordered (m, s) for a block of m allocations.  z is overwritten."""
+    units, ascending, and the exposure z of the susceptible units only (the
+    others cannot become infected), in ascending unit order.  z is
+    overwritten."""
     sus = pop.susceptible
     held = pop.weight * (pop.recovered + params.gamma[pop.group] * pop.infected)
     escape = (np.subtract(1.0, z, out=z) if mode == "linear"
               else np.exp(np.negative(z, out=z), out=z))
-    # zero the escape of vaccinated susceptible units at flat (row, position)
-    flat = vaccinated.ravel()
-    hit = np.flatnonzero(sus[flat])
-    escape.reshape(-1)[hit // max(vaccinated.shape[-1], 1) * z.shape[-1]
-                       + (np.cumsum(sus) - 1)[flat[hit]]] = 0.0
-    # escape is C-ordered, so vecdot takes one BLAS dot over each
-    # allocation's contiguous row: a row's value depends neither on the rest
-    # of the block nor on the BLAS thread count, as with a matrix product.
-    return (held.sum() + np.take(pop.weight - held, vaccinated).sum(axis=-1)
-            + np.vecdot(escape, pop.weight[sus])) / pop.n_units
+    # zero the escape of vaccinated susceptible units, at their positions
+    # among the susceptible units
+    escape[(np.cumsum(sus) - 1)[vaccinated[sus[vaccinated]]]] = 0.0
+    return float((held.sum() + np.take(pop.weight - held, vaccinated).sum()
+                  + np.vecdot(escape, pop.weight[sus])) / pop.n_units)
 
 
 class ContextPattern:
@@ -256,8 +245,8 @@ class ContextPattern:
     w + w^T and the spill values of many rate sets at once.  A study that
     compiles many parameter sets on one instance builds the pattern once.
     welfare(params, mode) and random_welfare(params, d) read the same CSR
-    arrays, through _exposure, for the welfare of allocation blocks and its
-    mean over random allocations.
+    arrays, through _exposure, for the welfare of one allocation per call
+    and its mean over random allocations.
     """
 
     def __init__(self, graph: ContactGraph, pop: Population) -> None:
@@ -318,51 +307,41 @@ class ContextPattern:
         vals = (np.take(params.beta, self._pair) / self._deg[self._rows])[self._entry]
         return vals, _row_sums(self._sym_indptr, vals)[self._pop.susceptible]
 
-    def welfare(self, params: SirParams, mode: str) -> Callable[[np.ndarray], np.ndarray]:
-        """welfare_value in mode ("linear" or "exact") for blocks of
-        allocations: a function mapping an (m, k) block of vaccinated unit
-        indices, one allocation per row, to its (m,) welfare values.
+    def welfare(self, params: SirParams, mode: str) -> Callable[[np.ndarray], float]:
+        """welfare_value in mode ("linear" or "exact") as a function of one
+        allocation, given as a 1-D array of distinct unit indices in [0, n).
 
         Every unit with spillover entries is susceptible or infected, so the
         CSR of w + w^T holds both layouts the evaluation needs: a susceptible
         unit's row lists its infecting neighbors, an infected unit's row the
-        units it exposes, each in ascending order.  The function takes the
-        block's rows in runs that hold fewer than _BLOCK_CELLS (allocation,
-        infected source, exposed unit) entries plus one row's, so its
-        temporaries stay bounded at any density."""
+        units it exposes, each in ascending order.  One call reads each
+        entry at most once, so its temporaries are bounded by the pattern's
+        size at any density."""
         if mode not in ("linear", "exact"):
             raise ValueError(f"mode must be 'linear' or 'exact', got {mode!r}")
-        pop, ptr = self._pop, self._sym_indptr
+        n, pop, ptr = self.n_units, self._pop, self._sym_indptr
         vals, z_empty = self._exposure(params)
         # only infected rows are read by source, each exposed unit given as
         # its position among the susceptible units
         out_deg = np.where(pop.infected, np.diff(ptr), 0)
         exposed = (np.cumsum(pop.susceptible) - 1)[self._sym_cols]
-        s = z_empty.size
 
-        def welfare(idx: np.ndarray) -> np.ndarray:
-            # rows are independent: start a run of rows at each multiple of
-            # _BLOCK_CELLS (allocation, infected source, exposed unit) entries
-            idx = np.sort(idx, axis=1)
-            count = out_deg[idx].sum(axis=1)
-            cuts = np.flatnonzero(np.diff((np.cumsum(count) - count) // _BLOCK_CELLS)) + 1
-            return np.concatenate([rows(part) for part in np.split(idx, cuts)])
-
-        def rows(idx: np.ndarray) -> np.ndarray:
-            m, k = idx.shape
-            # (allocation, infecting source) pairs in order, then their entries
-            flat = idx.ravel()
-            count = out_deg[flat]
-            pair = np.flatnonzero(count)
-            count = count[pair]
-            entry = (np.repeat(ptr[flat[pair]] - np.cumsum(count) + count, count)
+        def welfare(units: np.ndarray) -> float:
+            units = np.sort(units)
+            if units.ndim != 1:
+                raise ValueError(f"allocation must be 1-D, got shape {units.shape}")
+            if units.size and (units[0] < 0 or units[-1] >= n):
+                raise ValueError(f"allocation has a unit outside [0, {n})")
+            if np.any(units[1:] == units[:-1]):
+                raise ValueError("allocation repeats a unit")
+            # the entries of each infecting source in turn
+            count = out_deg[units]
+            src, count = units[count > 0], count[count > 0]
+            entry = (np.repeat(ptr[src] - np.cumsum(count) + count, count)
                      + np.arange(count.sum()))
-            cell = np.repeat(pair // k * s, count) + exposed[entry]
-            # each cell sums its sources in ascending order, as a CSR product
-            # does; bincount returns integers when no source is hit
-            z = np.bincount(cell, vals[entry], minlength=m * s).reshape(m, s)
-            z = np.subtract(z_empty, z, out=z.astype(float, copy=False))
-            return _healthy_share(pop, params, idx, z, mode)
+            # each unit sums its sources in ascending order, as a CSR product does
+            z = z_empty - np.bincount(exposed[entry], vals[entry], minlength=z_empty.size)
+            return _healthy_share(pop, params, units, z, mode)
         return welfare
 
     def random_welfare(self, params: SirParams, d: int) -> float:
@@ -456,12 +435,10 @@ def welfare_value(graph: ContactGraph, pop: Population, params: SirParams,
 
     mode picks the infection-rate form; "exact" is a diagnostic and is never
     fed to the solvers.  Compiles a ContextPattern per call: a caller that
-    evaluates many allocations on one instance holds the pattern and calls
-    pattern.welfare(params, mode) on blocks.
+    evaluates many allocations on one instance holds the function
+    pattern.welfare(params, mode) returns and calls it once per allocation.
     """
-    evaluate = ContextPattern(graph, pop).welfare(params, mode)
-    alloc.indicator(graph.n_units)  # rejects units outside the population
-    return float(evaluate(alloc.sorted_units()[None])[0])
+    return ContextPattern(graph, pop).welfare(params, mode)(alloc.sorted_units())
 
 
 def marginal_gain(ctx: ObjectiveContext, alloc: Allocation, candidate: int) -> float:
@@ -471,7 +448,8 @@ def marginal_gain(ctx: ObjectiveContext, alloc: Allocation, candidate: int) -> f
     if candidate in alloc.selected:
         raise ValueError(f"candidate {candidate} already allocated")
     gain = float(ctx._base_gain[candidate])
-    cols, vals = ctx.sym_row(candidate)
+    lo, hi = ctx._sym_indptr[candidate], ctx._sym_indptr[candidate + 1]
+    cols, vals = ctx._sym_cols[lo:hi], ctx._sym_vals[lo:hi]
     if cols.size and alloc.selected:
         inside = np.isin(cols, alloc.sorted_units())
         gain += float(vals[inside].sum())

@@ -21,7 +21,6 @@ from netvax import (GROUP1, GROUP2, INFECTED, RECOVERED, SUSCEPTIBLE,
                     brute_force, build_context, draw_instance, greedy_capacity,
                     objective_value, regret_upper_bound, replicate_seed,
                     sample_estimates, welfare_value)
-from netvax import objective
 from netvax.objective import TOLERANCE, _csr, _healthy_share, _row_sums
 from netvax.solvers import _combo_chunks, _finish
 
@@ -340,9 +339,9 @@ def exact_welfare_evaluator(graph, pop, params):
     """Exact-mode welfare_value for blocks of allocations, with its own two
     CSR layouts of the exposure entries: one sorted by exposed unit, one by
     infecting source.  Returns a function mapping an (m, k) block of
-    vaccinated unit indices to its (m,) welfare values, taken in runs of
-    fewer than objective._BLOCK_CELLS entries plus one row's, as
-    ContextPattern.welfare does."""
+    vaccinated unit indices to its (m,) welfare values: one bincount over
+    the block's (allocation, infecting source, exposed unit) entries, then
+    the healthy share of each row alone."""
     n = graph.n_units
     i, j = _infected_exposures(graph, pop)
     rate = params.beta[pop.group[i], pop.group[j]]
@@ -357,12 +356,6 @@ def exact_welfare_evaluator(graph, pop, params):
 
     def welfare(idx):
         idx = np.sort(idx, axis=1)
-        count = out_deg[idx].sum(axis=1)
-        cuts = np.flatnonzero(
-            np.diff((np.cumsum(count) - count) // objective._BLOCK_CELLS)) + 1
-        return np.concatenate([rows(part) for part in np.split(idx, cuts)])
-
-    def rows(idx):
         m, k = idx.shape
         flat = idx.ravel()
         count = out_deg[flat]
@@ -373,7 +366,8 @@ def exact_welfare_evaluator(graph, pop, params):
         cell = np.repeat(pair // k * s, count) + exposed[entry]
         z = np.bincount(cell, by_src[entry], minlength=m * s).reshape(m, s)
         z = np.subtract(z_empty, z, out=z.astype(float, copy=False))
-        return _healthy_share(pop, params, idx, z, "exact")
+        return np.array([_healthy_share(pop, params, row, z_row, "exact")
+                         for row, z_row in zip(idx, z)])
     return welfare
 
 

@@ -455,12 +455,12 @@ def test_exact_experiment_compiles_each_network_once(monkeypatch):
 
 
 def test_exact_experiment_draws_no_subsets(monkeypatch):
-    blocks = []
+    shapes = []
     evaluators = ContextPattern.welfare
 
     def recording(self, params, mode):
         evaluate = evaluators(self, params, mode)
-        return lambda idx: blocks.append(idx.shape) or evaluate(idx)
+        return lambda units: shapes.append(units.shape) or evaluate(units)
 
     monkeypatch.setattr(ContextPattern, "welfare", recording)
     # random rows are exact expectations, so the retired random_draws key
@@ -471,7 +471,7 @@ def test_exact_experiment_draws_no_subsets(monkeypatch):
         for draws in (1, 500))
     assert len(one) == 6 and one == many
     # greedy and twni at two capacities on two networks, in two runs
-    assert len(blocks) == 16 and all(rows == 1 for rows, _ in blocks)
+    assert len(shapes) == 16 and all(len(shape) == 1 for shape in shapes)
 
 
 def test_regret_study_compiles_its_instance_once(monkeypatch):

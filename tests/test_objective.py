@@ -254,6 +254,20 @@ def test_welfare_mode_validation():
         welfare_value(graph, pop, SET1, Allocation.empty(), mode="quadratic")
 
 
+@pytest.mark.parametrize("units", [
+    [[0, 1]],                     # a 2-D block of allocations
+    [1, 1],                       # a repeated unit, which would count twice
+    list(range(20)) + [0, 1, 2],  # every unit, three of them twice
+    [20], [-1], [-5],             # outside [0, n); negatives would wrap
+], ids=["block", "repeat", "all_plus_three", "n", "minus_one", "minus_five"])
+def test_welfare_rejects_malformed_allocations(units):
+    # unchecked, each gives a wrong welfare or an IndexError from the indexing
+    inst = small_instance(3, n=20, density=0.5)
+    for mode in ("linear", "exact"):
+        with pytest.raises(ValueError):
+            inst.pattern.welfare(inst.params, mode)(np.array(units))
+
+
 def test_random_welfare_within_four_se_of_sampled_mean_at_5k():
     # the seed-0 exact5k benchmark instance: N=5,000, mean degree 20
     inst = draw_instance(5000, 0.004, PARAMETER_SETS["set1"], 0.4, DEFAULT_DIST,
@@ -261,8 +275,10 @@ def test_random_welfare_within_four_se_of_sampled_mean_at_5k():
     evaluate = inst.pattern.welfare(inst.params, "exact")
     for seed, fraction in enumerate((0.07, 0.1, 0.2)):
         d = round(fraction * 5000)
-        sample = np.concatenate([evaluate(idx) for idx in
-                                 iter_random_subsets(seed, 5000, d, 2000, chunk=200)])
+        sample = np.array([evaluate(units) for idx in
+                           iter_random_subsets(seed, 5000, d, 2000, chunk=200)
+                           for units in idx])
+        assert sample.size == 2000
         se = sample.std(ddof=1) / math.sqrt(sample.size)
         assert abs(sample.mean() - inst.pattern.random_welfare(inst.params, d)) <= 4 * se
     for d in (0, 5001):

@@ -7,7 +7,6 @@ against the independent references in ``_oracles``.
 
 import io
 import itertools
-from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -36,7 +35,6 @@ from netvax import (
     random_assignment,
     welfare_value,
 )
-from netvax import objective
 from netvax.harness import _KNOWN_KEYS
 
 from _oracles import (DEFAULT_DIST, all_subsets_objective, build_context_direct,
@@ -75,20 +73,21 @@ def instances(draw, max_units=15):
 def test_welfare_matches_per_unit_transitions(case, data):
     graph, pop, params, alloc, _ = case
     n = graph.n_units
-    # a block of equal-size allocations, one per row, evaluated in one call
+    # a few equal-size allocations in drawn order, each evaluated alone by
+    # one evaluator
     k = data.draw(st.integers(0, n))
-    rows = data.draw(st.lists(st.permutations(range(n)).map(lambda perm: sorted(perm[:k])),
+    rows = data.draw(st.lists(st.permutations(range(n)).map(lambda perm: perm[:k]),
                               min_size=1, max_size=6))
-    block = np.array(rows, dtype=np.int64).reshape(len(rows), k)
     pattern = ContextPattern(graph, pop)
     for mode in ("linear", "exact"):
         want = welfare_from_transitions(graph, pop, params, alloc, mode)
         assert abs(welfare_value(graph, pop, params, alloc, mode) - want) <= 1e-12
-        got = pattern.welfare(params, mode)(block)
-        want = [welfare_from_transitions(graph, pop, params, Allocation(row, n), mode)
-                for row in block]
-        assert got.shape == (len(rows),)
-        assert np.all(np.abs(got - want) <= 1e-12)
+        evaluate = pattern.welfare(params, mode)
+        for row in rows:
+            got = evaluate(np.array(row, dtype=np.int64))
+            want = welfare_from_transitions(graph, pop, params, Allocation(row, n), mode)
+            assert type(got) is float
+            assert abs(got - want) <= 1e-12
 
 
 @settings(max_examples=150, deadline=None)
@@ -268,11 +267,8 @@ def test_exact_welfare_equals_two_layout_evaluator(case, data):
     idx = next(iter_random_subsets(data.draw(st.integers(0, 2**32)), n, d, draws,
                                    chunk=draws))
     want = exact_welfare_evaluator(graph, pop, params)(idx)
-    # runs of one row, a few rows, or the whole block
-    cap = data.draw(st.sampled_from([1, 5, 40, objective._BLOCK_CELLS]))
-    with mock.patch.object(objective, "_BLOCK_CELLS", cap):
-        got = ContextPattern(graph, pop).welfare(params, "exact")(idx)
-    assert np.array_equal(got, want)
+    evaluate = ContextPattern(graph, pop).welfare(params, "exact")
+    assert np.array_equal([evaluate(row) for row in idx], want)
 
 
 @settings(max_examples=150, deadline=None)

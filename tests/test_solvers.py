@@ -29,8 +29,9 @@ from netvax import (
     objective_value,
     random_assignment,
     twni,
+    welfare_value,
 )
-from netvax import objective, solvers
+from netvax import solvers
 from netvax.solvers import iter_random_subsets
 
 from _oracles import (DEFAULT_DIST, all_subsets_objective, brute_force_streamed,
@@ -408,25 +409,23 @@ def test_random_assignment_deterministic_in_seed():
     assert linear == random_assignment(inst.ctx, 4)
 
 
-def test_exact_evaluator_bounds_its_temporaries(monkeypatch):
-    # N=600 at density 0.5: 200 allocations of 120 units hold ~700k
-    # (allocation, infected source, exposed unit) entries, ~22 MB of
-    # temporaries when the evaluator takes them in one run
+def test_exact_evaluator_bounds_its_temporaries():
+    # N=600 at density 0.5: one call reads each (susceptible unit, infected
+    # neighbor) entry at most once, so its temporaries stay within a small
+    # multiple of the pattern's CSR of w + w^T (2 nnz positions, n + 1
+    # offsets), while one dense (n, n) array would be ~7x that
     inst = draw_instance(600, 0.5, PARAMETER_SETS["set1"], 0.4, DEFAULT_DIST,
                          (2.0, 0.5), 3)
-    evaluator = inst.pattern.welfare(inst.params, "exact")
-    idx = next(iter_random_subsets(0, 600, 120, 200, chunk=200))
-    reference = evaluator(idx)
-    # runs of a few rows, then one row at a time as each row exceeds the cap
-    for cap in (2**14, 1):
-        monkeypatch.setattr(objective, "_BLOCK_CELLS", cap)
-        tracemalloc.start()
-        split = evaluator(idx)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        assert np.array_equal(split, reference)
-        # a few int64/float64 arrays of 2^14 entries plus copies of the block
-        assert peak < 8 * 8 * 2**14 + 4 * idx.nbytes
+    evaluate = inst.pattern.welfare(inst.params, "exact")
+    units = next(iter_random_subsets(0, 600, 120, 1, chunk=1))[0]
+    pattern_bytes = 8 * (2 * inst.ctx.spill_vals.size + 600)
+    tracemalloc.start()
+    value = evaluate(units)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert value == welfare_value(inst.graph, inst.pop, inst.params,
+                                  Allocation(units, 600), "exact")
+    assert peak < 2 * pattern_bytes
 
 
 def test_random_assignment_validation():
