@@ -11,20 +11,20 @@ error, 3 enumeration budget refused.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
-from typing import IO, Optional, Sequence
+from typing import IO, Callable, Optional, Sequence, TypeVar
 
 from . import harness
-from .graph import (ContactGraph, EdgeListError, erdos_renyi, load_edge_list,
-                    save_edge_list)
+from .graph import EdgeListError, erdos_renyi, load_edge_list, save_edge_list
 from .solvers import BudgetError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
+
+T = TypeVar("T")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -37,29 +37,29 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="edge-list output path")
 
-    solve = sub.add_parser("solve", help="solve one drawn instance with one policy")
-    solve.add_argument("--config", required=True, help="experiment config path")
+    # a flag whose dest is a config key replaces that key's value in the file
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument("--config", required=True, help="config path")
+    configured.add_argument("--seed", help="config key seed")
+
+    solve = sub.add_parser("solve", parents=[configured],
+                           help="solve one drawn instance with one policy")
     solve.add_argument("--policy", default="greedy", choices=harness.POLICIES)
-    solve.add_argument("--capacity-fraction", type=float, default=None,
-                       help="overrides the first configured capacity fraction")
+    solve.add_argument("--capacity-fraction", dest="capacity_fractions",
+                       help="config key capacity_fractions; solve uses the first")
     solve.add_argument("--edges", default=None,
                        help="optional edge-list path replacing the generated network")
-    solve.add_argument("--seed", type=int, default=None, help="override config seed")
     solve.add_argument("--out", default=None, help="JSON-lines output path (default stdout)")
 
-    experiment = sub.add_parser("experiment", help="run the policy comparison grid")
-    experiment.add_argument("--config", required=True)
+    experiment = sub.add_parser("experiment", parents=[configured],
+                                help="run the policy comparison grid")
     experiment.add_argument("--out", required=True, help="CSV output path")
-    experiment.add_argument("--seed", type=int, default=None, help="override config seed")
-    experiment.add_argument("--policies", default=None,
-                            help="comma-separated policy override")
-    experiment.add_argument("--mode", choices=["linear", "exact"], default=None,
-                            help="welfare reporting mode override")
+    experiment.add_argument("--policies", help="config key policies")
+    experiment.add_argument("--mode", help="config key mode")
 
-    regret = sub.add_parser("regret", help="run the estimation-noise regret study")
-    regret.add_argument("--config", required=True)
+    regret = sub.add_parser("regret", parents=[configured],
+                            help="run the estimation-noise regret study")
     regret.add_argument("--out", required=True, help="CSV output path")
-    regret.add_argument("--seed", type=int, default=None, help="override config seed")
 
     check = sub.add_parser("check", help="run structural property suites")
     check.add_argument("--seed", type=int, default=0)
@@ -71,20 +71,19 @@ class OutputError(Exception):
     """Raised when an output file cannot be opened for writing."""
 
 
-def _read_config(path: str) -> str:
+def _read(path: str, what: str, load: Callable[[IO[str]], T]) -> T:
     try:
         with open(path, encoding="utf-8") as handle:
-            return handle.read()
+            return load(handle)
     except (OSError, UnicodeDecodeError) as exc:
-        raise harness.ConfigError(f"cannot read config {path}: {exc}") from None
+        raise harness.ConfigError(f"cannot read {what} {path}: {exc}") from None
 
 
-def _read_edges(path: str) -> ContactGraph:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return load_edge_list(handle)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise harness.ConfigError(f"cannot read edge list {path}: {exc}") from None
+def _config(args: argparse.Namespace, parse: Callable[[str, dict[str, str]], T]) -> T:
+    """parse of the --config file's text and of the config-key flags given."""
+    flags = {key: value.strip() for key in ("seed", "capacity_fractions", "policies", "mode")
+             if (value := getattr(args, key, None)) is not None}
+    return parse(_read(args.config, "config", lambda handle: handle.read()), flags)
 
 
 def _open_out(path: str) -> IO[str]:
@@ -92,28 +91,6 @@ def _open_out(path: str) -> IO[str]:
         return open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
-
-
-def _override(config: harness.ExperimentConfig, args: argparse.Namespace
-              ) -> harness.ExperimentConfig:
-    updates = {}
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "policies", None):
-        updates["policies"] = tuple(
-            part.strip() for part in args.policies.split(",") if part.strip())
-    if getattr(args, "mode", None):
-        updates["mode"] = args.mode
-    if getattr(args, "capacity_fraction", None) is not None:
-        updates["capacity_fractions"] = (args.capacity_fraction,)
-    if not updates:
-        return config
-    try:
-        return dataclasses.replace(config, **updates)
-    except harness.ConfigError:
-        raise
-    except ValueError as exc:
-        raise harness.ConfigError(str(exc)) from None
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -128,20 +105,19 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    config = _override(harness.parse_experiment_config(_read_config(args.config)), args)
-    seed = harness.replicate_seed(config.seed, 0)
-    inst = config.instance(seed, None if args.edges is None else _read_edges(args.edges))
+    config = _config(args, harness.parse_experiment_config)
+    edges = None if args.edges is None else _read(args.edges, "edge list", load_edge_list)
+    inst = config.instance(harness.replicate_seed(config.seed, 0), edges)
     fraction = config.capacity_fractions[0]
     d = harness.capacity_budget(fraction, inst.graph.n_units)
     out = harness.run_policy(inst, args.policy, d, config)
 
     record: dict = {"policy": args.policy, "n_units": inst.graph.n_units,
                     "capacity": d, "capacity_fraction": fraction}
+    res = out.result
     if args.policy == "random":
-        summary = out.result
-        record.update(mean_f=summary.mean_f, sd_f=summary.sd_f, mean_welfare=out.welfare)
+        record.update(mean_f=res.mean_f, sd_f=res.sd_f, mean_welfare=out.welfare)
     else:
-        res = out.result
         record.update(selected=sorted(res.allocation.selected),
                       f_value=res.f_value, welfare=out.welfare, rounds=res.rounds)
     record["pct_young_vaccinated"] = out.pct_young
@@ -156,8 +132,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    config = _override(harness.parse_experiment_config(_read_config(args.config)), args)
-    rows = harness.run_experiment(config)
+    rows = harness.run_experiment(_config(args, harness.parse_experiment_config))
     with _open_out(args.out) as sink:
         harness.emit_csv(rows, sink)
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -165,11 +140,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_regret(args: argparse.Namespace) -> int:
-    study = harness.parse_regret_config(_read_config(args.config))
-    if args.seed is not None:
-        study = dataclasses.replace(
-            study, experiment=dataclasses.replace(study.experiment, seed=args.seed))
-    rows = harness.run_regret_study(study)
+    rows = harness.run_regret_study(_config(args, harness.parse_regret_config))
     with _open_out(args.out) as sink:
         harness.emit_regret_csv(rows, sink)
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -180,11 +151,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise harness.ConfigError(f"--trials must be >= 1, got {args.trials}")
     results = harness.run_property_checks(seed=args.seed, trials=args.trials)
-    failed = 0
     for result in results:
-        tag = "PASS" if result.passed else "FAIL"
-        failed += 0 if result.passed else 1
-        print(f"{tag} {result.name}: {result.detail}")
+        print(f"{'PASS' if result.passed else 'FAIL'} {result.name}: {result.detail}")
+    failed = sum(not result.passed for result in results)
     if failed:
         print(f"{failed} of {len(results)} checks failed")
         return EXIT_FAIL

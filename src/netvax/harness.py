@@ -16,7 +16,7 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass
-from typing import IO, NamedTuple, Optional, Sequence, Union
+from typing import IO, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -189,9 +189,9 @@ def draw_instance(n_units: int, density: float, params: SirParams,
                   initial_states: Sequence[Sequence[float]],
                   weights: Sequence[float], seed: int) -> Instance:
     """Draw a network, group labels, and health states, then compile."""
-    rng = np.random.default_rng(seed)
-    graph = erdos_renyi(n_units, density, int(rng.integers(0, 2**63 - 1)))
-    return _populate(graph, params, group1_probability, initial_states, weights, rng)
+    graph_seed = int(np.random.default_rng(seed).integers(0, 2**63 - 1))
+    return instance_on_graph(erdos_renyi(n_units, density, graph_seed), params,
+                             group1_probability, initial_states, weights, seed)
 
 
 def instance_on_graph(graph: ContactGraph, params: SirParams,
@@ -205,12 +205,6 @@ def instance_on_graph(graph: ContactGraph, params: SirParams,
     """
     rng = np.random.default_rng(seed)
     rng.integers(0, 2**63 - 1)
-    return _populate(graph, params, group1_probability, initial_states, weights, rng)
-
-
-def _populate(graph: ContactGraph, params: SirParams, group1_probability: float,
-              initial_states: Sequence[Sequence[float]],
-              weights: Sequence[float], rng: np.random.Generator) -> Instance:
     n_units = graph.n_units
     group = np.where(rng.random(n_units) < group1_probability,
                      GROUP1, GROUP2).astype(np.int8)
@@ -448,7 +442,8 @@ _KNOWN_KEYS = frozenset(
        if f.name != "experiment"])
 
 
-def _parse_kv(text: str) -> dict[str, str]:
+def _parse_kv(text: str, flags: Optional[Mapping[str, str]]) -> dict[str, str]:
+    """The text's key=value pairs, each value in flags replacing the text's."""
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -462,7 +457,10 @@ def _parse_kv(text: str) -> dict[str, str]:
         if key in out:
             raise ConfigError(f"duplicate config key {key!r} at line {lineno}")
         out[key] = value
-    return out
+    for key in flags or {}:
+        if key not in _KNOWN_KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+    return {**out, **(flags or {})}
 
 
 def _float(value: str, key: str) -> float:
@@ -538,9 +536,14 @@ def _resolve_params(kv: dict[str, str]) -> Union[str, SirParams]:
         raise ConfigError(str(exc)) from None
 
 
-def parse_experiment_config(text: str) -> ExperimentConfig:
-    """Build an ExperimentConfig from flat key=value text."""
-    kv = _parse_kv(text)
+def parse_experiment_config(text: str, flags: Optional[Mapping[str, str]] = None
+                            ) -> ExperimentConfig:
+    """Build an ExperimentConfig from flat key=value text and flags, config
+    keys whose values replace the text's."""
+    return _experiment_config(_parse_kv(text, flags))
+
+
+def _experiment_config(kv: dict[str, str]) -> ExperimentConfig:
     for name, spec in _EXPERIMENT_FIELDS.items():
         if spec.default is dataclasses.MISSING and name not in kv:
             raise ConfigError(f"missing required config key {name!r}")
@@ -559,10 +562,12 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
         raise ConfigError(str(exc)) from None
 
 
-def parse_regret_config(text: str) -> RegretStudyConfig:
-    """Regret study settings share the experiment keys plus regret_* ones."""
-    experiment = parse_experiment_config(text)
-    kv = _parse_kv(text)
+def parse_regret_config(text: str, flags: Optional[Mapping[str, str]] = None
+                        ) -> RegretStudyConfig:
+    """Regret study settings share the experiment keys plus regret_* ones;
+    flags as in parse_experiment_config."""
+    kv = _parse_kv(text, flags)
+    experiment = _experiment_config(kv)
     kwargs = {name: parse(kv[f"regret_{name}"], f"regret_{name}")
               for name, parse in _REGRET_PARSERS.items() if f"regret_{name}" in kv}
     return RegretStudyConfig(experiment=experiment, **kwargs)

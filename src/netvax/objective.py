@@ -328,8 +328,11 @@ class ContextPattern:
 
         def welfare(units: np.ndarray) -> float:
             units = np.sort(units)
-            if units.ndim != 1:
-                raise ValueError(f"allocation must be 1-D, got shape {units.shape}")
+            # an empty array of any dtype is the empty allocation
+            if units.ndim != 1 or units.size and units.dtype.kind not in "iu":
+                raise ValueError(f"allocation must be 1-D unit indices, got {units.dtype}"
+                                 f" of shape {units.shape}")
+            units = units.astype(np.int64, copy=False)
             if units.size and (units[0] < 0 or units[-1] >= n):
                 raise ValueError(f"allocation has a unit outside [0, {n})")
             if np.any(units[1:] == units[:-1]):

@@ -188,8 +188,9 @@ def _tie_scan(vals: np.ndarray, best_val: np.ndarray) -> tuple[np.ndarray, np.nd
     prev = np.concatenate((best_val[:, None], vals[:, :-1]), axis=1)
     np.maximum.accumulate(prev, axis=1, out=prev)
     pos, best = np.full(len(vals), -1), best_val.tolist()
-    rows, cand = np.nonzero(vals > prev)
-    for r, p, v in zip(rows.tolist(), cand.tolist(), vals[rows, cand].tolist()):
+    flat = np.flatnonzero(vals > prev)
+    rows, cand = np.divmod(flat, vals.shape[1])
+    for r, p, v in zip(rows.tolist(), cand.tolist(), vals.take(flat).tolist()):
         if v > best[r] + TOLERANCE:
             pos[r], best[r] = p, v
     return pos, np.array(best)
@@ -297,20 +298,17 @@ def random_assignment(ctx: ObjectiveContext, d: int) -> RandomAssignmentSummary:
                                    draws=0, capacity=d)
 
 
-def twni(ctx: ObjectiveContext, d: int, groups: np.ndarray,
-         priority_group: int = GROUP2) -> SolverResult:
-    """Targeting With No network Information: fill the priority group in
-    ascending unit order, then spill into the other group, up to d doses."""
+def twni(ctx: ObjectiveContext, d: int, groups: np.ndarray) -> SolverResult:
+    """Targeting With No network Information: fill group 2 in ascending unit
+    order, then spill into group 1, up to d doses."""
     if d < 0:
         raise ValueError(f"capacity must be >= 0, got {d}")
     groups = np.asarray(groups)
     n = ctx.n_units
     if groups.shape != (n,):
         raise ValueError("groups must have one label per unit")
-    if priority_group not in (0, 1):
-        raise ValueError(f"priority_group must be 0 or 1, got {priority_group}")
-    first = np.nonzero(groups == priority_group)[0]
-    rest = np.nonzero(groups != priority_group)[0]
+    first = np.nonzero(groups == GROUP2)[0]
+    rest = np.nonzero(groups != GROUP2)[0]
     order = np.concatenate([first, rest])[:min(d, n)]
     alloc = Allocation(frozenset(int(u) for u in order), capacity=d)
     return _finish(ctx, alloc, rounds=len(alloc.selected))

@@ -252,6 +252,15 @@ def test_brute_budget_refusal_exit_code(tmp_path, capsys):
     assert "budget refused" in capsys.readouterr().err
 
 
+def test_brute_past_dense_limit_is_budget_refusal(tmp_path, capsys):
+    # 4,097 units, more than brute force's _DENSE_LIMIT, at 2 doses:
+    # C(4097, 2) subsets are within budget, the pairwise evaluation is not
+    config = write(tmp_path / "exp.cfg",
+                   "n_units=4097\ndensity=0\ncapacity_fractions=0.0005\n")
+    assert main(["solve", "--config", config, "--policy", "brute"]) == EXIT_BUDGET
+    assert "limited to 4096 units" in capsys.readouterr().err
+
+
 def test_regret_study_budget_refusal_exit_code(tmp_path, capsys):
     # each search enumerates C(600, 3) subsets, within budget; the study's
     # 601 searches are not
@@ -366,3 +375,75 @@ def test_netvax_loads_no_scipy(run):
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+REGRET_CONFIG = """
+n_units = 10
+density = 0.5
+seed = 2
+regret_capacity = 2
+regret_n_grid = 100
+regret_replications = 3
+"""
+BASE_CONFIGS = {"solve": TINY_CONFIG, "experiment": TINY_CONFIG, "regret": REGRET_CONFIG}
+
+
+def run_configured(tmp_path, command, text, flags, name):
+    """Run command on config text plus flags; the exit code and the output
+    file's lines, each experiment row without its runtime_ms."""
+    out = tmp_path / f"{name}.out"
+    code = main([command, "--config", write(tmp_path / f"{name}.cfg", text),
+                 "--out", str(out)] + flags)
+    lines = out.read_text(encoding="utf-8").splitlines() if out.exists() else []
+    if command == "experiment":
+        lines = [line.rsplit(",", 1)[0] for line in lines]
+    return code, lines
+
+
+def with_key(text, key, value):
+    """text with its key line, if any, replaced by key = value."""
+    kept = [line for line in text.splitlines() if line.split("=")[0].strip() != key]
+    return "\n".join(kept + [f"{key} = {value}"]) + "\n"
+
+
+@pytest.mark.parametrize("command, flag, key, value", [
+    ("solve", "--seed", "seed", "7"),
+    ("solve", "--capacity-fraction", "capacity_fractions", "0.25"),
+    ("experiment", "--seed", "seed", "7"),
+    ("experiment", "--policies", "policies", "greedy,twni"),
+    ("experiment", "--mode", "mode", "exact"),
+    ("experiment", "--mode", "mode", " exact "),  # blanks around a value are dropped
+    ("regret", "--seed", "seed", "7"),
+], ids=["solve_seed", "solve_capacity_fraction", "experiment_seed", "experiment_policies",
+        "experiment_mode", "experiment_mode_blanks", "regret_seed"])
+def test_flag_matches_config_key(tmp_path, capsys, command, flag, key, value):
+    base = BASE_CONFIGS[command]
+    by_flag = run_configured(tmp_path, command, base, [flag, value], "flag")
+    by_key = run_configured(tmp_path, command, with_key(base, key, value), [], "key")
+    assert by_flag[0] == by_key[0] == EXIT_OK
+    assert by_flag[1] == by_key[1]
+    # the flag changes the run, so the comparison is not vacuous
+    assert run_configured(tmp_path, command, base, [], "base")[1] != by_key[1]
+
+
+@pytest.mark.parametrize("command, flag, key, value", [
+    ("solve", "--seed", "seed", "x"),
+    ("solve", "--capacity-fraction", "capacity_fractions", "1.5"),
+    ("solve", "--capacity-fraction", "capacity_fractions", "nan"),
+    ("experiment", "--seed", "seed", "4.5"),
+    ("experiment", "--policies", "policies", "greedy,optimal"),
+    ("experiment", "--policies", "policies", ""),
+    ("experiment", "--mode", "mode", "quadratic"),
+    ("regret", "--seed", "seed", "seven"),
+], ids=["solve_seed_word", "solve_fraction_above_one", "solve_fraction_nan",
+        "experiment_seed_float", "experiment_unknown_policy", "experiment_no_policy",
+        "experiment_unknown_mode", "regret_seed_word"])
+def test_bad_flag_is_config_error_like_bad_key(tmp_path, capsys, command, flag, key,
+                                               value):
+    base = BASE_CONFIGS[command]
+    assert run_configured(tmp_path, command, base, [flag, value], "flag") == (EXIT_CONFIG, [])
+    by_flag = capsys.readouterr().err
+    assert run_configured(tmp_path, command, with_key(base, key, value), [],
+                          "key") == (EXIT_CONFIG, [])
+    assert by_flag.startswith("config error:")
+    assert capsys.readouterr().err == by_flag

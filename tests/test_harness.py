@@ -349,6 +349,28 @@ def test_regret_config_parsing():
         parse_regret_config("n_units=10\ndensity=0.5\nregret_n_grid=\n")
 
 
+def test_flags_replace_config_values_and_parse_once(monkeypatch):
+    text = "n_units=14\ndensity=0.5\nseed=3\nregret_capacity=2\n"
+    flags = {"seed": "8", "regret_capacity": "4", "mode": "exact"}
+    want = text.replace("seed=3", "seed=8").replace("regret_capacity=2",
+                                                    "regret_capacity=4") + "mode=exact\n"
+    parses, parse_kv = [], harness._parse_kv
+
+    def counted(text, flags):
+        parses.append(text)
+        return parse_kv(text, flags)
+
+    monkeypatch.setattr(harness, "_parse_kv", counted)
+    assert parse_regret_config(text, flags) == parse_regret_config(want)
+    assert parses == [text, want]
+    assert parse_experiment_config(text, flags) == parse_experiment_config(want)
+    assert parse_experiment_config(text, {}) == parse_experiment_config(text)
+    with pytest.raises(ConfigError, match="unknown config key 'fanout'"):
+        parse_experiment_config(text, {"fanout": "3"})
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        parse_regret_config(text, {"seed": "3.5"})
+
+
 def test_run_regret_study_small():
     study = RegretStudyConfig(
         experiment=ExperimentConfig(n_units=12, density=0.5, seed=6),

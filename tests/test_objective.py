@@ -259,13 +259,27 @@ def test_welfare_mode_validation():
     [1, 1],                       # a repeated unit, which would count twice
     list(range(20)) + [0, 1, 2],  # every unit, three of them twice
     [20], [-1], [-5],             # outside [0, n); negatives would wrap
-], ids=["block", "repeat", "all_plus_three", "n", "minus_one", "minus_five"])
+    [3.0, 7.0], [0.5], [True] * 20,  # not integer unit indices
+], ids=["block", "repeat", "all_plus_three", "n", "minus_one", "minus_five",
+        "float", "fraction", "bool_mask"])
 def test_welfare_rejects_malformed_allocations(units):
     # unchecked, each gives a wrong welfare or an IndexError from the indexing
     inst = small_instance(3, n=20, density=0.5)
     for mode in ("linear", "exact"):
         with pytest.raises(ValueError):
             inst.pattern.welfare(inst.params, mode)(np.array(units))
+
+
+def test_welfare_takes_an_empty_array_of_any_dtype():
+    inst = small_instance(3, n=20, density=0.5)
+    for mode in ("linear", "exact"):
+        evaluate = inst.pattern.welfare(inst.params, mode)
+        empty = evaluate(np.array([], dtype=np.int64))
+        assert empty == welfare_value(inst.graph, inst.pop, inst.params,
+                                      Allocation.empty(), mode)
+        for dtype in (float, bool, np.int32, np.uint8, object):
+            assert evaluate(np.array([], dtype=dtype)) == empty
+        assert evaluate(np.array([3, 7], dtype=np.int32)) == evaluate(np.array([3, 7]))
 
 
 def test_random_welfare_within_four_se_of_sampled_mean_at_5k():

@@ -189,6 +189,21 @@ def test_brute_force_budget_error_names_count():
         brute_force(inst.ctx, -1)
 
 
+def test_brute_force_refuses_pairwise_search_past_dense_limit(monkeypatch):
+    # C(4097, 2) = 8,390,656 subsets are within ENUMERATION_BUDGET, but the
+    # pairwise values would fill a 4097 x 4097 dense block per objective
+    def no_search(*args):
+        raise AssertionError("a refused search must not enumerate")
+
+    monkeypatch.setattr(solvers, "_brute", no_search)
+    n = solvers._DENSE_LIMIT + 1
+    ctx = ObjectiveContext(n, np.zeros(n), [], [], [], 0.0)
+    with pytest.raises(BudgetError, match=f"limited to {solvers._DENSE_LIMIT} units"):
+        brute_force(ctx, 2)
+    with pytest.raises(AssertionError, match="must not enumerate"):
+        brute_force(ctx, 1)  # one dose needs no pairwise values
+
+
 def random_contexts(seed):
     """A drawn instance and a raw-triplet context with arbitrary values."""
     rng = np.random.default_rng(seed)
@@ -449,14 +464,11 @@ def test_twni_fills_priority_group_first():
     # spills into group 1 in ascending order once the priority group is full
     assert twni(ctx, 4, pop.group).allocation.selected == frozenset({1, 3, 4, 0})
     assert twni(ctx, 6, pop.group).allocation.selected == frozenset(range(6))
-    assert twni(ctx, 2, pop.group, priority_group=GROUP1).allocation.selected == frozenset({0, 2})
 
 
 def test_twni_validation():
     inst = small_instance(0, n=6)
     with pytest.raises(ValueError):
         twni(inst.ctx, -1, inst.pop.group)
-    with pytest.raises(ValueError):
-        twni(inst.ctx, 2, inst.pop.group, priority_group=2)
     with pytest.raises(ValueError):
         twni(inst.ctx, 2, inst.pop.group[:-1])
