@@ -24,11 +24,11 @@ from .epidemic import GROUP1, GROUP2, RECOVERED, Population, SirParams
 from .graph import ContactGraph, erdos_renyi
 from .objective import (Allocation, ContextPattern, ObjectiveContext,
                         check_submodular, marginal_gain, objective_value)
-from .regret import (EstimationNoiseModel, _draw_estimates, compile_truth,
-                     decompose_regret)
-from .solvers import (ENUMERATION_BUDGET, BudgetError, RandomAssignmentSummary,
-                      SolverResult, brute_force, greedy_capacity, greedy_factor,
-                      greedy_targeting, random_assignment, twni)
+from .regret import (EstimationNoiseModel, _draw_estimates, decompose_regret,
+                     regret_upper_bound)
+from .solvers import (RandomAssignmentSummary, SolverResult, _check_budget, brute_force,
+                      greedy_capacity, greedy_factor, greedy_targeting,
+                      random_assignment, twni)
 
 __all__ = [
     "PARAMETER_SETS",
@@ -381,42 +381,37 @@ def run_regret_study(config: RegretStudyConfig) -> list[RegretStudyRow]:
 
     The instance is drawn from replicate_seed(seed, 0), and replication rep
     at grid index gi estimates the parameters from
-    replicate_seed(seed, 1_000_000 + gi * replications + rep).  The true
-    objective and its optimum are compiled once per study (compile_truth
-    on the drawn instance's pattern).  decompose_regret measures a grid
-    point's estimates as arrays, in blocks whose arrays hold at most
-    _BATCH_CELLS values (one estimate's if more), so memory beyond the
-    instance and the cached subset enumeration grows by a few floats per
-    replication.  Every row equals the mean of the empirical_regret reports
-    over the same estimates.
+    replicate_seed(seed, 1_000_000 + gi * replications + rep).  One
+    decompose_regret call on the drawn instance's pattern searches the true
+    optimum once and measures every estimate as arrays, in blocks whose
+    arrays hold at most _BATCH_CELLS values (one estimate's if more), so
+    memory beyond the instance grows by a few floats per replication.
+    Every row equals the mean of the empirical_regret reports over the same
+    estimates.
 
     With use_brute the study makes replications * len(n_grid) + 1
     exhaustive searches; it raises BudgetError before drawing anything when
-    they would enumerate more than ENUMERATION_BUDGET subsets in all.
+    solvers._check_budget refuses them: more than ENUMERATION_BUDGET subsets
+    in all, or a capacity past 1 on more units than the dense limit.
     """
-    exp = config.experiment
+    exp, d, reps = config.experiment, config.capacity, config.replications
     if config.use_brute:
-        searches = config.replications * len(config.n_grid) + 1
-        k = min(config.capacity, exp.n_units)
-        subsets = searches * math.comb(exp.n_units, k)
-        if subsets > ENUMERATION_BUDGET:
-            raise BudgetError(
-                f"{searches} searches of C({exp.n_units},{k}) subsets = {subsets}"
-                f" exceed the enumeration budget of {ENUMERATION_BUDGET}")
+        _check_budget(exp.n_units, min(d, exp.n_units), reps * len(config.n_grid) + 1)
     inst = exp.instance(replicate_seed(exp.seed, 0))
-    truth = compile_truth(inst.graph, inst.pop, inst.pattern, inst.params,
-                          config.capacity, config.use_brute)
+    beta, gamma = map(np.concatenate, zip(*(_draw_estimates(
+        inst.params, EstimationNoiseModel(n_external),
+        [replicate_seed(exp.seed, 1_000_000 + gi * reps + rep) for rep in range(reps)])
+        for gi, n_external in enumerate(config.n_grid))))
+    f_star, gaps = decompose_regret(inst.pattern, inst.params, d, config.use_brute, beta, gamma)
+    bound_inputs = (int(inst.graph.degree.max()), int(inst.pop.infected.sum()),
+                    float(inst.pop.weight.max()))
     rows = []
     for gi, n_external in enumerate(config.n_grid):
-        seeds = [replicate_seed(exp.seed, 1_000_000 + gi * config.replications + rep)
-                 for rep in range(config.replications)]
-        gap1, gap2, gap3, total = decompose_regret(truth, *_draw_estimates(
-            inst.params, EstimationNoiseModel(n_external=n_external), seeds))
+        gap1, gap2, gap3, total = gaps[:, gi * reps:(gi + 1) * reps]
         mean_total = float(np.mean(total))
-        bound = truth.bound(n_external)
+        bound = regret_upper_bound(exp.n_units, d, *bound_inputs, n_external, f_star)
         rows.append(RegretStudyRow(
-            n_external=n_external, replications=config.replications,
-            capacity=config.capacity, mean_total=mean_total,
+            n_external=n_external, replications=reps, capacity=d, mean_total=mean_total,
             mean_estimation_gap=float(np.mean(gap1)),
             mean_optimization_gap=float(np.mean(gap2)),
             mean_evaluation_gap=float(np.mean(gap3)),

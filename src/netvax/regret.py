@@ -18,17 +18,15 @@ import numpy as np
 
 from .epidemic import Population, SirParams
 from .graph import ContactGraph
-from .objective import ContextPattern, ObjectiveContext, _f_rows
-from .solvers import _BATCH_CELLS, SolverResult, _brute, _greedy, brute_force, greedy_capacity
+from .objective import ContextPattern, _f_rows
+from .solvers import _BATCH_CELLS, _brute, _check_budget, _greedy
 
 __all__ = [
     "UNIVERSAL_CONSTANT",
     "MEAN_DEVIATION_COEF",
     "EstimationNoiseModel",
     "RegretReport",
-    "RegretTruth",
     "sample_estimates",
-    "compile_truth",
     "decompose_regret",
     "empirical_regret",
     "regret_upper_bound",
@@ -133,74 +131,52 @@ class RegretReport:
         return abs(self.estimation_gap) + abs(self.evaluation_gap)
 
 
-@dataclass(frozen=True)
-class RegretTruth:
-    """The true-parameter half of a regret decomposition, shared by every
-    estimate drawn for one instance and capacity: the instance's pattern,
-    the true objective compiled on it, its optimum and the bound's inputs."""
-
-    pattern: ContextPattern
-    ctx: ObjectiveContext
-    optimum: SolverResult
-    capacity: int
-    use_brute: bool
-    max_degree: int
-    n_infected: int
-    max_weight: float
-
-    def bound(self, n_external: Optional[int]) -> float:
-        """regret_upper_bound at the true optimum, nan without n_external."""
-        if n_external is None:
-            return float("nan")
-        return regret_upper_bound(self.ctx.n_units, self.capacity, self.max_degree,
-                                  self.n_infected, self.max_weight, n_external,
-                                  self.optimum.f_value)
-
-
-def compile_truth(graph: ContactGraph, pop: Population, pattern: ContextPattern,
-                  true_params: SirParams, d: int, use_brute: bool) -> RegretTruth:
-    """Compile the true objective on pattern, ContextPattern(graph, pop), and
-    locate its optimum by exhaustive search or, without use_brute, greedy."""
-    ctx_true = pattern.context(true_params)
-    # greedy_capacity refuses d = 0; brute force returns the empty allocation
-    optimum = (greedy_capacity(ctx_true, d) if d >= 1 and not use_brute
-               else brute_force(ctx_true, d))
-    return RegretTruth(
-        pattern=pattern, ctx=ctx_true, optimum=optimum, capacity=d, use_brute=use_brute,
-        max_degree=int(graph.degree.max()), n_infected=int(pop.infected.sum()),
-        max_weight=float(pop.weight.max()))
-
-
-def decompose_regret(truth: RegretTruth, beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """The (4, R) estimation, optimization and evaluation gaps and totals of
-    R estimates, given as rates beta (R, 2, 2) and gamma (R, 2) filled on
-    the truth's pattern.  The chosen set is greedy on the estimate; the
-    estimated optimum comes from the same search as the true one, so without
-    use_brute it is the chosen set itself.  Estimates are filled in blocks
-    whose (rows, max(n, 2 nnz)) arrays hold at most _BATCH_CELLS values, or
-    one row's if more; solvers._brute scores a block's rows elementwise, so
-    every value is bit for bit that of the estimate's context, greedy,
-    brute-force search and objective_value alone.
+def decompose_regret(pattern: ContextPattern, true_params: SirParams, d: int,
+                     use_brute: bool, beta: np.ndarray, gamma: np.ndarray
+                     ) -> tuple[float, np.ndarray]:
+    """The true optimum's F and the (4, R) estimation, optimization and
+    evaluation gaps and totals of R estimates, given as rates beta (R, 2, 2)
+    and gamma (R, 2), at capacity d on pattern's instance.  The truth is a
+    one-row block searched as each block of estimates is (_search); with
+    use_brute, the R + 1 searches pass _check_budget before any fill.  A
+    block's (rows, max(n, 2 nnz)) arrays hold at most _BATCH_CELLS values,
+    or one row's if more; no value depends on the block, so each is bit for
+    bit that of the estimate's context, greedy, brute-force search and
+    objective_value alone.
     """
-    pattern, ctx, d = truth.pattern, truth.ctx, truth.capacity
-    n = ctx.n_units
+    n = pattern.n_units
+    if use_brute:
+        _check_budget(n, min(d, n), len(beta) + 1)
     layout = pattern._sym_rows, pattern._sym_cols
-    f_true_star = truth.optimum.f_value
+    true_base, true_sym, _, _, f_star = _search(
+        pattern, true_params.beta[None], true_params.gamma[None], d, use_brute)
+    f_star = float(f_star[0])
     gaps = np.empty((4, len(beta)))
     step = max(1, _BATCH_CELLS // max(n, layout[0].size))
     for lo in range(0, len(beta), step):
-        _, base, sym, _ = pattern.fill(beta[lo:lo + step], gamma[lo:lo + step])
-        chosen = _members(_greedy(base, pattern._sym_indptr, layout[1], sym, d,
-                                  np.zeros(n, dtype=np.int8), (d,))[0], n)
-        f_est_chosen = _f_rows(base, sym, *layout, chosen)
-        f_true_chosen = _f_rows(np.broadcast_to(ctx._base_gain, base.shape),
-                                np.broadcast_to(ctx._sym_vals, sym.shape), *layout, chosen)
-        f_est_star = (_f_rows(base, sym, *layout,
-                              _members(_brute(base, sym, *layout, min(d, n)), n))
-                      if truth.use_brute else f_est_chosen)
-        gaps[:, lo:lo + step] = (f_true_star - f_est_star, f_est_star - f_est_chosen,
-                                 f_est_chosen - f_true_chosen, f_true_star - f_true_chosen)
-    return gaps
+        base, sym, chosen, f_est_chosen, f_est_star = _search(
+            pattern, beta[lo:lo + step], gamma[lo:lo + step], d, use_brute)
+        f_true_chosen = _f_rows(np.broadcast_to(true_base, base.shape),
+                                np.broadcast_to(true_sym, sym.shape), *layout, chosen)
+        gaps[:, lo:lo + step] = (f_star - f_est_star, f_est_star - f_est_chosen,
+                                 f_est_chosen - f_true_chosen, f_star - f_true_chosen)
+    return f_star, gaps
+
+
+def _search(pattern: ContextPattern, beta: np.ndarray, gamma: np.ndarray, d: int,
+            use_brute: bool) -> tuple[np.ndarray, ...]:
+    """Fill R rate sets on pattern and search each at capacity d: their
+    (R, n) base gains and (R, 2 nnz) values of w + w^T, the membership mask
+    of greedy's picks and its F, and the optimum's F, from _brute with
+    use_brute and else greedy's."""
+    n, layout = pattern.n_units, (pattern._sym_rows, pattern._sym_cols)
+    _, base, sym, _ = pattern.fill(beta, gamma)
+    chosen = _members(_greedy(base, pattern._sym_indptr, layout[1], sym, d,
+                              np.zeros(n, dtype=np.int8), (d,))[0], n)
+    f_chosen = _f_rows(base, sym, *layout, chosen)
+    f_star = (_f_rows(base, sym, *layout, _members(_brute(base, sym, *layout, min(d, n)), n))
+              if use_brute else f_chosen)
+    return base, sym, chosen, f_chosen, f_star
 
 
 def _members(units: np.ndarray, n: int) -> np.ndarray:
@@ -220,21 +196,21 @@ def empirical_regret(graph: ContactGraph, pop: Population,
     enumeration budget); otherwise greedy stands in and the report is marked
     approximate.  At d = 0 every gap is 0 in both modes.  When n_external is
     given, the report carries the matching upper bound computed from the
-    true optimum's value.  Builds the instance's ContextPattern once,
-    compiles the truth (compile_truth) and decomposes the one estimate
-    (decompose_regret); a study over many estimates on one instance
-    compiles the truth once and passes decompose_regret all its estimates,
-    with the same result per estimate.
+    true optimum's value.  decompose_regret's one-estimate case: a study
+    over many estimates on one instance passes it all its estimates, with
+    the same result per estimate.
     """
-    pattern = ContextPattern(graph, pop)
-    truth = compile_truth(graph, pop, pattern, true_params, d, use_brute)
-    gap1, gap2, gap3, total = decompose_regret(
-        truth, est_params.beta[None], est_params.gamma[None])[:, 0].tolist()
+    f_star, gaps = decompose_regret(ContextPattern(graph, pop), true_params, d, use_brute,
+                                    est_params.beta[None], est_params.gamma[None])
+    gap1, gap2, gap3, total = gaps[:, 0].tolist()
+    max_degree, n_infected = int(graph.degree.max()), int(pop.infected.sum())
+    max_weight = float(pop.weight.max())
+    bound = (float("nan") if n_external is None else regret_upper_bound(
+        graph.n_units, d, max_degree, n_infected, max_weight, n_external, f_star))
     return RegretReport(
         estimation_gap=gap1, optimization_gap=gap2, evaluation_gap=gap3,
-        total=total, bound=truth.bound(n_external), max_degree=truth.max_degree,
-        n_infected=truth.n_infected, max_weight=truth.max_weight, capacity=d,
-        approximate=not use_brute)
+        total=total, bound=bound, max_degree=max_degree, n_infected=n_infected,
+        max_weight=max_weight, capacity=d, approximate=not use_brute)
 
 
 def regret_upper_bound(n_units: int, d: int, max_degree: int, n_infected: int,

@@ -7,7 +7,6 @@ subset in brute-force enumeration.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -169,16 +168,6 @@ def _subset_blocks(n: int, k: int, chunk: int) -> Iterator[tuple[np.ndarray, np.
         yield np.asfortranarray(combos), np.asfortranarray(combos[:, u] * n + combos[:, v])
 
 
-@functools.lru_cache(maxsize=4)
-def _subsets(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """_subset_blocks' one block holding all size-k subsets of range(n), set
-    read-only and kept for the next search with the same (n, k)."""
-    block = next(_subset_blocks(n, k, math.comb(n, k)))
-    for arr in block:
-        arr.setflags(write=False)
-    return block
-
-
 def _tie_scan(vals: np.ndarray, best_val: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scan each row of vals (R, m) in order against its incumbent in best_val:
     a value replaces the incumbent only when it beats it by more than the tie
@@ -202,8 +191,9 @@ def _brute(base: np.ndarray, sym: np.ndarray, sym_rows: np.ndarray,
     and (R, 2 nnz) values of w + w^T on the CSR layout (sym_rows, sym_cols).
     A subset adds its k base gains, then its k(k-1)/2 values of w + w^T above
     the diagonal, each by an elementwise take, so no pick depends on the block.
-    Subsets come in blocks of _PAIR_CELLS / (k(k+1)/2) rows, one kept per
-    (n, k) in a small LRU cache if it holds all; takes hold _BATCH_CELLS values."""
+    Subsets come in blocks of _PAIR_CELLS / (k(k+1)/2) rows, built once per
+    call if one block holds all and else streamed per block of objectives;
+    takes hold _BATCH_CELLS values."""
     n = base.shape[1]
     if k == 0:
         return np.empty((len(base), 0), dtype=np.int64)
@@ -213,14 +203,14 @@ def _brute(base: np.ndarray, sym: np.ndarray, sym_rows: np.ndarray,
     step = max(1, _BATCH_CELLS // max(count, n * n))
     width = max(1, _BATCH_CELLS // step)
     chunk = max(1, _PAIR_CELLS // (k * (k + 1) // 2))
+    whole = list(_subset_blocks(n, k, chunk)) if count <= chunk else None
     best = np.empty((len(base), k), dtype=np.int64)
     for lo in range(0, len(base), step):
         gains = base[lo:lo + step]
         pair = np.zeros((len(gains), n * n))
         pair[:, sym_rows * n + sym_cols] = sym[lo:lo + step]
         best_val = np.full(len(gains), -np.inf)
-        blocks = [_subsets(n, k)] if count <= chunk else _subset_blocks(n, k, chunk)
-        for combos, pairs in blocks:
+        for combos, pairs in whole or _subset_blocks(n, k, chunk):
             for at in range(0, len(combos), width):
                 part = slice(at, at + width)
                 vals = np.take(gains, combos[part, 0], axis=1)
@@ -233,32 +223,41 @@ def _brute(base: np.ndarray, sym: np.ndarray, sym_rows: np.ndarray,
     return best
 
 
+def _check_budget(n: int, k: int, searches: int = 1) -> None:
+    """Raise BudgetError when searches exhaustive searches over the size-k
+    subsets of n units would enumerate more than ENUMERATION_BUDGET subsets
+    in all, or when k > 1 and their pairwise values would fill a dense
+    n x n block past _DENSE_LIMIT units."""
+    count = math.comb(n, k)
+    if searches * count > ENUMERATION_BUDGET:
+        what = f"C({n},{k}) = {count} subsets"
+        if searches > 1:
+            what = f"{searches} searches of {what}, {searches * count} in all,"
+        raise BudgetError(f"{what} exceed the enumeration budget of {ENUMERATION_BUDGET}")
+    if k > 1 and n > _DENSE_LIMIT:
+        raise BudgetError(
+            f"C({n},{k}) = {count} is within budget but pairwise evaluation "
+            f"is limited to {_DENSE_LIMIT} units")
+
+
 def brute_force(ctx: ObjectiveContext, d: int) -> SolverResult:
     """Exhaustive search over all allocations of size min(d, n).
 
     Enumerates subsets in lexicographic order; a later subset replaces the
     incumbent only when its value is higher by more than 1e-12, so among
     maximizers tied within that window the first one wins, as in greedy.
-    Refuses instances whose subset count exceeds ENUMERATION_BUDGET.  It is
-    _brute's one-objective case; f_value is objective_value of the pick.
+    Refuses what _check_budget refuses.  It is _brute's one-objective case;
+    f_value is objective_value of the pick.
     """
     if d < 0:
         raise ValueError(f"capacity must be >= 0, got {d}")
     n = ctx.n_units
     k = min(d, n)
-    count = math.comb(n, k)
-    if count > ENUMERATION_BUDGET:
-        raise BudgetError(
-            f"C({n},{k}) = {count} subsets exceeds the enumeration budget "
-            f"of {ENUMERATION_BUDGET}")
-    if k > 1 and n > _DENSE_LIMIT:
-        raise BudgetError(
-            f"C({n},{k}) = {count} is within budget but pairwise evaluation "
-            f"is limited to {_DENSE_LIMIT} units")
+    _check_budget(n, k)
     best = _brute(ctx._base_gain[None], ctx._sym_vals[None], ctx._sym_rows,
                   ctx._sym_cols, k)[0]
     alloc = Allocation(frozenset(best.tolist()), capacity=d)
-    return _finish(ctx, alloc, rounds=count if k else 0)
+    return _finish(ctx, alloc, rounds=math.comb(n, k) if k else 0)
 
 
 def iter_random_subsets(seed: int, n: int, d: int, draws: int,

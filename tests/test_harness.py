@@ -23,7 +23,6 @@ from netvax import (
     RegretStudyConfig,
     RegretStudyRow,
     SirParams,
-    brute_force,
     draw_instance,
     empirical_regret,
     emit_csv,
@@ -38,6 +37,7 @@ from netvax import (
     sample_estimates,
 )
 from netvax import harness, objective, regret, solvers
+from netvax.cli import EXIT_BUDGET, main
 from netvax.harness import instance_on_graph, run_policy
 
 from _oracles import DEFAULT_DIST, regret_study_by_estimate
@@ -399,22 +399,16 @@ def test_regret_study_rows_are_means_of_empirical_regret(use_brute, monkeypatch)
     params = exp.params()
     inst = draw_instance(12, 0.5, params, exp.group1_probability,
                          exp.initial_states, exp.weights, replicate_seed(exp.seed, 0))
-    searches, blocks = [], []
-
-    def counted_brute_force(ctx, d):
-        searches.append(d)
-        return brute_force(ctx, d)
+    blocks = []
 
     def counted_brute(base, *args):
         blocks.append(len(base))
         return solvers._brute(base, *args)
-    monkeypatch.setattr(regret, "brute_force", counted_brute_force)
     monkeypatch.setattr(regret, "_brute", counted_brute)
     rows = run_regret_study(study)
-    # the true optimum is searched once per study; a grid point's six
-    # estimates are searched together, in one block
-    assert len(searches) == (1 if use_brute else 0)
-    assert blocks == ([6, 6] if use_brute else [])
+    # the true optimum is searched once per study, as a one-row block; the
+    # twelve estimates of both grid points are searched together, in one block
+    assert blocks == ([1, 12] if use_brute else [])
     for gi, (row, n_external) in enumerate(zip(rows, study.n_grid)):
         noise = EstimationNoiseModel(n_external)
         reports = [empirical_regret(
@@ -451,6 +445,27 @@ def test_regret_study_refuses_over_budget_before_drawing(monkeypatch):
         experiment=ExperimentConfig(n_units=600, density=0.5, n_networks=1),
         n_grid=(100,), replications=1, use_brute=False)
     assert len(run_regret_study(study)) == 1
+
+
+def test_regret_study_refuses_dense_limit_before_drawing(tmp_path, monkeypatch):
+    # the study's two searches of C(4097, 2) subsets are within
+    # ENUMERATION_BUDGET, but each would fill a 4097 x 4097 dense block of
+    # pairwise values; drawing the instance at density 0.5 alone takes
+    # most of a second
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a refused study must not draw its instance")
+
+    monkeypatch.setattr(harness, "draw_instance", no_draw)
+    text = ("n_units=4097\ndensity=0.5\nregret_capacity=2\nregret_replications=1\n"
+            "regret_n_grid=100\n")
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match="limited to 4096 units"):
+        run_regret_study(parse_regret_config(text))
+    assert time.perf_counter() - start < 0.1
+    config, out = tmp_path / "reg.cfg", tmp_path / "regret.csv"
+    config.write_text(text)
+    assert main(["regret", "--config", str(config), "--out", str(out)]) == EXIT_BUDGET
+    assert not out.exists()
 
 
 def _count_patterns(monkeypatch):

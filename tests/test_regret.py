@@ -9,14 +9,18 @@ from netvax import (
     MEAN_DEVIATION_COEF,
     UNIVERSAL_CONSTANT,
     Allocation,
+    BudgetError,
     ContactGraph,
+    ContextPattern,
     EstimationNoiseModel,
     ExperimentConfig,
     Population,
     RegretStudyConfig,
     SirParams,
+    brute_force,
     build_context,
     empirical_regret,
+    greedy_capacity,
     greedy_targeting,
     objective_value,
     regret_upper_bound,
@@ -24,6 +28,7 @@ from netvax import (
     run_regret_study,
     sample_estimates,
 )
+from netvax.regret import decompose_regret
 
 from _oracles import entry_error_bounds, matroid_brute, small_instance
 
@@ -192,6 +197,43 @@ def test_zero_capacity_regret_is_zero_in_both_modes(use_brute):
     assert report.bound == regret_upper_bound(12, 0, report.max_degree,
                                               report.n_infected, report.max_weight,
                                               100, 0.0)
+
+
+@pytest.mark.parametrize("seed, n, density", [(0, 6, 0.5), (1, 9, 0.3), (2, 12, 0.8),
+                                              (3, 10, 1.0), (4, 1, 0.0)])
+def test_true_optimum_is_that_of_the_public_solvers(seed, n, density):
+    inst = small_instance(seed, n=n, density=density)
+    pattern = ContextPattern(inst.graph, inst.pop)
+    ctx = pattern.context(inst.params)
+    est = sample_estimates(inst.params, EstimationNoiseModel(100), seed)
+    for d in range(n + 2):
+        for use_brute in (True, False):
+            f_star, gaps = decompose_regret(pattern, inst.params, d, use_brute,
+                                            est.beta[None], est.gamma[None])
+            assert gaps.shape == (4, 1)
+            if d == 0:
+                assert f_star.hex() == (0.0).hex()
+            elif use_brute:
+                assert f_star.hex() == brute_force(ctx, d).f_value.hex()
+            else:
+                assert f_star.hex() == greedy_capacity(ctx, d).f_value.hex()
+
+
+def test_empirical_regret_refuses_brute_force_before_filling(monkeypatch):
+    def no_fill(*args):
+        raise AssertionError("a refused search must not fill its objectives")
+
+    # the truth's and the estimate's searches of C(50, 10) subsets each
+    inst = small_instance(1, n=50, density=0.2)
+    monkeypatch.setattr(ContextPattern, "fill", no_fill)
+    with pytest.raises(BudgetError, match=r"C\(50,10\)"):
+        empirical_regret(inst.graph, inst.pop, inst.params, inst.params, d=10)
+    # C(4097, 2) subsets are within budget, the dense pairwise block is not
+    n = 4097
+    pop = Population(state0=np.zeros(n, dtype=np.int8), group=np.zeros(n, dtype=np.int8),
+                     weight=np.ones(n))
+    with pytest.raises(BudgetError, match="limited to 4096 units"):
+        empirical_regret(ContactGraph(n), pop, SET1, SET1, d=2)
 
 
 def test_bound_floor_and_monotonicity():

@@ -229,16 +229,13 @@ def test_brute_force_matches_streamed_search(seed, monkeypatch):
         for d in (1, 2, n // 2, n - 1, n, n + 2):
             assert_same_search(brute_force(ctx, d), brute_force_streamed(ctx, d))
         # a few rows per block forces a streamed, multi-block search
-        solvers._subsets.cache_clear()
         monkeypatch.setattr(solvers, "_PAIR_CELLS", 40)
         for d in (2, 3, n - 2):
             assert 40 // (d * (d + 1) // 2) < math.comb(n, d)
             assert_same_search(brute_force(ctx, d), brute_force_streamed(ctx, d))
-        info = solvers._subsets.cache_info()
-        assert info.currsize == 0 and info.misses == 0
         monkeypatch.undo()
-        # a small take bound scores the cached enumeration a few subsets at a
-        # time: n * n > 8 leaves one objective per block and 8 subsets per take
+        # a small take bound scores the one-block enumeration a few subsets at
+        # a time: n * n > 8 leaves one objective per block and 8 subsets per take
         monkeypatch.setattr(solvers, "_BATCH_CELLS", 8)
         for d in (2, 3, n - 2):
             assert n * n > 8 and 8 < math.comb(n, d)
@@ -273,8 +270,8 @@ def tied_searches(draw):
         spill = draw(st.lists(value, min_size=len(links), max_size=len(links)))
         ctxs.append(ObjectiveContext(n, [gain[c] for c in cls], rows, cols,
                                      [-spill[e] for _, _, e in entries], 0.0))
-    regime = draw(st.sampled_from(["cached", "streamed", "multi-take"]))
-    bound = {"cached": ("_PAIR_CELLS", solvers._PAIR_CELLS),
+    regime = draw(st.sampled_from(["one-block", "streamed", "multi-take"]))
+    bound = {"one-block": ("_PAIR_CELLS", solvers._PAIR_CELLS),
              "streamed": ("_PAIR_CELLS", k * (k + 1) // 2 * draw(st.integers(1, 3))),
              "multi-take": ("_BATCH_CELLS", draw(st.integers(1, 3)))}[regime]
     return ctxs, k, bound
@@ -298,29 +295,6 @@ def test_brute_picks_equal_streamed_search_with_planted_ties(case):
         want = brute_force_streamed(ctx, k)
         assert frozenset(pick.tolist()) == want.allocation.selected
         assert_same_search(search, want)
-
-
-def test_brute_force_enumeration_cache_is_read_only_and_bounded():
-    solvers._subsets.cache_clear()
-    maxsize = solvers._subsets.cache_parameters()["maxsize"]
-    ctx = small_instance(3, n=10).ctx
-    brute_force(ctx, 4)
-    brute_force(ctx, 4)
-    info = solvers._subsets.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
-    combos, pairs = solvers._subsets(10, 4)
-    assert combos.shape == (math.comb(10, 4), 4) and pairs.shape == (math.comb(10, 4), 6)
-    assert combos.tolist() == [list(c) for c in itertools.combinations(range(10), 4)]
-    assert pairs.tolist() == [[u * 10 + v for u, v in itertools.combinations(c, 2)]
-                              for c in combos.tolist()]
-    for arr in (combos, pairs):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 0
-    for n in range(6, 6 + 2 * maxsize):
-        brute_force(small_instance(n, n=n).ctx, 2)
-        assert solvers._subsets.cache_info().currsize <= maxsize
-    assert solvers._subsets.cache_info().currsize == maxsize
 
 
 @pytest.mark.parametrize("n, k, chunk", [(7, 3, 4), (7, 3, 34), (9, 2, 5),
