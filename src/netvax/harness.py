@@ -16,12 +16,12 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass
-from typing import IO, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import IO, Any, Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .epidemic import GROUP1, GROUP2, RECOVERED, Population, SirParams
-from .graph import ContactGraph, erdos_renyi
+from .graph import ContactGraph, _unit_count, erdos_renyi
 from .objective import (Allocation, ContextPattern, ObjectiveContext,
                         check_submodular, marginal_gain, objective_value)
 from .regret import (EstimationNoiseModel, _draw_estimates, decompose_regret,
@@ -104,8 +104,10 @@ class ExperimentConfig:
     targeting_fractions: Optional[tuple[float, float]] = None
 
     def __post_init__(self) -> None:
-        if self.n_units < 1:
-            raise ConfigError(f"n_units must be >= 1, got {self.n_units}")
+        try:
+            _unit_count(self.n_units)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not 0.0 <= self.density <= 1.0:
             raise ConfigError(f"density must be in [0, 1], got {self.density}")
         if self.n_networks < 1:
@@ -425,20 +427,64 @@ def emit_regret_csv(rows: Sequence[RegretStudyRow], sink: IO[str]) -> None:
     _emit(rows, sink, ("", "", "") + (".6f",) * 7)
 
 
-_EXPERIMENT_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
-_STATE_KEYS = ("initial_states_g1", "initial_states_g2")
 _PARAM_KEYS = ("beta11", "beta12", "beta21", "beta22", "gamma1", "gamma2")
 _DELTA_KEYS = ("delta1", "delta2")
-_KNOWN_KEYS = frozenset(
-    [name for name in _EXPERIMENT_FIELDS if name != "initial_states"]
-    + ["random_draws"]  # retired: accepted with any value and ignored
-    + list(_STATE_KEYS) + list(_PARAM_KEYS) + list(_DELTA_KEYS)
-    + [f"regret_{f.name}" for f in dataclasses.fields(RegretStudyConfig)
-       if f.name != "experiment"])
 
 
-def _parse_kv(text: str, flags: Optional[Mapping[str, str]]) -> dict[str, str]:
-    """The text's key=value pairs, each value in flags replacing the text's."""
+def _float(value: str, key: str) -> float:
+    try:
+        number = float(value)
+    except ValueError:
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return number
+
+
+def _int(value: str, key: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+
+
+def _bool(value: str, key: str) -> bool:
+    text = value.lower()
+    if text not in ("true", "false", "1", "0", "yes", "no"):
+        raise ConfigError(f"{key} must be boolean, got {text!r}")
+    return text in ("true", "1", "yes")
+
+
+def _text(value: str, key: str) -> str:
+    return value
+
+
+def _list(parse: Callable[[str, str], Any]) -> Callable[[str, str], tuple]:
+    """A parser of comma-separated entries, each read by parse; blanks are skipped."""
+    return lambda value, key: tuple(parse(part.strip(), key)
+                                    for part in value.split(",") if part.strip())
+
+
+# Every accepted config key and the parser of its value.  regret_<name> sets
+# RegretStudyConfig.<name>; random_draws is retired: accepted with any value
+# and ignored.
+_KNOWN_KEYS: dict[str, Optional[Callable[[str, str], Any]]] = {
+    "n_units": _int, "density": _float, "n_networks": _int,
+    "parameter_set": _text, "group1_probability": _float,
+    "initial_states_g1": _list(_float), "initial_states_g2": _list(_float),
+    "capacity_fractions": _list(_float), "weights": _list(_float),
+    "policies": _list(_text), "seed": _int, "mode": _text,
+    "targeting_fractions": _list(_float),
+    **dict.fromkeys(_PARAM_KEYS + _DELTA_KEYS, _float),
+    "regret_capacity": _int, "regret_n_grid": _list(_int),
+    "regret_replications": _int, "regret_use_brute": _bool,
+    "random_draws": None,
+}
+
+
+def _parse_kv(text: str, flags: Optional[Mapping[str, str]]) -> dict[str, Any]:
+    """The text's key=value pairs, each value in flags replacing the text's,
+    every value parsed by its key's parser."""
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -455,78 +501,24 @@ def _parse_kv(text: str, flags: Optional[Mapping[str, str]]) -> dict[str, str]:
     for key in flags or {}:
         if key not in _KNOWN_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-    return {**out, **(flags or {})}
+    return {key: parse(value, key) for key, value in {**out, **(flags or {})}.items()
+            if (parse := _KNOWN_KEYS[key]) is not None}
 
 
-def _float(value: str, key: str) -> float:
-    try:
-        number = float(value)
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
-    if not math.isfinite(number):
-        raise ConfigError(f"{key} must be a finite number, got {value!r}")
-    return number
-
-
-def _floats(value: str, key: str) -> tuple[float, ...]:
-    return tuple(_float(part, key) for part in value.split(",") if part.strip())
-
-
-def _int(value: str, key: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
-
-
-def _ints(value: str, key: str) -> tuple[int, ...]:
-    return tuple(_int(part, key) for part in value.split(",") if part.strip())
-
-
-def _names(value: str, key: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in value.split(",") if part.strip())
-
-
-def _bool(value: str, key: str) -> bool:
-    text = value.lower()
-    if text not in ("true", "false", "1", "0", "yes", "no"):
-        raise ConfigError(f"{key} must be boolean, got {text!r}")
-    return text in ("true", "1", "yes")
-
-
-# How each config key that names an ExperimentConfig field is read; the
-# field's default applies when the key is absent.
-_FIELD_PARSERS = {
-    "n_units": _int, "density": _float, "n_networks": _int,
-    "group1_probability": _float, "capacity_fractions": _floats,
-    "weights": _floats, "policies": _names,
-    "seed": _int, "mode": lambda value, key: value,
-    "targeting_fractions": _floats,
-}
-_REGRET_PARSERS = {"capacity": _int, "n_grid": _ints, "replications": _int,
-                   "use_brute": _bool}
-
-
-def _resolve_params(kv: dict[str, str]) -> Union[str, SirParams]:
-    name = kv.get("parameter_set", _EXPERIMENT_FIELDS["parameter_set"].default)
-    if name not in PARAMETER_SETS:
-        raise ConfigError(f"unknown parameter set {name!r}")
+def _resolve_params(kv: dict[str, Any]) -> Union[str, SirParams]:
+    name = kv.get("parameter_set", ExperimentConfig.parameter_set)
     given = [key for key in _PARAM_KEYS if key in kv]
-    if not given and not any(key in kv for key in _DELTA_KEYS):
-        return name
+    if name not in PARAMETER_SETS or not given and not any(key in kv for key in _DELTA_KEYS):
+        return name  # ExperimentConfig refuses an unknown name
     if given and len(given) != len(_PARAM_KEYS):
         missing = sorted(set(_PARAM_KEYS) - set(given))
         raise ConfigError(f"explicit parameters are incomplete; missing {missing}")
     base = PARAMETER_SETS[name]
-    if given:
-        rates = [_float(kv[key], key) for key in _PARAM_KEYS]
-        beta, gamma = np.reshape(rates[:4], (2, 2)), np.array(rates[4:])
-    else:
-        beta, gamma = base.beta.copy(), base.gamma.copy()
-    delta = np.array([_float(kv[key], key) if key in kv else base_delta
-                      for key, base_delta in zip(_DELTA_KEYS, base.delta)])
+    rates = [kv.get(key, rate) for key, rate in zip(
+        _PARAM_KEYS + _DELTA_KEYS, np.concatenate([base.beta.ravel(), base.gamma, base.delta]))]
     try:
-        return SirParams(beta=beta, gamma=gamma, delta=delta)
+        return SirParams(beta=np.reshape(rates[:4], (2, 2)), gamma=np.array(rates[4:6]),
+                         delta=np.array(rates[6:]))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -538,23 +530,17 @@ def parse_experiment_config(text: str, flags: Optional[Mapping[str, str]] = None
     return _experiment_config(_parse_kv(text, flags))
 
 
-def _experiment_config(kv: dict[str, str]) -> ExperimentConfig:
-    for name, spec in _EXPERIMENT_FIELDS.items():
-        if spec.default is dataclasses.MISSING and name not in kv:
-            raise ConfigError(f"missing required config key {name!r}")
-    kwargs = {name: parse(kv[name], name)
-              for name, parse in _FIELD_PARSERS.items() if name in kv}
-    states = _EXPERIMENT_FIELDS["initial_states"].default
-    kwargs["initial_states"] = tuple(
-        _floats(kv[key], key) if key in kv else dist
-        for key, dist in zip(_STATE_KEYS, states))
+def _experiment_config(kv: dict[str, Any]) -> ExperimentConfig:
+    kwargs = {}
+    for field in dataclasses.fields(ExperimentConfig):
+        if field.name in kv:
+            kwargs[field.name] = kv[field.name]
+        elif field.default is dataclasses.MISSING:
+            raise ConfigError(f"missing required config key {field.name!r}")
+    kwargs["initial_states"] = tuple(kv.get(f"initial_states_g{group}", dist) for group, dist
+                                     in enumerate(ExperimentConfig.initial_states, start=1))
     kwargs["parameter_set"] = _resolve_params(kv)
-    try:
-        return ExperimentConfig(**kwargs)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return ExperimentConfig(**kwargs)
 
 
 def parse_regret_config(text: str, flags: Optional[Mapping[str, str]] = None
@@ -562,10 +548,9 @@ def parse_regret_config(text: str, flags: Optional[Mapping[str, str]] = None
     """Regret study settings share the experiment keys plus regret_* ones;
     flags as in parse_experiment_config."""
     kv = _parse_kv(text, flags)
-    experiment = _experiment_config(kv)
-    kwargs = {name: parse(kv[f"regret_{name}"], f"regret_{name}")
-              for name, parse in _REGRET_PARSERS.items() if f"regret_{name}" in kv}
-    return RegretStudyConfig(experiment=experiment, **kwargs)
+    regret = {key.removeprefix("regret_"): value for key, value in kv.items()
+              if key.startswith("regret_")}
+    return RegretStudyConfig(_experiment_config(kv), **regret)
 
 
 @dataclass(frozen=True)

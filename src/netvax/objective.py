@@ -445,17 +445,18 @@ def welfare_value(graph: ContactGraph, pop: Population, params: SirParams,
 
 
 def marginal_gain(ctx: ObjectiveContext, alloc: Allocation, candidate: int) -> float:
-    """F(V + candidate) - F(V), computed incrementally in O(deg)."""
+    """F(V + candidate) - F(V), computed incrementally in O(deg + |V| log |V|)."""
     if not 0 <= candidate < ctx.n_units:
         raise ValueError(f"candidate {candidate} out of range")
     if candidate in alloc.selected:
         raise ValueError(f"candidate {candidate} already allocated")
     gain = float(ctx._base_gain[candidate])
-    lo, hi = ctx._sym_indptr[candidate], ctx._sym_indptr[candidate + 1]
-    cols, vals = ctx._sym_cols[lo:hi], ctx._sym_vals[lo:hi]
-    if cols.size and alloc.selected:
-        inside = np.isin(cols, alloc.sorted_units())
-        gain += float(vals[inside].sum())
+    if alloc.selected:
+        units = alloc.sorted_units()
+        if units[-1] >= ctx.n_units:
+            raise ValueError("allocation contains a unit outside the population")
+        lo, hi = ctx._sym_indptr[candidate], ctx._sym_indptr[candidate + 1]
+        gain += float(ctx._sym_vals[lo:hi][np.isin(ctx._sym_cols[lo:hi], units)].sum())
     return gain
 
 

@@ -118,6 +118,16 @@ def _greedy_result(ctx: ObjectiveContext, d: int, groups: np.ndarray, caps: Sequ
     return _finish(ctx, alloc, len(trace), trace)
 
 
+def _check_groups(ctx: ObjectiveContext, groups: np.ndarray) -> np.ndarray:
+    """groups as an array, checked to hold a GROUP1 or GROUP2 label per unit."""
+    groups = np.asarray(groups)
+    if groups.shape != (ctx.n_units,):
+        raise ValueError("groups must have one label per unit")
+    if not np.all(np.isin(groups, (GROUP1, GROUP2))):
+        raise ValueError("group entries must be GROUP1 or GROUP2")
+    return groups
+
+
 def greedy_capacity(ctx: ObjectiveContext, d: int) -> SolverResult:
     """Standard greedy under the cardinality budget d.
 
@@ -142,12 +152,7 @@ def greedy_targeting(ctx: ObjectiveContext, d: int, d1: int, d2: int,
     for name, val in (("d", d), ("d1", d1), ("d2", d2)):
         if val < 0:
             raise ValueError(f"{name} must be >= 0, got {val}")
-    groups = np.asarray(groups)
-    if groups.shape != (ctx.n_units,):
-        raise ValueError("groups must have one label per unit")
-    if not np.all(np.isin(groups, (GROUP1, GROUP2))):
-        raise ValueError("group entries must be GROUP1 or GROUP2")
-    return _greedy_result(ctx, d, groups, (d1, d2), (d1, d2))
+    return _greedy_result(ctx, d, _check_groups(ctx, groups), (d1, d2), (d1, d2))
 
 
 def _combo_chunks(n: int, k: int, chunk: int) -> Iterator[np.ndarray]:
@@ -302,13 +307,10 @@ def twni(ctx: ObjectiveContext, d: int, groups: np.ndarray) -> SolverResult:
     order, then spill into group 1, up to d doses."""
     if d < 0:
         raise ValueError(f"capacity must be >= 0, got {d}")
-    groups = np.asarray(groups)
-    n = ctx.n_units
-    if groups.shape != (n,):
-        raise ValueError("groups must have one label per unit")
+    groups = _check_groups(ctx, groups)
     first = np.nonzero(groups == GROUP2)[0]
     rest = np.nonzero(groups != GROUP2)[0]
-    order = np.concatenate([first, rest])[:min(d, n)]
+    order = np.concatenate([first, rest])[:min(d, ctx.n_units)]
     alloc = Allocation(frozenset(int(u) for u in order), capacity=d)
     return _finish(ctx, alloc, rounds=len(alloc.selected))
 

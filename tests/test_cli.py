@@ -212,6 +212,33 @@ def test_gen_bad_arguments_are_config_errors(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "experiment", "regret"])
+def test_oversized_n_units_is_config_error(tmp_path, capsys, command):
+    # N^2 reaches 2^63 from N = 3,037,000,500, as for gen --n
+    config = write(tmp_path / "big.cfg", "n_units = 3037000500\ndensity = 0\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", config, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("regret_use_brute", "maybe"),
+    ("regret_n_grid", "1,x"),
+    ("regret_capacity", "2.5"),
+])
+def test_bad_regret_value_is_config_error_for_every_command(tmp_path, capsys, key, value):
+    text = TINY_CONFIG + f"{key} = {value}\n"
+    for parse in (harness.parse_experiment_config, harness.parse_regret_config):
+        with pytest.raises(harness.ConfigError, match=key):
+            parse(text)
+    config = write(tmp_path / "exp.cfg", text)
+    out = tmp_path / "rows.csv"
+    assert main(["experiment", "--config", config, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {key} must be")
+    assert not out.exists()
+
+
 def assert_unwritable_out(capsys, argv):
     assert main(argv) == EXIT_FAIL
     err = capsys.readouterr().err

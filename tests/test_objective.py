@@ -93,6 +93,8 @@ def test_marginal_gain_input_validation():
         marginal_gain(ctx, Allocation(frozenset({1}), 1), 1)
     with pytest.raises(ValueError):
         marginal_gain(ctx, Allocation.empty(), 2)
+    with pytest.raises(ValueError, match="outside the population"):
+        marginal_gain(ctx, Allocation(frozenset({40}), 1), 0)
 
 
 def test_all_recovered_population():

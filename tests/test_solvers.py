@@ -446,3 +446,5 @@ def test_twni_validation():
         twni(inst.ctx, -1, inst.pop.group)
     with pytest.raises(ValueError):
         twni(inst.ctx, 2, inst.pop.group[:-1])
+    with pytest.raises(ValueError, match="group entries must be GROUP1 or GROUP2"):
+        twni(inst.ctx, 2, np.full(6, 7))
