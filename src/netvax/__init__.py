@@ -22,7 +22,7 @@ from .objective import (Allocation, ContextPattern, ObjectiveContext,
 from .regret import (MEAN_DEVIATION_COEF, UNIVERSAL_CONSTANT,
                      EstimationNoiseModel, RegretReport, empirical_regret,
                      regret_upper_bound, sample_estimates)
-from .solvers import (ENUMERATION_BUDGET, BudgetError,
+from .solvers import (NODE_BUDGET, BudgetError,
                       RandomAssignmentSummary, SolverResult, brute_force,
                       greedy_capacity, greedy_factor, greedy_targeting,
                       iter_random_subsets, random_assignment, twni)

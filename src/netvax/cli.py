@@ -5,7 +5,7 @@ experiment (policy comparison to CSV), regret (estimation-noise study to
 CSV), check (structural property suites).
 
 Exit codes: 0 success, 1 failed check or unexpected error, 2 configuration
-error, 3 enumeration budget refused.
+error, 3 brute-force node budget refused.
 """
 
 from __future__ import annotations

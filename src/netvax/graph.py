@@ -27,8 +27,10 @@ class EdgeListError(ValueError):
 
 
 def _unit_count(n_units: int) -> int:
-    """n_units as an int, checked to be >= 1 with n_units**2 < 2**63, so that
-    every edge key i * n_units + j fits in int64."""
+    """n_units as an int, checked to be a whole number >= 1 with
+    n_units**2 < 2**63, so that every edge key i * n_units + j fits in int64."""
+    if int(n_units) != n_units:
+        raise ValueError(f"n_units must be a whole number, got {n_units}")
     n_units = int(n_units)
     if n_units < 1:
         raise ValueError(f"n_units must be >= 1, got {n_units}")

@@ -26,7 +26,7 @@ from .objective import (Allocation, ContextPattern, ObjectiveContext,
                         check_submodular, marginal_gain, objective_value)
 from .regret import (EstimationNoiseModel, _draw_estimates, decompose_regret,
                      regret_upper_bound)
-from .solvers import (RandomAssignmentSummary, SolverResult, _check_budget, brute_force,
+from .solvers import (RandomAssignmentSummary, SolverResult, brute_force,
                       greedy_capacity, greedy_factor, greedy_targeting,
                       random_assignment, twni)
 
@@ -392,13 +392,10 @@ def run_regret_study(config: RegretStudyConfig) -> list[RegretStudyRow]:
     estimates.
 
     With use_brute the study makes replications * len(n_grid) + 1
-    exhaustive searches; it raises BudgetError before drawing anything when
-    solvers._check_budget refuses them: more than ENUMERATION_BUDGET subsets
-    in all, or a capacity past 1 on more units than the dense limit.
+    brute-force searches, which share one solvers.NODE_BUDGET; it raises
+    BudgetError once they pass it.
     """
     exp, d, reps = config.experiment, config.capacity, config.replications
-    if config.use_brute:
-        _check_budget(exp.n_units, min(d, exp.n_units), reps * len(config.n_grid) + 1)
     inst = exp.instance(replicate_seed(exp.seed, 0))
     beta, gamma = map(np.concatenate, zip(*(_draw_estimates(
         inst.params, EstimationNoiseModel(n_external),

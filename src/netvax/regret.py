@@ -19,7 +19,7 @@ import numpy as np
 from .epidemic import Population, SirParams
 from .graph import ContactGraph
 from .objective import ContextPattern, _f_rows
-from .solvers import _BATCH_CELLS, _brute, _check_budget, _greedy
+from .solvers import _exact, _greedy
 
 __all__ = [
     "UNIVERSAL_CONSTANT",
@@ -38,6 +38,10 @@ MEAN_DEVIATION_COEF = math.sqrt((1.0 + math.log(2.0)) / 2.0)
 
 # (2 + 1/e) * sqrt((1 + ln 2) / 2), the constant of the regret bound
 UNIVERSAL_CONSTANT = (2.0 + 1.0 / math.e) * MEAN_DEVIATION_COEF
+
+# Values in one array of a block of estimates (or one estimate's, if more),
+# as estimates x max(n, 2 nnz)
+_BATCH_CELLS = 2**15
 
 
 @dataclass(frozen=True)
@@ -111,7 +115,8 @@ class RegretReport:
     bound : finite-sample upper bound on the expected total (nan when no
         external sample size was supplied).
     approximate : True when the two optima were located by greedy rather
-        than exhaustive search, in which case the gaps are heuristic.
+        than by brute_force's branch and bound, in which case the gaps are
+        heuristic.
     """
 
     estimation_gap: float
@@ -138,24 +143,22 @@ def decompose_regret(pattern: ContextPattern, true_params: SirParams, d: int,
     evaluation gaps and totals of R estimates, given as rates beta (R, 2, 2)
     and gamma (R, 2), at capacity d on pattern's instance.  The truth is a
     one-row block searched as each block of estimates is (_search); with
-    use_brute, the R + 1 searches pass _check_budget before any fill.  A
-    block's (rows, max(n, 2 nnz)) arrays hold at most _BATCH_CELLS values,
-    or one row's if more; no value depends on the block, so each is bit for
-    bit that of the estimate's context, greedy, brute-force search and
+    use_brute, all R + 1 searches share one NODE_BUDGET.  A block's
+    (rows, max(n, 2 nnz)) arrays hold at most _BATCH_CELLS values, or one
+    row's if more; no value depends on the block, so each is bit for bit
+    that of the estimate's context, greedy, brute-force search and
     objective_value alone.
     """
     n = pattern.n_units
-    if use_brute:
-        _check_budget(n, min(d, n), len(beta) + 1)
     layout = pattern._sym_rows, pattern._sym_cols
-    true_base, true_sym, _, _, f_star = _search(
-        pattern, true_params.beta[None], true_params.gamma[None], d, use_brute)
+    true_base, true_sym, _, _, f_star, spent = _search(
+        pattern, true_params.beta[None], true_params.gamma[None], d, use_brute, 0)
     f_star = float(f_star[0])
     gaps = np.empty((4, len(beta)))
     step = max(1, _BATCH_CELLS // max(n, layout[0].size))
     for lo in range(0, len(beta), step):
-        base, sym, chosen, f_est_chosen, f_est_star = _search(
-            pattern, beta[lo:lo + step], gamma[lo:lo + step], d, use_brute)
+        base, sym, chosen, f_est_chosen, f_est_star, spent = _search(
+            pattern, beta[lo:lo + step], gamma[lo:lo + step], d, use_brute, spent)
         f_true_chosen = _f_rows(np.broadcast_to(true_base, base.shape),
                                 np.broadcast_to(true_sym, sym.shape), *layout, chosen)
         gaps[:, lo:lo + step] = (f_star - f_est_star, f_est_star - f_est_chosen,
@@ -164,19 +167,21 @@ def decompose_regret(pattern: ContextPattern, true_params: SirParams, d: int,
 
 
 def _search(pattern: ContextPattern, beta: np.ndarray, gamma: np.ndarray, d: int,
-            use_brute: bool) -> tuple[np.ndarray, ...]:
+            use_brute: bool, spent: int) -> tuple:
     """Fill R rate sets on pattern and search each at capacity d: their
     (R, n) base gains and (R, 2 nnz) values of w + w^T, the membership mask
-    of greedy's picks and its F, and the optimum's F, from _brute with
-    use_brute and else greedy's."""
+    of greedy's picks and its F, the optimum's F, from solvers._exact with
+    use_brute and else greedy's, and spent plus the nodes searched."""
     n, layout = pattern.n_units, (pattern._sym_rows, pattern._sym_cols)
     _, base, sym, _ = pattern.fill(beta, gamma)
-    chosen = _members(_greedy(base, pattern._sym_indptr, layout[1], sym, d,
-                              np.zeros(n, dtype=np.int8), (d,))[0], n)
-    f_chosen = _f_rows(base, sym, *layout, chosen)
-    f_star = (_f_rows(base, sym, *layout, _members(_brute(base, sym, *layout, min(d, n)), n))
-              if use_brute else f_chosen)
-    return base, sym, chosen, f_chosen, f_star
+    picks = _greedy(base, pattern._sym_indptr, layout[1], sym, d,
+                    np.zeros(n, dtype=np.int8), (d,))[0]
+    chosen = _members(picks, n)
+    f_chosen = f_star = _f_rows(base, sym, *layout, chosen)
+    if use_brute:
+        best, spent = _exact(base, sym, pattern._sym_indptr, *layout, picks, f_chosen, spent)
+        f_star = _f_rows(base, sym, *layout, _members(best, n))
+    return base, sym, chosen, f_chosen, f_star, spent
 
 
 def _members(units: np.ndarray, n: int) -> np.ndarray:
@@ -192,11 +197,11 @@ def empirical_regret(graph: ContactGraph, pop: Population,
                      n_external: Optional[int] = None) -> RegretReport:
     """Measure the regret decomposition on one instance.
 
-    With use_brute the two optima come from exhaustive search (subject to its
-    enumeration budget); otherwise greedy stands in and the report is marked
-    approximate.  At d = 0 every gap is 0 in both modes.  When n_external is
-    given, the report carries the matching upper bound computed from the
-    true optimum's value.  decompose_regret's one-estimate case: a study
+    With use_brute the two optima come from brute_force's branch and bound
+    (subject to its node budget); otherwise greedy stands in and the report
+    is marked approximate.  At d = 0 every gap is 0 in both modes.  When
+    n_external is given, the report carries the matching upper bound
+    computed from the true optimum's value.  decompose_regret's one-estimate case: a study
     over many estimates on one instance passes it all its estimates, with
     the same result per estimate.
     """

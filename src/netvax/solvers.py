@@ -1,14 +1,12 @@
 """Allocation policies over a compiled objective context.
 
 All solvers are deterministic for fixed inputs.  Ties within 1e-12 break
-toward the lowest unit index in the greedy argmax and toward the first
-subset in brute-force enumeration.
+toward the lowest unit index in the greedy argmax; brute force keeps
+greedy's set unless a subset beats it by more than 1e-12.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -19,7 +17,7 @@ from .objective import (TOLERANCE, Allocation, ObjectiveContext, _f_moments,
                         objective_value)
 
 __all__ = [
-    "ENUMERATION_BUDGET",
+    "NODE_BUDGET",
     "BudgetError",
     "SolverResult",
     "RandomAssignmentSummary",
@@ -32,16 +30,11 @@ __all__ = [
     "iter_random_subsets",
 ]
 
-ENUMERATION_BUDGET = 10**8
-_DENSE_LIMIT = 4096
-_PAIR_CELLS = 2_000_000  # subsets x k(k+1)/2 unit and pair indices in one enumeration block
-# Values in one array of a batched search (or one objective's, if more), as
-# objectives x max(n, 2 nnz), x max(subsets, n * n) or x subsets
-_BATCH_CELLS = 2**15
+NODE_BUDGET = 500_000  # search nodes per brute_force call or regret study
 
 
 class BudgetError(RuntimeError):
-    """Raised when brute-force enumeration would exceed the subset budget."""
+    """Raised when a brute-force search runs past NODE_BUDGET nodes."""
 
 
 @dataclass(frozen=True)
@@ -50,6 +43,7 @@ class SolverResult:
 
     f_value is objective_value(ctx, allocation) recomputed at the end, so it
     agrees exactly with a direct evaluation; welfare adds the cached constant.
+    rounds counts greedy rounds, brute-force search nodes or twni's picks.
     gain_trace records (unit, marginal gain) per greedy round and is empty
     for non-incremental policies.
     """
@@ -155,114 +149,102 @@ def greedy_targeting(ctx: ObjectiveContext, d: int, d1: int, d2: int,
     return _greedy_result(ctx, d, _check_groups(ctx, groups), (d1, d2), (d1, d2))
 
 
-def _combo_chunks(n: int, k: int, chunk: int) -> Iterator[np.ndarray]:
-    """The size-k subsets of range(n) in lexicographic order, as (rows, k)
-    blocks of chunk rows; the last block holds the remainder."""
-    flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
-    total = math.comb(n, k)
-    for start in range(0, total, chunk):
-        rows = min(chunk, total - start)
-        yield np.fromiter(flat, dtype=np.int64, count=rows * k).reshape(rows, k)
+def _top_sum(x: np.ndarray, r: int) -> np.ndarray:
+    """The sum of the r largest entries along the last axis of x."""
+    return np.sort(x, axis=-1)[..., x.shape[-1] - r:].sum(axis=-1)
 
 
-def _subset_blocks(n: int, k: int, chunk: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """_combo_chunks' blocks, each with its subsets' k(k-1)/2 pairs u < v as
-    flat indices u * n + v; both column-major, so every column is contiguous."""
-    u, v = np.triu_indices(k, 1)
-    for combos in _combo_chunks(n, k, chunk):
-        yield np.asfortranarray(combos), np.asfortranarray(combos[:, u] * n + combos[:, v])
+def _budget_error() -> BudgetError:
+    return BudgetError(f"brute-force search passed its budget of {NODE_BUDGET} nodes")
 
 
-def _tie_scan(vals: np.ndarray, best_val: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scan each row of vals (R, m) in order against its incumbent in best_val:
-    a value replaces the incumbent only when it beats it by more than the tie
-    window.  Returns per row the last replacement (-1 if none) and incumbent."""
-    # the incumbent stays within the tie window of the running maximum, so
-    # only a new running maximum can replace it
-    prev = np.concatenate((best_val[:, None], vals[:, :-1]), axis=1)
-    np.maximum.accumulate(prev, axis=1, out=prev)
-    pos, best = np.full(len(vals), -1), best_val.tolist()
-    flat = np.flatnonzero(vals > prev)
-    rows, cand = np.divmod(flat, vals.shape[1])
-    for r, p, v in zip(rows.tolist(), cand.tolist(), vals.take(flat).tolist()):
-        if v > best[r] + TOLERANCE:
-            pos[r], best[r] = p, v
-    return pos, np.array(best)
-
-
-def _brute(base: np.ndarray, sym: np.ndarray, sym_rows: np.ndarray,
-           sym_cols: np.ndarray, k: int) -> np.ndarray:
+def _exact(base: np.ndarray, sym: np.ndarray, indptr: np.ndarray, rows: np.ndarray,
+           cols: np.ndarray, picks: np.ndarray, f: np.ndarray,
+           spent: int = 0) -> tuple[np.ndarray, int]:
     """brute_force's (R, k) picks on R objectives, given as (R, n) base gains
-    and (R, 2 nnz) values of w + w^T on the CSR layout (sym_rows, sym_cols).
-    A subset adds its k base gains, then its k(k-1)/2 values of w + w^T above
-    the diagonal, each by an elementwise take, so no pick depends on the block.
-    Subsets come in blocks of _PAIR_CELLS / (k(k+1)/2) rows, built once per
-    call if one block holds all and else streamed per block of objectives;
-    takes hold _BATCH_CELLS values."""
-    n = base.shape[1]
-    if k == 0:
-        return np.empty((len(base), 0), dtype=np.int64)
-    if k == 1:
-        return _tie_scan(base, np.full(len(base), -np.inf))[0][:, None]
-    count = math.comb(n, k)
-    step = max(1, _BATCH_CELLS // max(count, n * n))
-    width = max(1, _BATCH_CELLS // step)
-    chunk = max(1, _PAIR_CELLS // (k * (k + 1) // 2))
-    whole = list(_subset_blocks(n, k, chunk)) if count <= chunk else None
-    best = np.empty((len(base), k), dtype=np.int64)
-    for lo in range(0, len(base), step):
-        gains = base[lo:lo + step]
-        pair = np.zeros((len(gains), n * n))
-        pair[:, sym_rows * n + sym_cols] = sym[lo:lo + step]
-        best_val = np.full(len(gains), -np.inf)
-        for combos, pairs in whole or _subset_blocks(n, k, chunk):
-            for at in range(0, len(combos), width):
-                part = slice(at, at + width)
-                vals = np.take(gains, combos[part, 0], axis=1)
-                for src, cols in ((gains, combos[part, 1:]), (pair, pairs[part])):
-                    for col in cols.T:
-                        vals += np.take(src, col, axis=1)
-                local, best_val = _tie_scan(vals, best_val)
-                hit = np.flatnonzero(local >= 0)
-                best[lo + hit] = combos[at + local[hit]]
-    return best
+    and (R, 2 nnz) values of w + w^T on the CSR layout (indptr, rows, cols),
+    from greedy's (R, k) picks and their F; and spent plus the nodes searched.
+
+    For T disjoint from S, F(S + T) = F(S) + sum_{u in T} g_u(S) +
+    1/2 sum_{u, v in T} (w + w^T)_uv <= F(S) + sum_{u in T} (g_u(S) + p_u),
+    g the marginal gains and p_u = 1/2 sum_v max(w + w^T, 0)_uv, which is 0
+    on every context build_context makes.  So a row whose top k values of
+    base + p do not beat greedy's F by more than TOLERANCE is closed at its
+    root, one node; only the other rows are searched, each by
+    _branch_and_bound.  Raises BudgetError once spent passes NODE_BUDGET."""
+    n, k = base.shape[1], picks.shape[1]
+    cell = (np.arange(len(base))[:, None] * n + rows).ravel()
+    plus = 0.5 * np.bincount(cell, np.maximum(sym, 0).ravel(), base.size).reshape(base.shape)
+    search = np.flatnonzero(_top_sum(base + plus, k) > f + TOLERANCE)
+    spent += len(base) - len(search)
+    if spent > NODE_BUDGET:
+        raise _budget_error()
+    picks = picks.copy()
+    for r in search.tolist():
+        picks[r], spent = _branch_and_bound(base[r], plus[r], indptr, cols, sym[r],
+                                            picks[r], f[r], spent)
+    return picks, spent
 
 
-def _check_budget(n: int, k: int, searches: int = 1) -> None:
-    """Raise BudgetError when searches exhaustive searches over the size-k
-    subsets of n units would enumerate more than ENUMERATION_BUDGET subsets
-    in all, or when k > 1 and their pairwise values would fill a dense
-    n x n block past _DENSE_LIMIT units."""
-    count = math.comb(n, k)
-    if searches * count > ENUMERATION_BUDGET:
-        what = f"C({n},{k}) = {count} subsets"
-        if searches > 1:
-            what = f"{searches} searches of {what}, {searches * count} in all,"
-        raise BudgetError(f"{what} exceed the enumeration budget of {ENUMERATION_BUDGET}")
-    if k > 1 and n > _DENSE_LIMIT:
-        raise BudgetError(
-            f"C({n},{k}) = {count} is within budget but pairwise evaluation "
-            f"is limited to {_DENSE_LIMIT} units")
+def _branch_and_bound(base: np.ndarray, plus: np.ndarray, indptr: np.ndarray,
+                      cols: np.ndarray, vals: np.ndarray, best_units: np.ndarray,
+                      best: float, spent: int) -> tuple[np.ndarray, int]:
+    """Depth-first search for a size-k allocation of one objective that beats
+    best_units, of value best, by more than TOLERANCE; k = len(best_units).
+    A node is a set S with the units from a first open unit on still open.
+    It is closed when F(S) plus the top k - |S| open values of g(S) + plus
+    cannot beat the best so far by more than TOLERANCE; a size-k S that does
+    becomes the best so far.  An open node branches on its first open unit:
+    S with it, then S without it, so sets come in lexicographic order.  The
+    gains g(S) follow S along the CSR in O(deg), as in _greedy, and are
+    restored exactly on the way back.  The path is an explicit stack, since
+    k may pass Python's recursion limit."""
+    n, k = len(base), len(best_units)
+    gain = base.copy()
+    path, undo = [], []
+    f, first = 0.0, 0
+    while True:
+        spent += 1
+        if spent > NODE_BUDGET:
+            raise _budget_error()
+        r = k - len(path)
+        if n - first >= r and f + _top_sum(gain[first:] + plus[first:], r) > best + TOLERANCE:
+            if r == 0:
+                best, best_units = f, np.array(path)
+            else:
+                lo, hi = indptr[first], indptr[first + 1]
+                undo.append((f, gain[cols[lo:hi]]))
+                f += gain[first]
+                gain[cols[lo:hi]] += vals[lo:hi]
+                path.append(first)
+                first += 1
+                continue
+        if not path:
+            return best_units, spent
+        u = path.pop()
+        f, gain[cols[indptr[u]:indptr[u + 1]]] = undo.pop()
+        first = u + 1
 
 
 def brute_force(ctx: ObjectiveContext, d: int) -> SolverResult:
-    """Exhaustive search over all allocations of size min(d, n).
+    """The best allocation of size min(d, n), by branch and bound (_exact)
+    seeded with greedy's set.
 
-    Enumerates subsets in lexicographic order; a later subset replaces the
-    incumbent only when its value is higher by more than 1e-12, so among
-    maximizers tied within that window the first one wins, as in greedy.
-    Refuses what _check_budget refuses.  It is _brute's one-objective case;
-    f_value is objective_value of the pick.
+    The result is greedy's set unless a subset beats it by more than
+    TOLERANCE (1e-12); then it is the first set in lexicographic order that
+    beats the best so far by more than that, so its F is within TOLERANCE of
+    the optimum.  rounds is the number of search nodes, 1 when greedy's set
+    is proved optimal at the root.  Raises BudgetError past NODE_BUDGET
+    nodes.  f_value is objective_value of the pick.
     """
     if d < 0:
         raise ValueError(f"capacity must be >= 0, got {d}")
-    n = ctx.n_units
-    k = min(d, n)
-    _check_budget(n, k)
-    best = _brute(ctx._base_gain[None], ctx._sym_vals[None], ctx._sym_rows,
-                  ctx._sym_cols, k)[0]
-    alloc = Allocation(frozenset(best.tolist()), capacity=d)
-    return _finish(ctx, alloc, rounds=math.comb(n, k) if k else 0)
+    k = min(d, ctx.n_units)
+    greedy = _greedy_result(ctx, k, np.zeros(ctx.n_units, dtype=np.int8), (k,), None)
+    picks, nodes = _exact(ctx._base_gain[None], ctx._sym_vals[None], ctx._sym_indptr,
+                          ctx._sym_rows, ctx._sym_cols, greedy.allocation.sorted_units()[None],
+                          np.array([greedy.f_value]))
+    return _finish(ctx, Allocation(frozenset(picks[0].tolist()), capacity=d), nodes)
 
 
 def iter_random_subsets(seed: int, n: int, d: int, draws: int,

@@ -7,6 +7,8 @@ transition_probabilities are the per-unit one-period SIR model, kept here
 as the reference that welfare_from_transitions sums.
 regret_study_by_estimate is the regret study one estimate at a time, the
 reference for the array pass of harness.run_regret_study.
+streamed_optimum enumerates every subset, the reference for brute_force's
+branch and bound.
 """
 
 import itertools
@@ -21,8 +23,7 @@ from netvax import (GROUP1, GROUP2, INFECTED, RECOVERED, SUSCEPTIBLE,
                     brute_force, build_context, draw_instance, greedy_capacity,
                     objective_value, regret_upper_bound, replicate_seed,
                     sample_estimates, welfare_value)
-from netvax.objective import TOLERANCE, _csr, _healthy_share, _row_sums
-from netvax.solvers import _combo_chunks, _finish
+from netvax.objective import _csr, _healthy_share, _row_sums
 
 DEFAULT_DIST = ((0.7, 0.2, 0.1), (0.7, 0.2, 0.1))
 
@@ -371,17 +372,6 @@ def exact_welfare_evaluator(graph, pop, params):
     return welfare
 
 
-def first_best(vals, best_val):
-    """The tie rule, one value at a time: a value replaces the incumbent only
-    when it beats it by more than TOLERANCE.  Returns the position of the
-    last replacement (-1 if none) and the incumbent value."""
-    pos = -1
-    for p, v in enumerate(vals.tolist()):
-        if v > best_val + TOLERANCE:
-            pos, best_val = p, v
-    return pos, best_val
-
-
 def pairwise_dense(ctx):
     """Dense w + w^T from the context's CSR arrays."""
     out = np.zeros((ctx.n_units, ctx.n_units))
@@ -389,31 +379,28 @@ def pairwise_dense(ctx):
     return out
 
 
-def brute_force_streamed(ctx, d):
-    """Exhaustive search that enumerates every subset afresh, in streamed
-    blocks of 2,000,000 / k^2 rows, gathers pair values by fancy indexing
-    and scans one value at a time; same tie rule and result as
-    solvers.brute_force."""
-    n = ctx.n_units
-    k = min(d, n)
-    if k == 0:
-        return _finish(ctx, Allocation.empty(d), rounds=0)
-    count = math.comb(n, k)
-    base = initial_gains(ctx)
-    if k == 1:
-        best_idx, _ = first_best(base, -np.inf)
-        return _finish(ctx, Allocation(frozenset([best_idx]), capacity=d), rounds=count)
+def _combo_chunks(n, k, chunk):
+    """The size-k subsets of range(n) in lexicographic order, as (rows, k)
+    blocks of chunk rows; the last block holds the remainder."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+    total = math.comb(n, k)
+    for start in range(0, total, chunk):
+        rows = min(chunk, total - start)
+        yield np.fromiter(flat, dtype=np.int64, count=rows * k).reshape(rows, k)
+
+
+def streamed_optimum(ctx, d):
+    """The maximum of F over the size-min(d, n) subsets, enumerated in
+    streamed blocks of 2,000,000 / k^2 rows, with pair values gathered by
+    fancy indexing from the dense w + w^T."""
+    k = min(d, ctx.n_units)
     pair = pairwise_dense(ctx)
-    best_val = -np.inf
-    best = None
-    for combos in _combo_chunks(n, k, max(1, 2_000_000 // (k * k))):
-        vals = base[combos].sum(axis=1)
+    best = -np.inf
+    for combos in _combo_chunks(ctx.n_units, k, max(1, 2_000_000 // max(k * k, 1))):
+        vals = ctx._base_gain[combos].sum(axis=1)
         vals += 0.5 * pair[combos[:, :, None], combos[:, None, :]].sum(axis=(1, 2))
-        local, best_val = first_best(vals, best_val)
-        if local >= 0:
-            best = combos[local]
-    return _finish(ctx, Allocation(frozenset(int(u) for u in best), capacity=d),
-                   rounds=count)
+        best = max(best, vals.max())
+    return float(best)
 
 
 def save_edge_list_by_line(graph, sink):

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import netvax
-from netvax import harness, load_edge_list
+from netvax import harness, load_edge_list, solvers
 from netvax.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_FAIL, EXIT_OK, main
 
 from _oracles import all_subsets_objective, all_subsets_welfare
@@ -272,29 +272,47 @@ def test_regret_unwritable_out_is_error(tmp_path, capsys):
                                    "--out", str(tmp_path / "absent" / "regret.csv")])
 
 
-def test_brute_budget_refusal_exit_code(tmp_path, capsys):
+HARD_CONFIG = ("n_units=300\ndensity=0.03\ncapacity_fractions=0.15\nbeta11=1\nbeta12=1\n"
+               "beta21=1\nbeta22=1\ngamma1=0.9\ngamma2=0.9\n"
+               "initial_states_g1=0.5,0.5,0\ninitial_states_g2=0.5,0.5,0\nseed=0\n")
+
+
+def test_brute_budget_refusal_exit_code(tmp_path, capsys, monkeypatch):
+    # outside the dominance regime the search runs past the root; the
+    # continuous-integration run of this config passes NODE_BUDGET itself
+    monkeypatch.setattr(solvers, "NODE_BUDGET", 1000)
+    config = write(tmp_path / "exp.cfg", HARD_CONFIG)
+    out = tmp_path / "brute.jsonl"
+    assert main(["solve", "--config", config, "--policy", "brute",
+                 "--out", str(out)]) == EXIT_BUDGET
+    assert "budget refused: brute-force search passed its budget of 1000 nodes" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_brute_at_desk_size_equals_greedy(tmp_path):
+    # C(500, 35) subsets: greedy's set is proved optimal at the root
     config = write(tmp_path / "exp.cfg",
-                   "n_units=40\ndensity=0.5\ncapacity_fractions=0.5\nn_networks=1\n")
-    assert main(["solve", "--config", config, "--policy", "brute"]) == EXIT_BUDGET
-    assert "budget refused" in capsys.readouterr().err
+                   "n_units=500\ndensity=0.1\ncapacity_fractions=0.07\nseed=4\n")
+    records = {}
+    for policy in ("brute", "greedy"):
+        out = tmp_path / f"{policy}.jsonl"
+        assert main(["solve", "--config", config, "--policy", policy,
+                     "--out", str(out)]) == EXIT_OK
+        records[policy] = json.loads(out.read_text())
+    assert records["brute"]["capacity"] == 35
+    assert records["brute"]["selected"] == records["greedy"]["selected"]
+    assert records["brute"]["rounds"] == 1
 
 
-def test_brute_past_dense_limit_is_budget_refusal(tmp_path, capsys):
-    # 4,097 units, more than brute force's _DENSE_LIMIT, at 2 doses:
-    # C(4097, 2) subsets are within budget, the pairwise evaluation is not
-    config = write(tmp_path / "exp.cfg",
-                   "n_units=4097\ndensity=0\ncapacity_fractions=0.0005\n")
-    assert main(["solve", "--config", config, "--policy", "brute"]) == EXIT_BUDGET
-    assert "limited to 4096 units" in capsys.readouterr().err
-
-
-def test_regret_study_budget_refusal_exit_code(tmp_path, capsys):
-    # each search enumerates C(600, 3) subsets, within budget; the study's
-    # 601 searches are not
-    config = write(tmp_path / "reg.cfg", "n_units=600\ndensity=0.5\n")
+def test_regret_study_budget_refusal_exit_code(tmp_path, capsys, monkeypatch):
+    # the default study makes 601 searches, each of one node or more
+    monkeypatch.setattr(solvers, "NODE_BUDGET", 600)
+    config = write(tmp_path / "reg.cfg", "n_units=20\ndensity=0.5\n")
     out = tmp_path / "regret.csv"
     assert main(["regret", "--config", config, "--out", str(out)]) == EXIT_BUDGET
-    assert "budget refused: 601 searches" in capsys.readouterr().err
+    assert "budget refused: brute-force search passed its budget of 600 nodes" in (
+        capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -67,6 +67,8 @@ def test_out_of_range_rejected():
         ContactGraph(3, [(0, 3)])
     with pytest.raises(ValueError):
         ContactGraph(0, [])
+    with pytest.raises(ValueError, match="whole number"):
+        ContactGraph(12.7)
 
 
 def test_density_validation():

@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import io
-import time
 import tracemalloc
 
 import numpy as np
@@ -37,7 +36,6 @@ from netvax import (
     sample_estimates,
 )
 from netvax import harness, objective, regret, solvers
-from netvax.cli import EXIT_BUDGET, main
 from netvax.harness import instance_on_graph, run_policy
 
 from _oracles import DEFAULT_DIST, regret_study_by_estimate
@@ -207,6 +205,8 @@ def test_parse_errors_name_the_problem():
 def test_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(n_units=0, density=0.5)
+    with pytest.raises(ConfigError, match="whole number"):
+        ExperimentConfig(n_units=12.7, density=0.5)
     with pytest.raises(ConfigError):
         ExperimentConfig(n_units=10, density=1.5)
     with pytest.raises(ConfigError):
@@ -401,10 +401,10 @@ def test_regret_study_rows_are_means_of_empirical_regret(use_brute, monkeypatch)
                          exp.initial_states, exp.weights, replicate_seed(exp.seed, 0))
     blocks = []
 
-    def counted_brute(base, *args):
+    def counted_search(base, *args):
         blocks.append(len(base))
-        return solvers._brute(base, *args)
-    monkeypatch.setattr(regret, "_brute", counted_brute)
+        return solvers._exact(base, *args)
+    monkeypatch.setattr(regret, "_exact", counted_search)
     rows = run_regret_study(study)
     # the true optimum is searched once per study, as a one-row block; the
     # twelve estimates of both grid points are searched together, in one block
@@ -427,45 +427,32 @@ def test_regret_study_rows_are_means_of_empirical_regret(use_brute, monkeypatch)
             bound=reports[-1].bound, slack=reports[-1].bound - mean_total)
 
 
-def test_regret_study_refuses_over_budget_before_drawing(monkeypatch):
-    # each search enumerates C(600, 3) = 35,820,200 subsets, within
-    # ENUMERATION_BUDGET; the study's 601 searches are not
-    def no_draw(*args, **kwargs):
-        raise AssertionError("an over-budget study must not draw its instance")
-
-    monkeypatch.setattr(harness, "draw_instance", no_draw)
-    study = RegretStudyConfig(experiment=ExperimentConfig(n_units=600, density=0.5))
-    start = time.perf_counter()
-    with pytest.raises(BudgetError, match="601 searches"):
-        run_regret_study(study)
-    assert time.perf_counter() - start < 0.1
-    # greedy mode enumerates nothing
-    monkeypatch.undo()
+def test_regret_study_shares_one_node_budget(monkeypatch):
+    # outside the dominance regime (beta = 1 > 1 - gamma) the searches run
+    # past their roots; all 2 * 5 + 1 of them count against one budget
+    params = SirParams(beta=np.ones((2, 2)), gamma=[0.9, 0.9], delta=[0.0, 0.0])
     study = RegretStudyConfig(
-        experiment=ExperimentConfig(n_units=600, density=0.5, n_networks=1),
-        n_grid=(100,), replications=1, use_brute=False)
-    assert len(run_regret_study(study)) == 1
+        experiment=ExperimentConfig(n_units=12, density=0.5, parameter_set=params,
+                                    initial_states=((0.5, 0.5, 0.0),) * 2, seed=1),
+        capacity=3, n_grid=(30, 3000), replications=5)
+    spent = []
 
-
-def test_regret_study_refuses_dense_limit_before_drawing(tmp_path, monkeypatch):
-    # the study's two searches of C(4097, 2) subsets are within
-    # ENUMERATION_BUDGET, but each would fill a 4097 x 4097 dense block of
-    # pairwise values; drawing the instance at density 0.5 alone takes
-    # most of a second
-    def no_draw(*args, **kwargs):
-        raise AssertionError("a refused study must not draw its instance")
-
-    monkeypatch.setattr(harness, "draw_instance", no_draw)
-    text = ("n_units=4097\ndensity=0.5\nregret_capacity=2\nregret_replications=1\n"
-            "regret_n_grid=100\n")
-    start = time.perf_counter()
-    with pytest.raises(BudgetError, match="limited to 4096 units"):
-        run_regret_study(parse_regret_config(text))
-    assert time.perf_counter() - start < 0.1
-    config, out = tmp_path / "reg.cfg", tmp_path / "regret.csv"
-    config.write_text(text)
-    assert main(["regret", "--config", str(config), "--out", str(out)]) == EXIT_BUDGET
-    assert not out.exists()
+    def counted_search(*args):
+        picks, nodes = solvers._exact(*args)
+        spent.append(nodes)
+        return picks, nodes
+    monkeypatch.setattr(regret, "_exact", counted_search)
+    rows = run_regret_study(study)
+    nodes = spent[-1]
+    assert len(spent) == 2 and nodes > 11
+    monkeypatch.setattr(solvers, "NODE_BUDGET", nodes)
+    assert run_regret_study(study) == rows
+    monkeypatch.setattr(solvers, "NODE_BUDGET", nodes - 1)
+    with pytest.raises(BudgetError, match=f"budget of {nodes - 1} nodes"):
+        run_regret_study(study)
+    # greedy mode searches nothing
+    monkeypatch.setattr(solvers, "NODE_BUDGET", 0)
+    assert len(run_regret_study(dataclasses.replace(study, use_brute=False))) == 2
 
 
 def _count_patterns(monkeypatch):
@@ -554,11 +541,8 @@ def test_regret_study_equals_the_per_estimate_loop(n, density, cap, use_brute, r
 
 @pytest.mark.parametrize("use_brute", [True, False])
 def test_regret_study_split_into_blocks_equals_the_per_estimate_loop(use_brute, monkeypatch):
-    # 100 cells: a few estimates per fill block, one per brute-force block,
-    # whose 66 subsets are streamed in blocks of 40 and scored 25 at a time
-    for module in (solvers, regret):
-        monkeypatch.setattr(module, "_BATCH_CELLS", 100)
-    monkeypatch.setattr(solvers, "_PAIR_CELLS", 160)
+    # 100 cells: a few estimates per block
+    monkeypatch.setattr(regret, "_BATCH_CELLS", 100)
     study = RegretStudyConfig(
         experiment=ExperimentConfig(n_units=12, density=0.4, seed=3),
         capacity=2, n_grid=(10, 1000), replications=7, use_brute=use_brute)

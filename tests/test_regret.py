@@ -19,6 +19,7 @@ from netvax import (
     SirParams,
     brute_force,
     build_context,
+    draw_instance,
     empirical_regret,
     greedy_capacity,
     greedy_targeting,
@@ -28,6 +29,7 @@ from netvax import (
     run_regret_study,
     sample_estimates,
 )
+from netvax import solvers
 from netvax.regret import decompose_regret
 
 from _oracles import entry_error_bounds, matroid_brute, small_instance
@@ -219,21 +221,27 @@ def test_true_optimum_is_that_of_the_public_solvers(seed, n, density):
                 assert f_star.hex() == greedy_capacity(ctx, d).f_value.hex()
 
 
-def test_empirical_regret_refuses_brute_force_before_filling(monkeypatch):
-    def no_fill(*args):
-        raise AssertionError("a refused search must not fill its objectives")
-
-    # the truth's and the estimate's searches of C(50, 10) subsets each
-    inst = small_instance(1, n=50, density=0.2)
-    monkeypatch.setattr(ContextPattern, "fill", no_fill)
-    with pytest.raises(BudgetError, match=r"C\(50,10\)"):
-        empirical_regret(inst.graph, inst.pop, inst.params, inst.params, d=10)
-    # C(4097, 2) subsets are within budget, the dense pairwise block is not
-    n = 4097
-    pop = Population(state0=np.zeros(n, dtype=np.int8), group=np.zeros(n, dtype=np.int8),
-                     weight=np.ones(n))
-    with pytest.raises(BudgetError, match="limited to 4096 units"):
-        empirical_regret(ContactGraph(n), pop, SET1, SET1, d=2)
+def test_empirical_regret_refuses_past_node_budget(monkeypatch):
+    # outside the dominance regime (beta = 1 > 1 - gamma) greedy falls short
+    # of the optimum, and the truth's and the estimate's searches run past
+    # their roots; their nodes count against one budget
+    params = SirParams(beta=np.ones((2, 2)), gamma=[0.9, 0.9], delta=[0.0, 0.0])
+    inst = draw_instance(12, 0.5, params, 0.4, ((0.5, 0.5, 0.0),) * 2, (1.0, 1.0), 2)
+    est = sample_estimates(params, EstimationNoiseModel(100), 2)
+    truth = brute_force(inst.ctx, 3)
+    assert truth.f_value > greedy_capacity(inst.ctx, 3).f_value + 1e-3
+    estimate = brute_force(build_context(inst.graph, inst.pop, est), 3)
+    assert truth.rounds > 1 and estimate.rounds > 1
+    nodes = truth.rounds + estimate.rounds
+    report = empirical_regret(inst.graph, inst.pop, params, est, d=3, n_external=100)
+    monkeypatch.setattr(solvers, "NODE_BUDGET", nodes)
+    assert empirical_regret(inst.graph, inst.pop, params, est, d=3, n_external=100) == report
+    monkeypatch.setattr(solvers, "NODE_BUDGET", nodes - 1)
+    with pytest.raises(BudgetError, match=f"budget of {nodes - 1} nodes"):
+        empirical_regret(inst.graph, inst.pop, params, est, d=3)
+    # greedy mode searches nothing
+    monkeypatch.setattr(solvers, "NODE_BUDGET", 0)
+    assert empirical_regret(inst.graph, inst.pop, params, est, d=3, use_brute=False).approximate
 
 
 def test_bound_floor_and_monotonicity():

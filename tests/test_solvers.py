@@ -1,7 +1,7 @@
 import itertools
 import math
+import sys
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,10 +32,11 @@ from netvax import (
     welfare_value,
 )
 from netvax import solvers
+from netvax.objective import TOLERANCE, _f_rows
 from netvax.solvers import iter_random_subsets
 
-from _oracles import (DEFAULT_DIST, all_subsets_objective, brute_force_streamed,
-                      grid_instances, matroid_brute, small_instance)
+from _oracles import (DEFAULT_DIST, _combo_chunks, all_subsets_objective,
+                      grid_instances, matroid_brute, small_instance, streamed_optimum)
 
 SET1 = SirParams(beta=[[0.7, 0.5], [0.5, 0.6]], gamma=[0.1, 0.05], delta=[0.0, 0.0])
 
@@ -149,10 +150,12 @@ def test_brute_force_small_cases():
     ctx = two_unit_ctx()
     res = brute_force(ctx, 1)
     assert res.allocation.selected == frozenset({1})
-    assert res.rounds == 2
+    # greedy's set is proved optimal at the root: one search node
+    assert res.rounds == 1
     res0 = brute_force(ctx, 0)
     assert res0.allocation.selected == frozenset()
     assert res0.f_value == 0.0
+    assert res0.rounds == 1
     # d >= n collapses to the full set
     resn = brute_force(ctx, 5)
     assert resn.allocation.selected == frozenset({0, 1})
@@ -181,27 +184,64 @@ def test_brute_force_breaks_rounding_ties_like_greedy():
         assert res.allocation.selected == greedy_capacity(ctx, d).allocation.selected
 
 
-def test_brute_force_budget_error_names_count():
-    inst = small_instance(1, n=50, density=0.2)
-    with pytest.raises(BudgetError, match=r"C\(50,10\)"):
-        brute_force(inst.ctx, 10)
+def test_brute_force_beats_greedy_just_past_the_tie_window():
+    # greedy takes unit 2 first (gain 1 + eps), which costs units 0 and 1
+    # 2 eps each, so it ends eps short of {0, 1}, whose value is 2
+    eps = 1e-9
+    # base gain = direct gain - row sum of w + w^T
+    ctx = ObjectiveContext(3, [1 - 2 * eps, 1 - 2 * eps, 1 - 3 * eps], [2, 2], [0, 1],
+                           [-2 * eps, -2 * eps], 0.0)
+    assert np.allclose(ctx._base_gain, [1.0, 1.0, 1.0 + eps], rtol=0, atol=1e-15)
+    greedy = greedy_capacity(ctx, 2)
+    assert greedy.allocation.selected == frozenset({0, 2})
+    res = brute_force(ctx, 2)
+    assert res.allocation.selected == frozenset({0, 1})
+    assert res.f_value == 2.0
+    assert res.f_value - greedy.f_value > 100 * TOLERANCE
+
+
+def uniform_pairs_ctx(n):
+    """Equal base gains and one small negative spill on every pair: every
+    size-k set ties, yet the root bound of k base gains beats them all by
+    more than TOLERANCE, so the search visits every size-k set."""
+    rows, cols = np.nonzero(~np.eye(n, dtype=bool))
+    return ObjectiveContext(n, np.ones(n), rows, cols, np.full(rows.size, -1e-3), 0.0)
+
+
+def test_brute_force_budget_error_names_count(monkeypatch):
+    ctx = uniform_pairs_ctx(8)
+    res = brute_force(ctx, 4)
+    assert res.allocation.selected == greedy_capacity(ctx, 4).allocation.selected
+    assert res.rounds > math.comb(8, 4)
+    # the budget bounds the nodes of one call
+    monkeypatch.setattr(solvers, "NODE_BUDGET", res.rounds)
+    assert brute_force(ctx, 4) == res
+    monkeypatch.setattr(solvers, "NODE_BUDGET", res.rounds - 1)
+    with pytest.raises(BudgetError, match=f"budget of {res.rounds - 1} nodes"):
+        brute_force(ctx, 4)
     with pytest.raises(ValueError):
-        brute_force(inst.ctx, -1)
+        brute_force(ctx, -1)
 
 
-def test_brute_force_refuses_pairwise_search_past_dense_limit(monkeypatch):
-    # C(4097, 2) = 8,390,656 subsets are within ENUMERATION_BUDGET, but the
-    # pairwise values would fill a 4097 x 4097 dense block per objective
-    def no_search(*args):
-        raise AssertionError("a refused search must not enumerate")
-
-    monkeypatch.setattr(solvers, "_brute", no_search)
-    n = solvers._DENSE_LIMIT + 1
-    ctx = ObjectiveContext(n, np.zeros(n), [], [], [], 0.0)
-    with pytest.raises(BudgetError, match=f"limited to {solvers._DENSE_LIMIT} units"):
-        brute_force(ctx, 2)
-    with pytest.raises(AssertionError, match="must not enumerate"):
-        brute_force(ctx, 1)  # one dose needs no pairwise values
+def test_brute_force_searches_past_recursion_and_dense_limits():
+    # 4,200 units, past the old 4,096-unit limit.  Units k.. have base gain 1,
+    # so greedy takes them for F = k; units 0..k-1 have base gain 0 and form
+    # a chain of spill 2, worth 2(k - 1).  The search reaches depth k, past
+    # the recursion limit, and the bound, with each chain unit's p = 1/2 sum
+    # of its positive entries, closes everything else.
+    k = 2100
+    assert k > sys.getrecursionlimit()
+    n = 2 * k
+    chain = np.arange(k - 1)
+    # base gain = direct gain - row sum of w + w^T
+    direct = np.r_[2.0, np.full(k - 2, 4.0), 2.0, np.ones(k)]
+    ctx = ObjectiveContext(n, direct, chain, chain + 1, np.full(k - 1, 2.0), 0.0)
+    assert ctx._base_gain.tolist() == [0.0] * k + [1.0] * k
+    assert greedy_capacity(ctx, k).f_value == k
+    res = brute_force(ctx, k)
+    assert res.allocation.selected == frozenset(range(k))
+    assert res.f_value == 2.0 * (k - 1)
+    assert res.rounds < 3 * k
 
 
 def random_contexts(seed):
@@ -215,40 +255,58 @@ def random_contexts(seed):
                            -rng.random(int(off.sum())), 0.25)
 
 
-def assert_same_search(got, want):
-    assert got.allocation == want.allocation
-    assert got.f_value.hex() == want.f_value.hex()
-    assert got.welfare.hex() == want.welfare.hex()
-    assert got.rounds == want.rounds
+# rounding between the search's running sums, objective_value and the
+# oracle's dense sums, which add the same terms in other orders
+SUM_ROUNDING = 1e-14
+
+
+def assert_exact(got, ctx, d):
+    """No size-min(d, n) subset of ctx beats got by more than TOLERANCE, and
+    got is greedy's set unless one beats greedy's by more than that."""
+    best = streamed_optimum(ctx, d)
+    assert best <= got.f_value + TOLERANCE + SUM_ROUNDING
+    assert got.welfare == got.f_value + ctx.welfare_constant
+    if min(d, ctx.n_units):
+        greedy = greedy_capacity(ctx, d)
+        if best <= greedy.f_value + TOLERANCE - SUM_ROUNDING:
+            assert got.allocation.selected == greedy.allocation.selected
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_brute_force_matches_streamed_search(seed, monkeypatch):
+def test_brute_force_matches_streamed_search(seed):
     for ctx in random_contexts(seed):
         n = ctx.n_units
         for d in (1, 2, n // 2, n - 1, n, n + 2):
-            assert_same_search(brute_force(ctx, d), brute_force_streamed(ctx, d))
-        # a few rows per block forces a streamed, multi-block search
-        monkeypatch.setattr(solvers, "_PAIR_CELLS", 40)
-        for d in (2, 3, n - 2):
-            assert 40 // (d * (d + 1) // 2) < math.comb(n, d)
-            assert_same_search(brute_force(ctx, d), brute_force_streamed(ctx, d))
-        monkeypatch.undo()
-        # a small take bound scores the one-block enumeration a few subsets at
-        # a time: n * n > 8 leaves one objective per block and 8 subsets per take
-        monkeypatch.setattr(solvers, "_BATCH_CELLS", 8)
-        for d in (2, 3, n - 2):
-            assert n * n > 8 and 8 < math.comb(n, d)
-            assert_same_search(brute_force(ctx, d), brute_force_streamed(ctx, d))
-        monkeypatch.undo()
+            assert_exact(brute_force(ctx, d), ctx, d)
+
+
+def assert_exact_searches(ctxs, k):
+    """brute_force on each of ctxs, all on one layout, is exact; and the
+    R-row search of _exact equals the R one-row searches, node for node."""
+    layout = ctxs[0]._sym_indptr, ctxs[0]._sym_rows, ctxs[0]._sym_cols
+    assert all(np.array_equal(c._sym_cols, layout[2]) for c in ctxs)
+    base = np.stack([c._base_gain for c in ctxs])
+    sym = np.stack([c._sym_vals for c in ctxs])
+    n = base.shape[1]
+    greedy = solvers._greedy(base, layout[0], layout[2], sym, k,
+                             np.zeros(n, dtype=np.int8), (k,))[0]
+    member = np.zeros((len(ctxs), n), dtype=bool)
+    np.put_along_axis(member, greedy, True, axis=1)
+    picks, nodes = solvers._exact(base, sym, *layout, greedy,
+                                  _f_rows(base, sym, *layout[1:], member))
+    searches = [brute_force(c, k) for c in ctxs]
+    assert [frozenset(p.tolist()) for p in picks] == [s.allocation.selected for s in searches]
+    assert nodes == sum(s.rounds for s in searches)
+    for ctx, search in zip(ctxs, searches):
+        assert_exact(search, ctx, k)
 
 
 @st.composite
 def tied_searches(draw):
-    """R objectives on one spill layout, with a subset size k and a search
-    regime.  Units fall into classes of exchangeable copies: a copy has its
-    original's direct gain and mirrors its spill entries, so swapping copies
-    ties two subsets exactly; some layouts have no spill at all."""
+    """R objectives on one spill layout and a subset size k.  Units fall into
+    classes of exchangeable copies: a copy has its original's direct gain
+    and mirrors its spill entries, so swapping copies ties two subsets
+    exactly; some layouts have no spill at all."""
     n = draw(st.integers(1, 12))
     k = draw(st.integers(1, min(5, n)))
     cls = []
@@ -270,37 +328,55 @@ def tied_searches(draw):
         spill = draw(st.lists(value, min_size=len(links), max_size=len(links)))
         ctxs.append(ObjectiveContext(n, [gain[c] for c in cls], rows, cols,
                                      [-spill[e] for _, _, e in entries], 0.0))
-    regime = draw(st.sampled_from(["one-block", "streamed", "multi-take"]))
-    bound = {"one-block": ("_PAIR_CELLS", solvers._PAIR_CELLS),
-             "streamed": ("_PAIR_CELLS", k * (k + 1) // 2 * draw(st.integers(1, 3))),
-             "multi-take": ("_BATCH_CELLS", draw(st.integers(1, 3)))}[regime]
-    return ctxs, k, bound
+    return ctxs, k
 
 
 @settings(max_examples=200, deadline=None)
 @given(tied_searches())
 def test_brute_picks_equal_streamed_search_with_planted_ties(case):
-    ctxs, k, bound = case
-    layout = ctxs[0]._sym_rows, ctxs[0]._sym_cols
-    assert all(np.array_equal(c._sym_cols, layout[1]) for c in ctxs)
-    with mock.patch.object(solvers, *bound):
-        picks = solvers._brute(np.stack([c._base_gain for c in ctxs]),
-                               np.stack([c._sym_vals for c in ctxs]), *layout, k)
-        # an objective's picks do not depend on the block it is scored in
-        alone = [solvers._brute(c._base_gain[None], c._sym_vals[None], *layout, k)[0]
-                 for c in ctxs]
-        searches = [brute_force(c, k) for c in ctxs]
-    assert picks.tolist() == [a.tolist() for a in alone]
-    for ctx, pick, search in zip(ctxs, picks, searches):
-        want = brute_force_streamed(ctx, k)
-        assert frozenset(pick.tolist()) == want.allocation.selected
-        assert_same_search(search, want)
+    assert_exact_searches(*case)
+
+
+@st.composite
+def drawn_searches(draw):
+    """R objectives on one layout and a subset size k: a generated instance
+    under up to three parameter sets, or raw triplets whose spill values are
+    all negative or of mixed sign, so F may be neither submodular nor
+    monotone."""
+    kind = draw(st.sampled_from(["generated", "negative", "mixed"]))
+    n = draw(st.integers(1, 11))
+    k = draw(st.integers(1, n))
+    count = draw(st.integers(1, 3))
+    if kind == "generated":
+        inst = small_instance(draw(st.integers(0, 2**16)), n=n,
+                              density=draw(st.floats(0.1, 1.0)),
+                              weights=draw(st.sampled_from([(1.0, 1.0), (10.0, 1.0), (1.0, 4.0)])))
+        psets = draw(st.lists(st.sampled_from(sorted(PARAMETER_SETS)), min_size=count,
+                              max_size=count))
+        return [inst.pattern.context(PARAMETER_SETS[p]) for p in psets], k
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1]), unique=True, max_size=3 * n))
+    rows = np.array([i for i, _ in pairs], dtype=np.int64)
+    cols = np.array([j for _, j in pairs], dtype=np.int64)
+    high = 0.0 if kind == "negative" else 1.0
+    ctxs = []
+    for _ in range(count):
+        gain = draw(st.lists(st.floats(-0.5, 1.0), min_size=n, max_size=n))
+        spill = draw(st.lists(st.floats(-1.0, high), min_size=len(pairs), max_size=len(pairs)))
+        ctxs.append(ObjectiveContext(n, gain, rows, cols, spill, 0.0))
+    return ctxs, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn_searches())
+def test_brute_force_is_exact_on_generated_and_raw_contexts(case):
+    assert_exact_searches(*case)
 
 
 @pytest.mark.parametrize("n, k, chunk", [(7, 3, 4), (7, 3, 34), (9, 2, 5),
                                           (6, 6, 4), (5, 4, 2), (8, 5, 1000)])
 def test_combo_chunks_match_itertools_order(n, k, chunk):
-    blocks = list(solvers._combo_chunks(n, k, chunk))
+    blocks = list(_combo_chunks(n, k, chunk))
     count = math.comb(n, k)
     assert [b.shape for b in blocks] == (
         [(chunk, k)] * (count // chunk) + ([(count % chunk, k)] if count % chunk else []))
