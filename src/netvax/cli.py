@@ -172,6 +172,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "check": _cmd_check,
     }
     try:
+        if args.command in ("gen", "check") and args.seed < 0:
+            raise harness.ConfigError(f"--seed must be >= 0, got {args.seed}")
         return handlers[args.command](args)
     except (harness.ConfigError, EdgeListError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

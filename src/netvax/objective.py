@@ -415,20 +415,26 @@ def objective_value(ctx: ObjectiveContext, alloc: Allocation) -> float:
     order, so the value does not depend on how the allocation was built:
     _f_rows' one-row case."""
     member = alloc.indicator(ctx.n_units)[None]
-    return float(_f_rows(ctx._base_gain[None], ctx._sym_vals[None], ctx._sym_rows,
-                         ctx._sym_cols, member)[0])
+    return float(_f_rows(ctx, ctx._base_gain[None], ctx._sym_vals[None], member)[0])
 
 
-def _f_rows(base: np.ndarray, sym: np.ndarray, sym_rows: np.ndarray,
-            sym_cols: np.ndarray, member: np.ndarray) -> np.ndarray:
+def _f_rows(layout: ObjectiveContext | ContextPattern, base: np.ndarray, sym: np.ndarray,
+            member: np.ndarray) -> np.ndarray:
     """F of R allocations of one size, given as the rows of an (R, n)
     membership mask, on R objectives given as (R, n) base gains and (R, 2 nnz)
-    values of w + w^T on the CSR layout (sym_rows, sym_cols).  The base part
-    sums a C-ordered (R, size) block and the spill part row by row, so each
-    row's value is bit for bit its value alone."""
+    values of w + w^T on layout's CSR arrays.  The base part sums a C-ordered
+    (R, size) block and the spill part row by row, so each row's value is
+    bit for bit its value alone."""
     own = base[member].reshape(len(member), -1)
-    spill = [v[m[sym_rows] & m[sym_cols]].sum() for v, m in zip(sym, member)]
+    spill = [v[m[layout._sym_rows] & m[layout._sym_cols]].sum() for v, m in zip(sym, member)]
     return own.sum(axis=1) + 0.5 * np.array(spill)
+
+
+def _members(units: np.ndarray, n: int) -> np.ndarray:
+    """The (R, n) membership mask of the allocations in the rows of units."""
+    member = np.zeros((len(units), n), dtype=bool)
+    np.put_along_axis(member, units, True, axis=1)
+    return member
 
 
 def welfare_value(graph: ContactGraph, pop: Population, params: SirParams,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .epidemic import Population, SirParams
 from .graph import ContactGraph
-from .objective import ContextPattern, _f_rows
+from .objective import ContextPattern, _f_rows, _members
 from .solvers import _exact, _greedy
 
 __all__ = [
@@ -149,18 +149,16 @@ def decompose_regret(pattern: ContextPattern, true_params: SirParams, d: int,
     that of the estimate's context, greedy, brute-force search and
     objective_value alone.
     """
-    n = pattern.n_units
-    layout = pattern._sym_rows, pattern._sym_cols
     true_base, true_sym, _, _, f_star, spent = _search(
         pattern, true_params.beta[None], true_params.gamma[None], d, use_brute, 0)
     f_star = float(f_star[0])
     gaps = np.empty((4, len(beta)))
-    step = max(1, _BATCH_CELLS // max(n, layout[0].size))
+    step = max(1, _BATCH_CELLS // max(pattern.n_units, pattern._sym_rows.size))
     for lo in range(0, len(beta), step):
         base, sym, chosen, f_est_chosen, f_est_star, spent = _search(
             pattern, beta[lo:lo + step], gamma[lo:lo + step], d, use_brute, spent)
-        f_true_chosen = _f_rows(np.broadcast_to(true_base, base.shape),
-                                np.broadcast_to(true_sym, sym.shape), *layout, chosen)
+        f_true_chosen = _f_rows(pattern, np.broadcast_to(true_base, base.shape),
+                                np.broadcast_to(true_sym, sym.shape), chosen)
         gaps[:, lo:lo + step] = (f_star - f_est_star, f_est_star - f_est_chosen,
                                  f_est_chosen - f_true_chosen, f_star - f_true_chosen)
     return f_star, gaps
@@ -170,25 +168,15 @@ def _search(pattern: ContextPattern, beta: np.ndarray, gamma: np.ndarray, d: int
             use_brute: bool, spent: int) -> tuple:
     """Fill R rate sets on pattern and search each at capacity d: their
     (R, n) base gains and (R, 2 nnz) values of w + w^T, the membership mask
-    of greedy's picks and its F, the optimum's F, from solvers._exact with
-    use_brute and else greedy's, and spent plus the nodes searched."""
-    n, layout = pattern.n_units, (pattern._sym_rows, pattern._sym_cols)
+    of greedy's picks and its F, the optimum's F (greedy's F bar the rows
+    solvers._exact searches with use_brute), and spent plus nodes searched."""
     _, base, sym, _ = pattern.fill(beta, gamma)
-    picks = _greedy(base, pattern._sym_indptr, layout[1], sym, d,
-                    np.zeros(n, dtype=np.int8), (d,))[0]
-    chosen = _members(picks, n)
-    f_chosen = f_star = _f_rows(base, sym, *layout, chosen)
+    picks = _greedy(pattern, base, sym, d, np.zeros(pattern.n_units, dtype=np.int8), (d,))[0]
+    chosen = _members(picks, pattern.n_units)
+    f_chosen = f_star = _f_rows(pattern, base, sym, chosen)
     if use_brute:
-        best, spent = _exact(base, sym, pattern._sym_indptr, *layout, picks, f_chosen, spent)
-        f_star = _f_rows(base, sym, *layout, _members(best, n))
+        _, f_star, spent = _exact(pattern, base, sym, picks, f_chosen, spent)
     return base, sym, chosen, f_chosen, f_star, spent
-
-
-def _members(units: np.ndarray, n: int) -> np.ndarray:
-    """The (R, n) membership mask of the allocations in the rows of units."""
-    member = np.zeros((len(units), n), dtype=bool)
-    np.put_along_axis(member, units, True, axis=1)
-    return member
 
 
 def empirical_regret(graph: ContactGraph, pop: Population,

@@ -13,8 +13,8 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .epidemic import GROUP1, GROUP2
-from .objective import (TOLERANCE, Allocation, ObjectiveContext, _f_moments,
-                        objective_value)
+from .objective import (TOLERANCE, Allocation, ContextPattern, ObjectiveContext,
+                        _f_moments, _f_rows, _members, objective_value)
 
 __all__ = [
     "NODE_BUDGET",
@@ -41,8 +41,8 @@ class BudgetError(RuntimeError):
 class SolverResult:
     """Outcome of one solver run.
 
-    f_value is objective_value(ctx, allocation) recomputed at the end, so it
-    agrees exactly with a direct evaluation; welfare adds the cached constant.
+    f_value is bit for bit objective_value(ctx, allocation), computed once
+    for the final set; welfare adds the cached constant.
     rounds counts greedy rounds, brute-force search nodes or twni's picks.
     gain_trace records (unit, marginal gain) per greedy round and is empty
     for non-incremental policies.
@@ -68,22 +68,22 @@ class RandomAssignmentSummary:
     capacity: int
 
 
-def _finish(ctx: ObjectiveContext, alloc: Allocation, rounds: int,
+def _finish(ctx: ObjectiveContext, alloc: Allocation, f: float, rounds: int,
             trace: Sequence[tuple[int, float]] = ()) -> SolverResult:
-    f = objective_value(ctx, alloc)
     return SolverResult(alloc, f, f + ctx.welfare_constant, rounds, tuple(trace))
 
 
-def _greedy(base: np.ndarray, indptr: np.ndarray, cols: np.ndarray, sym: np.ndarray,
+def _greedy(layout: ObjectiveContext | ContextPattern, base: np.ndarray, sym: np.ndarray,
             d: int, groups: np.ndarray, caps: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """The greedy loop of both greedy solvers on R objectives, given as (R, n)
-    base gains and (R, nnz) values of w + w^T on the CSR layout (indptr,
-    cols).  A unit is open while it is unchosen and caps[groups[unit]] has
-    room.  Each round adds, per row, the lowest-index open unit within the
-    tie window of the row's best and updates its neighbors' gains in
-    O(deg).  Stops after d rounds or with no unit open, which every row
-    reaches after sum_g min(caps[g], n_g) picks, n_g the units in group g.
-    Returns the (R, rounds) picks and their gains."""
+    base gains and (R, 2 nnz) values of w + w^T on layout's CSR arrays.  A
+    unit is open while it is unchosen and caps[groups[unit]] has room.  Each
+    round adds, per row, the lowest-index open unit within the tie window
+    of the row's best and updates its neighbors' gains in O(deg).  Stops
+    after d rounds or with no unit open, which every row reaches after
+    sum_g min(caps[g], n_g) picks, n_g the units in group g.  Returns the
+    (R, rounds) picks and their gains."""
+    indptr, cols = layout._sym_indptr, layout._sym_cols
     # a closed unit's gain is -inf, which the neighbor updates keep
     gains = np.where(np.asarray(caps)[groups] > 0, base, -np.inf)
     rounds = min(d, sum(map(min, caps, np.bincount(groups, minlength=len(caps)))))
@@ -105,11 +105,10 @@ def _greedy(base: np.ndarray, indptr: np.ndarray, cols: np.ndarray, sym: np.ndar
 
 def _greedy_result(ctx: ObjectiveContext, d: int, groups: np.ndarray, caps: Sequence[int],
                    targeting: Optional[tuple[int, int]]) -> SolverResult:
-    picks, gains = _greedy(ctx._base_gain[None], ctx._sym_indptr, ctx._sym_cols,
-                           ctx._sym_vals[None], d, groups, caps)
+    picks, gains = _greedy(ctx, ctx._base_gain[None], ctx._sym_vals[None], d, groups, caps)
     trace = list(zip(picks[0].tolist(), gains[0].tolist()))
     alloc = Allocation(frozenset(u for u, _ in trace), capacity=d, targeting=targeting)
-    return _finish(ctx, alloc, len(trace), trace)
+    return _finish(ctx, alloc, objective_value(ctx, alloc), len(trace), trace)
 
 
 def _check_groups(ctx: ObjectiveContext, groups: np.ndarray) -> np.ndarray:
@@ -158,47 +157,51 @@ def _budget_error() -> BudgetError:
     return BudgetError(f"brute-force search passed its budget of {NODE_BUDGET} nodes")
 
 
-def _exact(base: np.ndarray, sym: np.ndarray, indptr: np.ndarray, rows: np.ndarray,
-           cols: np.ndarray, picks: np.ndarray, f: np.ndarray,
-           spent: int = 0) -> tuple[np.ndarray, int]:
-    """brute_force's (R, k) picks on R objectives, given as (R, n) base gains
-    and (R, 2 nnz) values of w + w^T on the CSR layout (indptr, rows, cols),
-    from greedy's (R, k) picks and their F; and spent plus the nodes searched.
+def _exact(layout: ObjectiveContext | ContextPattern, base: np.ndarray, sym: np.ndarray,
+           picks: np.ndarray, f: np.ndarray, spent: int = 0) -> tuple[np.ndarray, np.ndarray, int]:
+    """brute_force's (R, k) picks and their F on R objectives, given as (R, n)
+    base gains and (R, 2 nnz) values of w + w^T on layout's CSR arrays, from
+    greedy's (R, k) picks and their F; and spent plus the nodes searched.
 
     For T disjoint from S, F(S + T) = F(S) + sum_{u in T} g_u(S) +
     1/2 sum_{u, v in T} (w + w^T)_uv <= F(S) + sum_{u in T} (g_u(S) + p_u),
     g the marginal gains and p_u = 1/2 sum_v max(w + w^T, 0)_uv, which is 0
     on every context build_context makes.  So a row whose top k values of
     base + p do not beat greedy's F by more than TOLERANCE is closed at its
-    root, one node; only the other rows are searched, each by
-    _branch_and_bound.  Raises BudgetError once spent passes NODE_BUDGET."""
+    root, one node, and keeps its F; only the other rows are searched, each
+    by _branch_and_bound, and given F anew.  Raises BudgetError once spent
+    passes NODE_BUDGET."""
     n, k = base.shape[1], picks.shape[1]
-    cell = (np.arange(len(base))[:, None] * n + rows).ravel()
+    cell = (np.arange(len(base))[:, None] * n + layout._sym_rows).ravel()
     plus = 0.5 * np.bincount(cell, np.maximum(sym, 0).ravel(), base.size).reshape(base.shape)
     search = np.flatnonzero(_top_sum(base + plus, k) > f + TOLERANCE)
     spent += len(base) - len(search)
     if spent > NODE_BUDGET:
         raise _budget_error()
-    picks = picks.copy()
+    picks, f = picks.copy(), f.copy()
     for r in search.tolist():
-        picks[r], spent = _branch_and_bound(base[r], plus[r], indptr, cols, sym[r],
+        picks[r], spent = _branch_and_bound(layout, base[r], sym[r], plus[r],
                                             picks[r], f[r], spent)
-    return picks, spent
+    if search.size:
+        f[search] = _f_rows(layout, base[search], sym[search], _members(picks[search], n))
+    return picks, f, spent
 
 
-def _branch_and_bound(base: np.ndarray, plus: np.ndarray, indptr: np.ndarray,
-                      cols: np.ndarray, vals: np.ndarray, best_units: np.ndarray,
+def _branch_and_bound(layout: ObjectiveContext | ContextPattern, base: np.ndarray,
+                      sym: np.ndarray, plus: np.ndarray, best_units: np.ndarray,
                       best: float, spent: int) -> tuple[np.ndarray, int]:
-    """Depth-first search for a size-k allocation of one objective that beats
-    best_units, of value best, by more than TOLERANCE; k = len(best_units).
-    A node is a set S with the units from a first open unit on still open.
-    It is closed when F(S) plus the top k - |S| open values of g(S) + plus
-    cannot beat the best so far by more than TOLERANCE; a size-k S that does
-    becomes the best so far.  An open node branches on its first open unit:
-    S with it, then S without it, so sets come in lexicographic order.  The
-    gains g(S) follow S along the CSR in O(deg), as in _greedy, and are
-    restored exactly on the way back.  The path is an explicit stack, since
-    k may pass Python's recursion limit."""
+    """Depth-first search for a size-k allocation of one objective, given as
+    (n,) base gains and (2 nnz,) values of w + w^T on layout's CSR arrays,
+    that beats best_units, of value best, by more than TOLERANCE; k =
+    len(best_units).  A node is a set S with the units from a first open
+    unit on still open.  It is closed when F(S) plus the top k - |S| open
+    values of g(S) + plus cannot beat the best so far by more than
+    TOLERANCE; a size-k S that does becomes the best so far.  An open node
+    branches on its first open unit: S with it, then S without it, so sets
+    come in lexicographic order.  The gains g(S) follow S along the CSR in
+    O(deg), as in _greedy, and are restored exactly on the way back.  The
+    path is an explicit stack, since k may pass Python's recursion limit."""
+    indptr, cols = layout._sym_indptr, layout._sym_cols
     n, k = len(base), len(best_units)
     gain = base.copy()
     path, undo = [], []
@@ -215,7 +218,7 @@ def _branch_and_bound(base: np.ndarray, plus: np.ndarray, indptr: np.ndarray,
                 lo, hi = indptr[first], indptr[first + 1]
                 undo.append((f, gain[cols[lo:hi]]))
                 f += gain[first]
-                gain[cols[lo:hi]] += vals[lo:hi]
+                gain[cols[lo:hi]] += sym[lo:hi]
                 path.append(first)
                 first += 1
                 continue
@@ -241,10 +244,9 @@ def brute_force(ctx: ObjectiveContext, d: int) -> SolverResult:
         raise ValueError(f"capacity must be >= 0, got {d}")
     k = min(d, ctx.n_units)
     greedy = _greedy_result(ctx, k, np.zeros(ctx.n_units, dtype=np.int8), (k,), None)
-    picks, nodes = _exact(ctx._base_gain[None], ctx._sym_vals[None], ctx._sym_indptr,
-                          ctx._sym_rows, ctx._sym_cols, greedy.allocation.sorted_units()[None],
-                          np.array([greedy.f_value]))
-    return _finish(ctx, Allocation(frozenset(picks[0].tolist()), capacity=d), nodes)
+    picks, f, nodes = _exact(ctx, ctx._base_gain[None], ctx._sym_vals[None],
+                             greedy.allocation.sorted_units()[None], np.array([greedy.f_value]))
+    return _finish(ctx, Allocation(frozenset(picks[0].tolist()), capacity=d), float(f[0]), nodes)
 
 
 def iter_random_subsets(seed: int, n: int, d: int, draws: int,
@@ -294,7 +296,7 @@ def twni(ctx: ObjectiveContext, d: int, groups: np.ndarray) -> SolverResult:
     rest = np.nonzero(groups != GROUP2)[0]
     order = np.concatenate([first, rest])[:min(d, ctx.n_units)]
     alloc = Allocation(frozenset(int(u) for u in order), capacity=d)
-    return _finish(ctx, alloc, rounds=len(alloc.selected))
+    return _finish(ctx, alloc, objective_value(ctx, alloc), rounds=len(alloc.selected))
 
 
 def greedy_factor(d: int) -> float:

@@ -197,18 +197,20 @@ def test_unreadable_input_file_is_config_error(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["gen", "--n", "0", "--density", "0.5"],
-    ["gen", "--n", "-3", "--density", "0.5"],
-    ["gen", "--n", "10", "--density", "1.5"],
-    ["gen", "--n", "10", "--density", "nan"],
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--n", "0", "--density", "0.5"], "n_units must be >= 1"),
+    (["gen", "--n", "-3", "--density", "0.5"], "n_units must be >= 1"),
+    (["gen", "--n", "10", "--density", "1.5"], "density must be in [0, 1]"),
+    (["gen", "--n", "10", "--density", "nan"], "density must be in [0, 1]"),
     # N^2 reaches 2^63 from N = 3,037,000,500: refused before any pair is drawn
-    ["gen", "--n", "3037000500", "--density", "0"],
-], ids=["n_zero", "n_negative", "density_above_one", "density_nan", "n_squared_past_int64"])
-def test_gen_bad_arguments_are_config_errors(tmp_path, capsys, argv):
+    (["gen", "--n", "3037000500", "--density", "0"], "n_units must satisfy"),
+    (["gen", "--n", "5", "--density", "0.5", "--seed", "-1"], "--seed must be >= 0, got -1"),
+], ids=["n_zero", "n_negative", "density_above_one", "density_nan", "n_squared_past_int64",
+        "seed_negative"])
+def test_gen_bad_arguments_are_config_errors(tmp_path, capsys, argv, message):
     out = tmp_path / "net.edges"
     assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error:")
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
     assert not out.exists()
 
 
@@ -327,10 +329,15 @@ def test_regret_command(tmp_path, capsys):
     assert len(lines) == 3
 
 
-@pytest.mark.parametrize("trials", ["0", "-5"])
-def test_check_bad_trials_is_config_error(capsys, trials):
-    assert main(["check", "--trials", trials]) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error: --trials must be >= 1")
+@pytest.mark.parametrize("flag, value, least", [
+    ("--trials", "0", 1),
+    ("--trials", "-5", 1),
+    ("--seed", "-1", 0),
+], ids=["0", "-5", "seed_negative"])
+def test_check_bad_trials_is_config_error(capsys, flag, value, least):
+    assert main(["check", flag, value]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        f"config error: {flag} must be >= {least}, got {value}")
 
 
 def test_check_command(capsys):

@@ -401,9 +401,9 @@ def test_regret_study_rows_are_means_of_empirical_regret(use_brute, monkeypatch)
                          exp.initial_states, exp.weights, replicate_seed(exp.seed, 0))
     blocks = []
 
-    def counted_search(base, *args):
+    def counted_search(layout, base, *args):
         blocks.append(len(base))
-        return solvers._exact(base, *args)
+        return solvers._exact(layout, base, *args)
     monkeypatch.setattr(regret, "_exact", counted_search)
     rows = run_regret_study(study)
     # the true optimum is searched once per study, as a one-row block; the
@@ -438,9 +438,9 @@ def test_regret_study_shares_one_node_budget(monkeypatch):
     spent = []
 
     def counted_search(*args):
-        picks, nodes = solvers._exact(*args)
+        picks, f, nodes = solvers._exact(*args)
         spent.append(nodes)
-        return picks, nodes
+        return picks, f, nodes
     monkeypatch.setattr(regret, "_exact", counted_search)
     rows = run_regret_study(study)
     nodes = spent[-1]

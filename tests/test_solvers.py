@@ -32,7 +32,7 @@ from netvax import (
     welfare_value,
 )
 from netvax import solvers
-from netvax.objective import TOLERANCE, _f_rows
+from netvax.objective import TOLERANCE, _f_rows, _members
 from netvax.solvers import iter_random_subsets
 
 from _oracles import (DEFAULT_DIST, _combo_chunks, all_subsets_objective,
@@ -261,10 +261,12 @@ SUM_ROUNDING = 1e-14
 
 
 def assert_exact(got, ctx, d):
-    """No size-min(d, n) subset of ctx beats got by more than TOLERANCE, and
-    got is greedy's set unless one beats greedy's by more than that."""
+    """No size-min(d, n) subset of ctx beats got by more than TOLERANCE, got's
+    F is objective_value's, bit for bit, and got is greedy's set unless a
+    subset beats greedy's by more than TOLERANCE."""
     best = streamed_optimum(ctx, d)
     assert best <= got.f_value + TOLERANCE + SUM_ROUNDING
+    assert got.f_value == objective_value(ctx, got.allocation)
     assert got.welfare == got.f_value + ctx.welfare_constant
     if min(d, ctx.n_units):
         greedy = greedy_capacity(ctx, d)
@@ -281,22 +283,23 @@ def test_brute_force_matches_streamed_search(seed):
 
 
 def assert_exact_searches(ctxs, k):
-    """brute_force on each of ctxs, all on one layout, is exact; and the
-    R-row search of _exact equals the R one-row searches, node for node."""
-    layout = ctxs[0]._sym_indptr, ctxs[0]._sym_rows, ctxs[0]._sym_cols
-    assert all(np.array_equal(c._sym_cols, layout[2]) for c in ctxs)
+    """brute_force on each of ctxs, all on one layout, is exact; the R-row
+    search of _exact equals the R one-row searches, node for node; and the F
+    _exact returns is objective_value of each row's picks, bit for bit,
+    whether the row closed at its root or was searched."""
+    layout = ctxs[0]
+    assert all(np.array_equal(c._sym_cols, layout._sym_cols) for c in ctxs)
     base = np.stack([c._base_gain for c in ctxs])
     sym = np.stack([c._sym_vals for c in ctxs])
     n = base.shape[1]
-    greedy = solvers._greedy(base, layout[0], layout[2], sym, k,
-                             np.zeros(n, dtype=np.int8), (k,))[0]
-    member = np.zeros((len(ctxs), n), dtype=bool)
-    np.put_along_axis(member, greedy, True, axis=1)
-    picks, nodes = solvers._exact(base, sym, *layout, greedy,
-                                  _f_rows(base, sym, *layout[1:], member))
+    greedy = solvers._greedy(layout, base, sym, k, np.zeros(n, dtype=np.int8), (k,))[0]
+    picks, f, nodes = solvers._exact(layout, base, sym, greedy,
+                                     _f_rows(layout, base, sym, _members(greedy, n)))
     searches = [brute_force(c, k) for c in ctxs]
     assert [frozenset(p.tolist()) for p in picks] == [s.allocation.selected for s in searches]
     assert nodes == sum(s.rounds for s in searches)
+    assert f.tolist() == [objective_value(c, Allocation(p.tolist(), capacity=k))
+                          for c, p in zip(ctxs, picks)]
     for ctx, search in zip(ctxs, searches):
         assert_exact(search, ctx, k)
 
