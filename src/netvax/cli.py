@@ -96,8 +96,9 @@ def _open_out(path: str) -> IO[str]:
 def _cmd_gen(args: argparse.Namespace) -> int:
     try:
         graph = erdos_renyi(args.n, args.density, args.seed)
-    except ValueError as exc:
-        raise harness.ConfigError(str(exc)) from None
+    except ValueError as exc:  # named as gen's flags, not as the library's parameters
+        message = str(exc).replace("n_units", "--n").replace("density", "--density")
+        raise harness.ConfigError(message) from None
     with _open_out(args.out) as sink:
         save_edge_list(graph, sink)
     print(f"wrote {graph.n_edges} edges for {graph.n_units} units to {args.out}")

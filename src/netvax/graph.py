@@ -19,8 +19,6 @@ __all__ = [
     "save_edge_list",
 ]
 
-_SCAN_BLOCK = 2**16  # pairs per block of uniforms in erdos_renyi
-
 
 class EdgeListError(ValueError):
     """Raised when an edge-list stream cannot be parsed."""
@@ -93,25 +91,26 @@ class ContactGraph:
 
 
 def erdos_renyi(n_units: int, density: float, seed: int) -> ContactGraph:
-    """Draw a G(n, p) graph with edge probability ``density``.
-
-    Deterministic for a fixed seed: uses NumPy's default PCG64 generator and
-    scans unordered pairs in ascending (i, j) order, one uniform draw per
-    pair.  density=0 gives the empty graph, density=1 the complete graph.
-
-    Uniforms come in blocks of ``_SCAN_BLOCK`` pairs; PCG64 draws the same
-    doubles in any blocking.  O(N^2) draws, O(block + M) memory for M edges.
-    """
+    """Draw a G(n, p) graph with edge probability ``density``, deterministic for a
+    fixed seed: NumPy's default PCG64 generator draws one ``geometric(density)``
+    gap to each next edge over the pairs (i, j), i < j, in ascending order, so
+    chunking leaves the stream unchanged.  O(N + M) draws and O(M) memory for M
+    edges (Batagelj and Brandes, Phys. Rev. E 71, 036113, 2005).  density=0 gives
+    the empty graph, density=1 the complete graph."""
     n_units = _unit_count(n_units)
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must be in [0, 1], got {density}")
     rng = np.random.default_rng(seed)
     n_pairs = n_units * (n_units - 1) // 2
-    hits = [np.empty(0, dtype=np.int64)]
-    for offset in range(0, n_pairs, _SCAN_BLOCK):
-        draws = rng.random(min(_SCAN_BLOCK, n_pairs - offset))
-        hits.append(np.flatnonzero(draws < density) + offset)
-    flat = np.concatenate(hits)
+    flat, left = [np.empty(0, dtype=np.int64)], n_pairs if density > 0 else 0
+    while left:  # pairs after the last edge drawn
+        mean = left * density
+        # a gap past `left` ends the graph: clipped to left + 1 <= 2**62, `size` gaps sum < 2**63
+        size = min(int(mean + 6 * mean**0.5) + 16, (2**63 - 1) // (left + 1))
+        hit = np.minimum(rng.geometric(density, size), left + 1).cumsum()
+        flat.append(n_pairs - 1 - left + hit[hit <= left])
+        left = left - int(hit[-1]) if flat[-1].size == size else 0
+    flat = np.concatenate(flat)
     rows = np.arange(n_units - 1, dtype=np.int64)
     start = rows * (n_units - 1) - rows * (rows - 1) // 2  # flat index of (i, i + 1)
     i = np.searchsorted(start, flat, side="right") - 1

@@ -293,6 +293,24 @@ def er_row_scan(n_units, density, seed):
     return np.empty((0, 2), dtype=np.int64)
 
 
+def er_skip_by_gap(n_units, density, seed):
+    """G(n, p) edges by geometric skipping, one scalar ``rng.geometric`` call
+    per gap, with each flat pair index mapped to its (i, j) by walking the
+    rows; density 0 draws nothing."""
+    rng = np.random.default_rng(seed)
+    edges = []
+    i, row_start, flat = 0, 0, -1  # row_start: flat index of (i, i + 1)
+    while density > 0:
+        flat += int(rng.geometric(density))
+        while i < n_units - 1 and flat >= row_start + n_units - 1 - i:
+            row_start += n_units - 1 - i
+            i += 1
+        if i >= n_units - 1:
+            break
+        edges.append((i, flat - row_start + i + 1))
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+
 def graph_arrays(n_units, edges):
     """(edges, adjacency, degree, indptr) of a graph built by pair dedup with
     ``np.unique(axis=0)`` and an adjacency ``np.lexsort`` on (src, dst)."""

@@ -198,12 +198,12 @@ def test_unreadable_input_file_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["gen", "--n", "0", "--density", "0.5"], "n_units must be >= 1"),
-    (["gen", "--n", "-3", "--density", "0.5"], "n_units must be >= 1"),
-    (["gen", "--n", "10", "--density", "1.5"], "density must be in [0, 1]"),
-    (["gen", "--n", "10", "--density", "nan"], "density must be in [0, 1]"),
+    (["gen", "--n", "0", "--density", "0.5"], "--n must be >= 1, got 0"),
+    (["gen", "--n", "-3", "--density", "0.5"], "--n must be >= 1, got -3"),
+    (["gen", "--n", "10", "--density", "1.5"], "--density must be in [0, 1], got 1.5"),
+    (["gen", "--n", "10", "--density", "nan"], "--density must be in [0, 1], got nan"),
     # N^2 reaches 2^63 from N = 3,037,000,500: refused before any pair is drawn
-    (["gen", "--n", "3037000500", "--density", "0"], "n_units must satisfy"),
+    (["gen", "--n", "3037000500", "--density", "0"], "--n must satisfy --n**2 < 2**63"),
     (["gen", "--n", "5", "--density", "0.5", "--seed", "-1"], "--seed must be >= 0, got -1"),
 ], ids=["n_zero", "n_negative", "density_above_one", "density_nan", "n_squared_past_int64",
         "seed_negative"])
@@ -364,13 +364,13 @@ def test_solve_with_edge_list_record_is_frozen(tmp_path, capsys, monkeypatch):
     record = json.loads(capsys.readouterr().out)
     assert record["selected"] == [2, 13]
     assert record["capacity"] == 2
-    assert abs(record["f_value"] - 0.1843253968253968) <= 1e-12
+    assert abs(record["f_value"] - 0.21817195767195766) <= 1e-12
     assert abs(record["welfare"] - 1.0) <= 1e-12
     assert main(["solve", "--config", config, "--edges", str(edges),
                  "--policy", "random"]) == EXIT_OK
     record = json.loads(capsys.readouterr().out)
-    assert abs(record["mean_f"] - 0.03171541950113379) <= 1e-12
-    assert abs(record["mean_welfare"] - 0.8473900226757369) <= 1e-12
+    assert abs(record["mean_f"] - 0.04041882086167801) <= 1e-12
+    assert abs(record["mean_welfare"] - 0.8222468631897204) <= 1e-12
     cfg = harness.parse_experiment_config(TINY_CONFIG)
     with open(edges, encoding="utf-8") as handle:
         inst = harness.instance_on_graph(load_edge_list(handle), cfg.params(),

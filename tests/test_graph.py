@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from netvax import ContactGraph, EdgeListError, erdos_renyi, graph, load_edge_list, save_edge_list
 
-from _oracles import er_row_scan, graph_arrays, neighbors, save_edge_list_by_line
+from _oracles import er_skip_by_gap, graph_arrays, neighbors, save_edge_list_by_line
 
 
 def test_complete_graph():
@@ -128,7 +129,7 @@ def test_load_error_names_line_number():
 def test_size_whose_keys_overflow_is_rejected():
     with pytest.raises(ValueError, match=r"n_units\*\*2 < 2\*\*63"):
         ContactGraph(2**32, [(2**32 - 2, 2**32 - 1)])
-    # refused before the scan over its ~2^63 pairs starts
+    # refused before any of its ~2^63 pairs is drawn
     with pytest.raises(ValueError, match=r"n_units\*\*2 < 2\*\*63"):
         erdos_renyi(2**32, 0.0, 0)
     with pytest.raises(EdgeListError, match="invalid n_units header"):
@@ -164,13 +165,59 @@ def assert_graph_arrays(g, expected):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 300),
-       st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       st.one_of(st.sampled_from([0.0, 1.0, 1e-300]),
+                 st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
        st.integers(0, 2**64 - 1),
-       st.one_of(st.integers(1, 64), st.just(graph._SCAN_BLOCK)))
-def test_erdos_renyi_matches_row_scan(n, density, seed, block):
-    with mock.patch.object(graph, "_SCAN_BLOCK", block):
+       st.one_of(st.none(), st.integers(1, 64)))
+def test_erdos_renyi_matches_skip_by_gap(n, density, seed, chunk):
+    if chunk is None:
         g = erdos_renyi(n, density, seed)
-    assert_graph_arrays(g, graph_arrays(n, er_row_scan(n, density, seed)))
+    else:  # erdos_renyi's one min() sizes its chunks: cap them at `chunk` gaps
+        with mock.patch.object(graph, "min", lambda *sizes: chunk, create=True):
+            g = erdos_renyi(n, density, seed)
+    assert_graph_arrays(g, graph_arrays(n, er_skip_by_gap(n, density, seed)))
+
+
+def flat_pair_index(n, edges):
+    """Position of each pair (i, j), i < j, in the ascending order of pairs."""
+    i, j = edges.T
+    return i * (2 * n - i - 1) // 2 + (j - i - 1)
+
+
+# Seeded distribution checks.  Each threshold was fixed before the first run:
+# 4 sd for edge counts and the 0.999 chi-square quantile for the histograms.
+# Densities on both sides of 1/3 reach both of NumPy's geometric samplers.
+@pytest.mark.parametrize("n, density, seed", [
+    (2000, 0.01, 1), (5000, 0.0004, 2), (300, 0.6, 3), (1000, 1 / 3, 4), (60, 0.999, 5),
+])
+def test_edge_count_within_binomial_bounds(n, density, seed):
+    pairs = n * (n - 1) // 2
+    sd = (pairs * density * (1 - density)) ** 0.5
+    assert abs(erdos_renyi(n, density, seed).n_edges - pairs * density) <= 4 * sd
+
+
+@pytest.mark.parametrize("n, density, seed", [
+    (2000, 0.01, 1), (5000, 0.0004, 2), (300, 0.6, 3), (1000, 1 / 3, 4),
+])
+def test_pair_positions_are_uniform(n, density, seed):
+    bins = 50  # divides n(n - 1)/2 for every case
+    pairs = n * (n - 1) // 2
+    g = erdos_renyi(n, density, seed)
+    counts = np.bincount(flat_pair_index(n, g.edges) // (pairs // bins), minlength=bins)
+    expected = g.n_edges / bins
+    assert np.sum((counts - expected) ** 2 / expected) <= stats.chi2.ppf(0.999, bins - 1)
+
+
+@pytest.mark.parametrize("n, density, seed", [(5000, 0.002, 6), (300, 0.6, 7), (2000, 0.1, 8)])
+def test_degrees_follow_binomial(n, density, seed):
+    degree = erdos_renyi(n, density, seed).degree
+    expected = n * stats.binom.pmf(np.arange(n), n - 1, density)
+    lo, hi = np.flatnonzero(expected >= 5)[[0, -1]]
+    # degrees below lo and above hi pool into one bin each
+    observed = np.bincount(np.clip(degree, lo - 1, hi + 1) - (lo - 1), minlength=hi - lo + 3)
+    want = np.concatenate([[expected[:lo].sum()], expected[lo:hi + 1], [expected[hi + 1:].sum()]])
+    stat = np.sum((observed - want) ** 2 / want)
+    assert stat <= stats.chi2.ppf(0.999, want.size - 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -187,10 +234,11 @@ def test_contact_graph_matches_unique_build(case):
 @pytest.mark.parametrize("n, density, seed, digest", [
     (1, 1.0, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (2, 1.0, 3, "9d34149fbd1fe777eb238799054c8cbfbce372255f219f8740838def9bfd02db"),
-    (50, 0.3, 9, "ea0f7b47a079ae96e84289dc2690b5afdc636a37b897d0d09bc49f23fe0d3d9d"),
-    (500, 0.1, 11, "4afc61d618fd2a324c13a5aa684fbc46979bdf226c9cabd9a5f570397f4a278e"),
-    # 719,400 pairs: the scan spans several blocks
-    (1200, 0.05, 7, "4f660debde801bec0aa0ecff73c1855004df68ef83fac92ca80ffd6a907e246b"),
+    (50, 0.3, 9, "6cd5228e169dbf22cdbc0acc092d170dc5879e65c5f1508efd1bc92bdaf8c380"),
+    (500, 0.1, 11, "5e71daca6fd6f91a8dd5660c8fc7e9d8dd749e3d5ff15b8c2c361537b08e1e00"),
+    (1200, 0.05, 7, "d305aafde9cf6aae5d1c9fd54175d244d76d5246559f12b2b67490a2fb769c4f"),
+    # density >= 1/3: NumPy draws these gaps by search, not by inversion
+    (300, 0.6, 5, "e98cded8cd4fff04b32696f03a491da631b080f0e8e2cd973d718190b53f2b20"),
 ])
 def test_generator_stream_is_pinned(n, density, seed, digest):
     edges = erdos_renyi(n, density, seed).edges

@@ -514,17 +514,17 @@ def test_regret_study_output_is_frozen():
     assert [(r.mean_total, r.mean_estimation_gap, r.mean_optimization_gap,
              r.mean_evaluation_gap, r.mean_noise_gap, r.bound, r.slack)
             for r in rows] == [
-        (0.005564198532948532, -0.0022973212053922637, 0.0, 0.007861519738340796,
-         0.034132704336658125, 2.9557312320457982, 2.95016703351285),
-        (0.0, 0.0007383147487511448, 0.0, -0.0007383147487511448,
-         0.00946458976673125, 0.992858397681115, 0.992858397681115)]
+        (0.006276041666666673, -0.008230012414876784, 0.0, 0.014506054081543457,
+         0.03633957853777972, 2.273786598759933, 2.2675105570932663),
+        (0.0, 0.0007406051607558306, 0.0, -0.0007406051607558306,
+         0.009226346609018166, 0.7820032446427736, 0.7820032446427736)]
     sink = io.StringIO()
     emit_regret_csv(rows, sink)
     assert sink.getvalue() == (
         "n_external,replications,capacity,mean_total,mean_estimation_gap,"
         "mean_optimization_gap,mean_evaluation_gap,mean_noise_gap,bound,slack\n"
-        "10,8,2,0.005564,-0.002297,0.000000,0.007862,0.034133,2.955731,2.950167\n"
-        "100,8,2,0.000000,0.000738,0.000000,-0.000738,0.009465,0.992858,0.992858\n")
+        "10,8,2,0.006276,-0.008230,0.000000,0.014506,0.036340,2.273787,2.267511\n"
+        "100,8,2,0.000000,0.000741,0.000000,-0.000741,0.009226,0.782003,0.782003\n")
 
 
 @settings(max_examples=60, deadline=None)

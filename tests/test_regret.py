@@ -19,7 +19,6 @@ from netvax import (
     SirParams,
     brute_force,
     build_context,
-    draw_instance,
     empirical_regret,
     greedy_capacity,
     greedy_targeting,
@@ -30,9 +29,10 @@ from netvax import (
     sample_estimates,
 )
 from netvax import solvers
+from netvax.harness import instance_on_graph
 from netvax.regret import decompose_regret
 
-from _oracles import entry_error_bounds, matroid_brute, small_instance
+from _oracles import entry_error_bounds, er_row_scan, matroid_brute, small_instance
 
 SET1 = SirParams(beta=[[0.7, 0.5], [0.5, 0.6]], gamma=[0.1, 0.05], delta=[0.0, 0.0])
 
@@ -225,8 +225,12 @@ def test_empirical_regret_refuses_past_node_budget(monkeypatch):
     # outside the dominance regime (beta = 1 > 1 - gamma) greedy falls short
     # of the optimum, and the truth's and the estimate's searches run past
     # their roots; their nodes count against one budget
+    # the pair scan's G(12, 0.5) network on draw_instance's graph seed for seed
+    # 2; on erdos_renyi's network for that seed greedy is optimal at the root
     params = SirParams(beta=np.ones((2, 2)), gamma=[0.9, 0.9], delta=[0.0, 0.0])
-    inst = draw_instance(12, 0.5, params, 0.4, ((0.5, 0.5, 0.0),) * 2, (1.0, 1.0), 2)
+    graph_seed = int(np.random.default_rng(2).integers(0, 2**63 - 1))
+    graph = ContactGraph(12, er_row_scan(12, 0.5, graph_seed))
+    inst = instance_on_graph(graph, params, 0.4, ((0.5, 0.5, 0.0),) * 2, (1.0, 1.0), 2)
     est = sample_estimates(params, EstimationNoiseModel(100), 2)
     truth = brute_force(inst.ctx, 3)
     assert truth.f_value > greedy_capacity(inst.ctx, 3).f_value + 1e-3
