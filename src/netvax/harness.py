@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -226,12 +227,9 @@ def capacity_budget(fraction: float, n_units: int) -> int:
     return max(1, round(fraction * n_units))
 
 
-def _pct_young(alloc: Allocation, group: np.ndarray) -> float:
-    if not alloc.selected:
-        return 0.0
-    idx = alloc.sorted_units()
-    young = int((group[idx] == GROUP1).sum())
-    return 100.0 * young / idx.size
+def _pct_group1(labels: np.ndarray) -> float:
+    """Percent of the group labels that are GROUP1; 0 for no labels."""
+    return 100.0 * int((labels == GROUP1).sum()) / labels.size if labels.size else 0.0
 
 
 class PolicyOutcome(NamedTuple):
@@ -258,15 +256,13 @@ def run_policy(inst: Instance, policy: str, d: int, config: ExperimentConfig
     infection rate on inst.pattern; the solvers always see the linear
     objective.
     """
-    n = inst.graph.n_units
     group = inst.pop.group
     exact = config.mode == "exact"
     if policy == "random":
         summary = random_assignment(inst.ctx, d)
         welfare = (inst.pattern.random_welfare(inst.params, d) if exact
                    else summary.mean_welfare)
-        young = 100.0 * int((group == GROUP1).sum()) / n
-        return PolicyOutcome(summary, welfare, summary.mean_f, young)
+        return PolicyOutcome(summary, welfare, summary.mean_f, _pct_group1(group))
     if policy == "greedy":
         res = greedy_capacity(inst.ctx, d)
     elif policy == "brute":
@@ -276,15 +272,13 @@ def run_policy(inst: Instance, policy: str, d: int, config: ExperimentConfig
     elif policy == "greedy_targeting":
         d1 = d2 = d
         if config.targeting_fractions is not None:
-            d1, d2 = (round(frac * n) for frac in config.targeting_fractions)
+            d1, d2 = (round(frac * inst.graph.n_units) for frac in config.targeting_fractions)
         res = greedy_targeting(inst.ctx, d, d1, d2, group)
     else:
         raise ConfigError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-    welfare = res.welfare
-    if exact:
-        welfare = inst.pattern.welfare(inst.params, "exact")(res.allocation.sorted_units())
-    return PolicyOutcome(res, welfare, res.f_value,
-                         _pct_young(res.allocation, group))
+    units = res.allocation.sorted_units()
+    welfare = inst.pattern.welfare(inst.params, "exact")(units) if exact else res.welfare
+    return PolicyOutcome(res, welfare, res.f_value, _pct_group1(group[units]))
 
 
 def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
@@ -293,37 +287,23 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     Per replicate all policies see the same instance, and nothing is drawn
     beyond it.  Rows come back sorted by (policy, capacity fraction).
     """
-    cells: dict[tuple[str, float], dict[str, list[float]]] = {
-        (pol, frac): {"welfare": [], "f": [], "pct": [], "ms": []}
-        for pol in config.policies for frac in config.capacity_fractions}
-
+    cells = sorted(itertools.product(config.policies, config.capacity_fractions))
+    # per cell: welfare, F, group-1 share and milliseconds on each network
+    values = np.empty((len(cells), 4, config.n_networks))
     for k in range(config.n_networks):
         inst = config.instance(replicate_seed(config.seed, k))
-        for frac in config.capacity_fractions:
+        for cell, (pol, frac) in zip(values[:, :, k], cells):
             d = capacity_budget(frac, config.n_units)
-            for pol in config.policies:
-                cell = cells[(pol, frac)]
-                start = time.perf_counter()
-                out = run_policy(inst, pol, d, config)
-                cell["welfare"].append(out.welfare)
-                cell["f"].append(out.f_value)
-                cell["pct"].append(out.pct_young)
-                cell["ms"].append((time.perf_counter() - start) * 1000.0)
-
-    rows = []
-    for (pol, frac) in sorted(cells, key=lambda key: (key[0], key[1])):
-        cell = cells[(pol, frac)]
-        welfare = np.asarray(cell["welfare"])
-        rows.append(ExperimentRow(
-            policy=pol,
-            capacity_fraction=frac,
-            mean_welfare=float(welfare.mean()),
-            sd_welfare=float(welfare.std(ddof=1)) if welfare.size > 1 else 0.0,
-            mean_f=float(np.mean(cell["f"])),
-            pct_young_vaccinated=float(np.mean(cell["pct"])),
-            runtime_ms=float(np.sum(cell["ms"])),
-        ))
-    return rows
+            start = time.perf_counter()
+            out = run_policy(inst, pol, d, config)
+            cell[:] = (out.welfare, out.f_value, out.pct_young,
+                       (time.perf_counter() - start) * 1000.0)
+    sds = values[:, 0].std(axis=1, ddof=min(1, config.n_networks - 1)).tolist()  # 0 for one
+    return [ExperimentRow(policy=pol, capacity_fraction=frac, mean_welfare=welfare,
+                          sd_welfare=sd, mean_f=f_value, pct_young_vaccinated=pct,
+                          runtime_ms=ms)
+            for (pol, frac), (welfare, f_value, pct, _), sd, ms in zip(
+                cells, values.mean(axis=2).tolist(), sds, values[:, 3].sum(axis=1).tolist())]
 
 
 def _emit(rows: Sequence, sink: IO[str], formats: Sequence[str]) -> None:
@@ -397,26 +377,22 @@ def run_regret_study(config: RegretStudyConfig) -> list[RegretStudyRow]:
     """
     exp, d, reps = config.experiment, config.capacity, config.replications
     inst = exp.instance(replicate_seed(exp.seed, 0))
-    beta, gamma = map(np.concatenate, zip(*(_draw_estimates(
-        inst.params, EstimationNoiseModel(n_external),
-        [replicate_seed(exp.seed, 1_000_000 + gi * reps + rep) for rep in range(reps)])
-        for gi, n_external in enumerate(config.n_grid))))
+    seeds = [replicate_seed(exp.seed, 1_000_000 + i) for i in range(len(config.n_grid) * reps)]
+    scales = np.repeat([EstimationNoiseModel(n).effective_scale for n in config.n_grid], reps)
+    beta, gamma = _draw_estimates(inst.params, scales, seeds)
     f_star, gaps = decompose_regret(inst.pattern, inst.params, d, config.use_brute, beta, gamma)
     bound_inputs = (int(inst.graph.degree.max()), int(inst.pop.infected.sum()),
                     float(inst.pop.weight.max()))
-    rows = []
-    for gi, n_external in enumerate(config.n_grid):
-        gap1, gap2, gap3, total = gaps[:, gi * reps:(gi + 1) * reps]
-        mean_total = float(np.mean(total))
-        bound = regret_upper_bound(exp.n_units, d, *bound_inputs, n_external, f_star)
-        rows.append(RegretStudyRow(
-            n_external=n_external, replications=reps, capacity=d, mean_total=mean_total,
-            mean_estimation_gap=float(np.mean(gap1)),
-            mean_optimization_gap=float(np.mean(gap2)),
-            mean_evaluation_gap=float(np.mean(gap3)),
-            mean_noise_gap=float(np.mean(np.abs(gap1) + np.abs(gap3))),
-            bound=bound, slack=bound - mean_total))
-    return rows
+    # (gap, grid point, replication), the noise gap |gap1| + |gap3| last
+    gaps = gaps.reshape(4, len(config.n_grid), reps)
+    means = np.concatenate([gaps, [np.abs(gaps[0]) + np.abs(gaps[2])]]).mean(axis=2)
+    bounds = [regret_upper_bound(exp.n_units, d, *bound_inputs, n, f_star) for n in config.n_grid]
+    return [RegretStudyRow(
+        n_external=n_external, replications=reps, capacity=d, mean_total=total,
+        mean_estimation_gap=est, mean_optimization_gap=opt, mean_evaluation_gap=evl,
+        mean_noise_gap=noise, bound=bound, slack=bound - total)
+        for n_external, bound, (est, opt, evl, total, noise)
+        in zip(config.n_grid, bounds, means.T.tolist())]
 
 
 def emit_regret_csv(rows: Sequence[RegretStudyRow], sink: IO[str]) -> None:
@@ -576,10 +552,8 @@ def run_property_checks(seed: int = 0, trials: int = 1000) -> list[CheckResult]:
     for _ in range(200):
         size = int(rng.integers(0, inst.ctx.n_units))
         units = rng.permutation(inst.ctx.n_units)[:size]
-        alloc = Allocation(frozenset(int(u) for u in units), capacity=inst.ctx.n_units)
+        alloc = Allocation(units, capacity=inst.ctx.n_units)
         outside = [u for u in range(inst.ctx.n_units) if u not in alloc.selected]
-        if not outside:
-            continue
         x = int(rng.choice(outside))
         grown = Allocation(alloc.selected | {x}, capacity=inst.ctx.n_units)
         diff = objective_value(inst.ctx, grown) - objective_value(inst.ctx, alloc)
@@ -592,7 +566,7 @@ def run_property_checks(seed: int = 0, trials: int = 1000) -> list[CheckResult]:
     for _ in range(100):
         size = int(rng.integers(0, inst.ctx.n_units + 1))
         units = rng.permutation(inst.ctx.n_units)[:size]
-        alloc = Allocation(frozenset(int(u) for u in units), capacity=inst.ctx.n_units)
+        alloc = Allocation(units, capacity=inst.ctx.n_units)
         offsets.append(welfare(alloc.sorted_units()) - objective_value(inst.ctx, alloc))
     spread = max(offsets) - min(offsets)
     results.append(CheckResult("welfare_offset_constant", spread <= 1e-12,

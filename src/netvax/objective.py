@@ -19,6 +19,7 @@ and submodular, which is what the greedy solvers rely on.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -45,11 +46,21 @@ TOLERANCE = 1e-12
 _BLOCK_CELLS = 2**20
 
 
+def _unit_index(unit: object) -> int:
+    """unit as a Python int; ValueError unless a non-negative integer, not a bool."""
+    try:
+        if type(unit) is not bool and operator.index(unit) >= 0:
+            return operator.index(unit)
+    except TypeError:
+        pass
+    raise ValueError(f"unit index must be a non-negative integer, got {unit!r}")
+
+
 @dataclass(frozen=True)
 class Allocation:
     """A set of vaccinated units plus the constraint it was chosen under.
 
-    selected : the vaccinated units (any iterable; stored as a frozenset).
+    selected : the vaccinated units, any iterable of non-negative integers.
     capacity : total budget d; len(selected) <= capacity.
     targeting : optional per-group caps (d1, d2) recorded by targeting solvers.
     """
@@ -59,14 +70,12 @@ class Allocation:
     targeting: Optional[tuple[int, int]] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "selected", frozenset(int(u) for u in self.selected))
+        object.__setattr__(self, "selected", frozenset(map(_unit_index, self.selected)))
         if self.capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {self.capacity}")
         if len(self.selected) > self.capacity:
             raise ValueError(
                 f"allocation of {len(self.selected)} units exceeds capacity {self.capacity}")
-        if any(u < 0 for u in self.selected):
-            raise ValueError("unit indices must be non-negative")
 
     @classmethod
     def empty(cls, capacity: int = 0) -> "Allocation":
@@ -452,6 +461,7 @@ def welfare_value(graph: ContactGraph, pop: Population, params: SirParams,
 
 def marginal_gain(ctx: ObjectiveContext, alloc: Allocation, candidate: int) -> float:
     """F(V + candidate) - F(V), computed incrementally in O(deg + |V| log |V|)."""
+    candidate = _unit_index(candidate)
     if not 0 <= candidate < ctx.n_units:
         raise ValueError(f"candidate {candidate} out of range")
     if candidate in alloc.selected:
@@ -489,11 +499,9 @@ def check_submodular(ctx: ObjectiveContext, trials: int = 1000,
         perm = rng.permutation(n)
         a_size = int(rng.integers(0, n))
         b_extra = int(rng.integers(0, n - a_size))
-        a_units = perm[:a_size]
-        b_units = perm[:a_size + b_extra]
         x = int(perm[a_size + b_extra])
-        alloc_a = Allocation(frozenset(int(u) for u in a_units), capacity=n)
-        alloc_b = Allocation(frozenset(int(u) for u in b_units), capacity=n)
+        alloc_a = Allocation(perm[:a_size], capacity=n)
+        alloc_b = Allocation(perm[:a_size + b_extra], capacity=n)
         gain_a = marginal_gain(ctx, alloc_a, x)
         gain_b = marginal_gain(ctx, alloc_b, x)
         f_a = objective_value(ctx, alloc_a)
@@ -504,8 +512,8 @@ def check_submodular(ctx: ObjectiveContext, trials: int = 1000,
             if broken:
                 return SubmodularityReport(False, t + 1, {
                     "property": prop,
-                    "small": sorted(int(u) for u in a_units),
-                    "large": sorted(int(u) for u in b_units),
+                    "small": sorted(alloc_a.selected),
+                    "large": sorted(alloc_b.selected),
                     "candidate": x,
                     "gap": gap,
                 })

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -82,23 +82,21 @@ def sample_estimates(params: SirParams, noise: EstimationNoiseModel,
     fixed seed; scale 0 reproduces the input exactly.  The one-seed case of
     _draw_estimates.
     """
-    beta, gamma = _draw_estimates(params, noise, [seed])
+    beta, gamma = _draw_estimates(params, [noise.effective_scale], [seed])
     return SirParams(beta=beta[0], gamma=gamma[0], delta=params.delta.copy())
 
 
-def _draw_estimates(params: SirParams, noise: EstimationNoiseModel,
-                    seeds: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def _draw_estimates(params: SirParams, scales: Sequence[float],
+                    seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """The (R, 2, 2) transmission and (R, 2) recovery rates of the R
-    estimates sample_estimates draws from seeds: one default_rng per seed,
-    read as sample_estimates reads it, and one clip for all rows."""
-    s = noise.effective_scale
-    beta, gamma = np.empty((len(seeds), 2, 2)), np.empty((len(seeds), 2))
-    for r, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        beta[r] = rng.normal(0.0, s, size=(2, 2))
-        gamma[r] = rng.normal(0.0, s, size=2)
-    return (np.clip(params.beta + beta, 0.0, 1.0),
-            np.clip(params.gamma + gamma, 0.0, 1.0 - params.delta))
+    estimates sample_estimates draws from seeds, seed r at noise scale
+    scales[r]: one default_rng per seed, read as sample_estimates reads it,
+    and one clip for all rows."""
+    draws = np.empty((len(seeds), 6))
+    for r, (scale, seed) in enumerate(zip(scales, seeds)):
+        draws[r] = np.random.default_rng(seed).normal(0.0, scale, 6)
+    return (np.clip(params.beta + draws[:, :4].reshape(-1, 2, 2), 0.0, 1.0),
+            np.clip(params.gamma + draws[:, 4:], 0.0, 1.0 - params.delta))
 
 
 @dataclass(frozen=True)

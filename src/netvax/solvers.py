@@ -292,10 +292,8 @@ def twni(ctx: ObjectiveContext, d: int, groups: np.ndarray) -> SolverResult:
     if d < 0:
         raise ValueError(f"capacity must be >= 0, got {d}")
     groups = _check_groups(ctx, groups)
-    first = np.nonzero(groups == GROUP2)[0]
-    rest = np.nonzero(groups != GROUP2)[0]
-    order = np.concatenate([first, rest])[:min(d, ctx.n_units)]
-    alloc = Allocation(frozenset(int(u) for u in order), capacity=d)
+    order = np.argsort(groups != GROUP2, kind="stable")[:min(d, ctx.n_units)]
+    alloc = Allocation(order, capacity=d)
     return _finish(ctx, alloc, objective_value(ctx, alloc), rounds=len(alloc.selected))
 
 

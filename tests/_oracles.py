@@ -8,21 +8,27 @@ as the reference that welfare_from_transitions sums.
 regret_study_by_estimate is the regret study one estimate at a time, the
 reference for the array pass of harness.run_regret_study.
 streamed_optimum enumerates every subset, the reference for brute_force's
-branch and bound.
+branch and bound.  experiment_by_cell is the experiment loop collecting
+per-cell lists, the reference for the array pass of harness.run_experiment,
+and draw_estimates_two_calls reads each estimate's seed with one draw for
+the transmission and one for the recovery rates, the reference for
+regret._draw_estimates.
 """
 
 import itertools
 import math
+import time
 
 import numpy as np
 from scipy import sparse
 
 from netvax import (GROUP1, GROUP2, INFECTED, RECOVERED, SUSCEPTIBLE,
-                    Allocation, EstimationNoiseModel, ObjectiveContext,
-                    PARAMETER_SETS, Population, RegretStudyRow, SirParams,
-                    brute_force, build_context, draw_instance, greedy_capacity,
-                    objective_value, regret_upper_bound, replicate_seed,
-                    sample_estimates, welfare_value)
+                    Allocation, EstimationNoiseModel, ExperimentRow,
+                    ObjectiveContext, PARAMETER_SETS, Population, RegretStudyRow,
+                    SirParams, brute_force, build_context, draw_instance,
+                    greedy_capacity, objective_value, regret_upper_bound,
+                    replicate_seed, sample_estimates, welfare_value)
+from netvax.harness import capacity_budget, run_policy
 from netvax.objective import _csr, _healthy_share, _row_sums
 
 DEFAULT_DIST = ((0.7, 0.2, 0.1), (0.7, 0.2, 0.1))
@@ -465,3 +471,49 @@ def regret_study_by_estimate(config):
             mean_noise_gap=float(np.mean([abs(a) + abs(b) for a, b in zip(gap1, gap3)])),
             bound=bound, slack=bound - mean_total))
     return rows
+
+
+def experiment_by_cell(config):
+    """harness.run_experiment with a dict from (policy, fraction) to four
+    lists, filled fraction-major on each network, then one row per cell
+    under the (policy, fraction) sort key."""
+    cells = {(pol, frac): {"welfare": [], "f": [], "pct": [], "ms": []}
+             for pol in config.policies for frac in config.capacity_fractions}
+    for k in range(config.n_networks):
+        inst = config.instance(replicate_seed(config.seed, k))
+        for frac in config.capacity_fractions:
+            d = capacity_budget(frac, config.n_units)
+            for pol in config.policies:
+                cell = cells[(pol, frac)]
+                start = time.perf_counter()
+                out = run_policy(inst, pol, d, config)
+                cell["welfare"].append(out.welfare)
+                cell["f"].append(out.f_value)
+                cell["pct"].append(out.pct_young)
+                cell["ms"].append((time.perf_counter() - start) * 1000.0)
+    rows = []
+    for (pol, frac) in sorted(cells, key=lambda key: (key[0], key[1])):
+        cell = cells[(pol, frac)]
+        welfare = np.asarray(cell["welfare"])
+        rows.append(ExperimentRow(
+            policy=pol,
+            capacity_fraction=frac,
+            mean_welfare=float(welfare.mean()),
+            sd_welfare=float(welfare.std(ddof=1)) if welfare.size > 1 else 0.0,
+            mean_f=float(np.mean(cell["f"])),
+            pct_young_vaccinated=float(np.mean(cell["pct"])),
+            runtime_ms=float(np.sum(cell["ms"])),
+        ))
+    return rows
+
+
+def draw_estimates_two_calls(params, scales, seeds):
+    """regret._draw_estimates with two normal draws per seed: a (2, 2) one
+    for the transmission rates, then a 2-vector for the recovery rates."""
+    beta, gamma = np.empty((len(seeds), 2, 2)), np.empty((len(seeds), 2))
+    for r, (s, seed) in enumerate(zip(scales, seeds)):
+        rng = np.random.default_rng(seed)
+        beta[r] = rng.normal(0.0, s, size=(2, 2))
+        gamma[r] = rng.normal(0.0, s, size=2)
+    return (np.clip(params.beta + beta, 0.0, 1.0),
+            np.clip(params.gamma + gamma, 0.0, 1.0 - params.delta))

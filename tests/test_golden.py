@@ -1,7 +1,8 @@
 """Golden CLI outputs, compared byte for byte: the TINY config's experiment
-CSV and every policy's solve record in both welfare modes, a greedy solve
-record on the golden edge list, its regret study CSV with brute force, a
-greedy-mode regret study at N = 60, and one generated edge list.
+CSV and every policy's solve record in both welfare modes, one generated
+edge list and a greedy solve record on it, the TINY config's regret study
+CSV with brute force, and a greedy-mode regret study at N = 60.  One run
+renders them all: the solve reads the edge list rendered before it.
 
 A change that moves one of these outputs regenerates the files with
 
@@ -39,22 +40,23 @@ COMMANDS = {
     "solve_random_exact.jsonl": ("exact", ["solve", "--policy", "random"]),
     **{f"solve_{policy}_{mode}.jsonl": (mode, [*SOLVE, policy])
        for policy in POLICIES if policy != "random" for mode in ("linear", "exact")},
-    # the population drawn on a loaded network; seed 5 leaves some infected
+    "gen_15.edges": (None, ["gen", "--n", "15", "--density", "0.5", "--seed", "1"]),
+    # the population drawn on the network just generated; seed 5 leaves some infected
     "solve_edges_greedy.jsonl": ("exact", ["solve", "--seed", "5", "--capacity-fraction",
-                                           "0.25", "--edges", str(GOLDEN / "gen_15.edges")]),
+                                           "0.25", "--edges", "{work}/gen_15.edges"]),
     "regret_brute.csv": ("regret_brute", ["regret"]),
     "regret_greedy.csv": ("regret_greedy", ["regret"]),
-    "gen_15.edges": (None, ["gen", "--n", "15", "--density", "0.5", "--seed", "1"]),
 }
 
 
 def render(work: Path) -> dict[str, bytes]:
-    """Run each command in work and return its output file's bytes."""
+    """Run each command in work, in order, and return its output file's
+    bytes; {work} in an argument names the work directory."""
     for name, text in CONFIGS.items():
         (work / f"{name}.cfg").write_text(text, encoding="utf-8")
     out = {}
     for name, (config, command) in COMMANDS.items():
-        args = [*command, "--out", str(work / name)]
+        args = [arg.format(work=work) for arg in command] + ["--out", str(work / name)]
         if config is not None:
             args += ["--config", str(work / f"{config}.cfg")]
         with contextlib.redirect_stdout(io.StringIO()):

@@ -38,7 +38,7 @@ from netvax import (
 from netvax import harness, objective, regret, solvers
 from netvax.harness import instance_on_graph, run_policy
 
-from _oracles import DEFAULT_DIST, regret_study_by_estimate
+from _oracles import DEFAULT_DIST, experiment_by_cell, regret_study_by_estimate
 from test_properties import CONTEXT_ARRAYS
 
 
@@ -298,6 +298,23 @@ def test_run_experiment_all_group1_population():
     rows = run_experiment(config)
     for row in rows:
         assert row.pct_young_vaccinated == 100.0
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 14), st.floats(0.1, 0.9), st.integers(0, 2**32))
+@pytest.mark.parametrize("n_networks", [1, 4])
+@pytest.mark.parametrize("mode", ["linear", "exact"])
+def test_run_experiment_equals_the_per_cell_loop(mode, n_networks, n, density, seed):
+    # policies and fractions listed out of sorted order
+    config = ExperimentConfig(
+        n_units=n, density=density, n_networks=n_networks, seed=seed, mode=mode,
+        policies=("twni", "random", "greedy_targeting", "greedy", "brute"),
+        capacity_fractions=(0.3, 0.1, 0.2), targeting_fractions=(0.2, 0.5))
+
+    def without_runtime(rows):
+        return [dataclasses.astuple(row)[:-1] for row in rows]
+
+    assert without_runtime(run_experiment(config)) == without_runtime(experiment_by_cell(config))
 
 
 def test_exact_mode_keeps_objective_and_lifts_welfare():

@@ -93,6 +93,9 @@ def test_marginal_gain_input_validation():
         marginal_gain(ctx, Allocation(frozenset({1}), 1), 1)
     with pytest.raises(ValueError):
         marginal_gain(ctx, Allocation.empty(), 2)
+    for candidate in (0.0, 1.5, True):
+        with pytest.raises(ValueError, match="must be a non-negative integer"):
+            marginal_gain(ctx, Allocation.empty(), candidate)
     with pytest.raises(ValueError, match="outside the population"):
         marginal_gain(ctx, Allocation(frozenset({40}), 1), 0)
 
@@ -333,6 +336,12 @@ def test_allocation_validation():
         Allocation(frozenset({-1}), 1)
     with pytest.raises(ValueError):
         Allocation(frozenset(), -1)
+    # unit indices are integers, never truncated or parsed
+    for unit in (1.5, np.float64(2.7), "3", True):
+        with pytest.raises(ValueError, match="must be a non-negative integer"):
+            Allocation([unit], 12)
+    numpy_units = Allocation([np.int64(2), np.uint8(5)], 2).selected
+    assert numpy_units == {2, 5} and all(type(u) is int for u in numpy_units)
     alloc = Allocation([3, 1], 4)
     assert alloc.sorted_units().tolist() == [1, 3]
     assert alloc.indicator(5).tolist() == [False, True, False, True, False]

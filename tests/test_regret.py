@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from netvax import (
     MEAN_DEVIATION_COEF,
+    PARAMETER_SETS,
     UNIVERSAL_CONSTANT,
     Allocation,
     BudgetError,
@@ -28,11 +29,12 @@ from netvax import (
     run_regret_study,
     sample_estimates,
 )
-from netvax import solvers
+from netvax import regret, solvers
 from netvax.harness import instance_on_graph
 from netvax.regret import decompose_regret
 
-from _oracles import entry_error_bounds, er_row_scan, matroid_brute, small_instance
+from _oracles import (draw_estimates_two_calls, entry_error_bounds, er_row_scan,
+                      matroid_brute, small_instance)
 
 SET1 = SirParams(beta=[[0.7, 0.5], [0.5, 0.6]], gamma=[0.1, 0.05], delta=[0.0, 0.0])
 
@@ -75,6 +77,17 @@ def test_sample_estimates_deterministic():
     c = sample_estimates(SET1, noise, seed=4)
     assert np.array_equal(a.beta, b.beta) and np.array_equal(a.gamma, b.gamma)
     assert not np.array_equal(a.beta, c.beta)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.floats(0.0, 2.0)), max_size=12),
+       st.sampled_from(["set1", "set2"]))
+def test_draw_estimates_equals_two_draws_per_seed(drawn, pset):
+    seeds, scales = [seed for seed, _ in drawn], [scale for _, scale in drawn]
+    got = regret._draw_estimates(PARAMETER_SETS[pset], scales, seeds)
+    want = draw_estimates_two_calls(PARAMETER_SETS[pset], scales, seeds)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_sample_estimates_clip_to_valid_ranges():

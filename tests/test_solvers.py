@@ -519,6 +519,19 @@ def test_twni_fills_priority_group_first():
     assert twni(ctx, 6, pop.group).allocation.selected == frozenset(range(6))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([GROUP1, GROUP2]), min_size=1, max_size=40),
+       st.integers(0, 45))
+def test_twni_takes_group2_then_group1_in_unit_order(labels, d):
+    n = len(labels)
+    ctx = ObjectiveContext(n, np.zeros(n), np.empty(0, dtype=int), np.empty(0, dtype=int),
+                           np.empty(0), 0.0)
+    order = ([u for u in range(n) if labels[u] == GROUP2]
+             + [u for u in range(n) if labels[u] != GROUP2])
+    got = twni(ctx, d, np.array(labels, dtype=np.int8)).allocation.selected
+    assert got == frozenset(order[:d])
+
+
 def test_twni_validation():
     inst = small_instance(0, n=6)
     with pytest.raises(ValueError):
