@@ -19,6 +19,8 @@ __all__ = [
     "save_edge_list",
 ]
 
+_SAVE_EDGES = 2**14  # edge lines per write in save_edge_list, so its memory stays bounded
+
 
 class EdgeListError(ValueError):
     """Raised when an edge-list stream cannot be parsed."""
@@ -121,7 +123,8 @@ def erdos_renyi(n_units: int, density: float, seed: int) -> ContactGraph:
 def save_edge_list(graph: ContactGraph, sink: IO[str]) -> None:
     """Write ``n_units=N`` then one ``i j`` line per edge (i < j, sorted)."""
     sink.write(f"n_units={graph.n_units}\n")
-    sink.write("".join(f"{i} {j}\n" for i, j in graph.edges.tolist()))
+    for lo in range(0, graph.n_edges, _SAVE_EDGES):
+        sink.write("".join(f"{i} {j}\n" for i, j in graph.edges[lo:lo + _SAVE_EDGES].tolist()))
 
 
 def load_edge_list(source: IO[str]) -> ContactGraph:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import itertools
 import math
@@ -27,7 +28,7 @@ from .objective import (Allocation, ContextPattern, ObjectiveContext,
                         check_submodular, marginal_gain, objective_value)
 from .regret import (EstimationNoiseModel, _draw_estimates, decompose_regret,
                      regret_upper_bound)
-from .solvers import (RandomAssignmentSummary, SolverResult, brute_force,
+from .solvers import (RandomAssignmentSummary, SolverResult, _greedy_prefix, brute_force,
                       greedy_capacity, greedy_factor, greedy_targeting,
                       random_assignment, twni)
 
@@ -166,6 +167,9 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentRow:
+    """A cell's means over the networks; runtime_ms sums the cell's time,
+    a greedy policy's one solve counted in its largest-budget cell."""
+
     policy: str
     capacity_fraction: float
     mean_welfare: float
@@ -185,6 +189,10 @@ class Instance:
     params: SirParams
     ctx: ObjectiveContext
     pattern: ContextPattern
+
+    @functools.cached_property
+    def exact_welfare(self) -> Callable[[np.ndarray], float]:
+        return self.pattern.welfare(self.params, "exact")  # built once, on first use
 
 
 def draw_instance(n_units: int, density: float, params: SirParams,
@@ -233,10 +241,9 @@ def _pct_group1(labels: np.ndarray) -> float:
 
 
 class PolicyOutcome(NamedTuple):
-    """One policy run on one instance.  welfare is in the config's mode.
-    For the random baseline welfare and f_value are exact means over
-    uniformly random allocations, in either mode, and pct_young is the
-    expected share of doses to group 1."""
+    """One policy run on one instance; welfare is in the config's mode.  For
+    the random baseline, welfare and f_value are exact means over uniformly
+    random allocations and pct_young is the expected share of doses to group 1."""
 
     result: Union[SolverResult, RandomAssignmentSummary]
     welfare: float
@@ -244,40 +251,41 @@ class PolicyOutcome(NamedTuple):
     pct_young: float
 
 
-def run_policy(inst: Instance, policy: str, d: int, config: ExperimentConfig
-               ) -> PolicyOutcome:
+def run_policy(inst: Instance, policy: str, d: int, config: ExperimentConfig,
+               solved: Optional[SolverResult] = None) -> PolicyOutcome:
     """Allocate d doses on inst with one policy from POLICIES.
 
     The random baseline draws nothing: in exact mode its mean welfare is
     inst.pattern.random_welfare, in linear mode F's mean plus the welfare
-    constant.  greedy_targeting caps group 1 and group 2 at
-    round(fraction * n) from targeting_fractions, or at d when none are
-    configured.  In exact mode the welfare is re-evaluated with the exact
-    infection rate on inst.pattern; the solvers always see the linear
-    objective.
+    constant.  greedy_targeting caps group 1 and group 2 at round(fraction * n)
+    from targeting_fractions, or at d when none are configured.  In exact
+    mode the welfare is re-evaluated with the exact infection rate on
+    inst.pattern; the solvers always see the linear objective.  solved, this
+    greedy policy's result on inst at a budget of at least d, gives the
+    result as its prefix, with no new solve; other policies ignore it.
     """
     group = inst.pop.group
     exact = config.mode == "exact"
     if policy == "random":
         summary = random_assignment(inst.ctx, d)
-        welfare = (inst.pattern.random_welfare(inst.params, d) if exact
-                   else summary.mean_welfare)
+        welfare = inst.pattern.random_welfare(inst.params, d) if exact else summary.mean_welfare
         return PolicyOutcome(summary, welfare, summary.mean_f, _pct_group1(group))
     if policy == "greedy":
-        res = greedy_capacity(inst.ctx, d)
+        res = (greedy_capacity(inst.ctx, d) if solved is None
+               else _greedy_prefix(inst.ctx, solved.gain_trace, d, None))
     elif policy == "brute":
         res = brute_force(inst.ctx, d)
     elif policy == "twni":
         res = twni(inst.ctx, d, group)
     elif policy == "greedy_targeting":
-        d1 = d2 = d
-        if config.targeting_fractions is not None:
-            d1, d2 = (round(frac * inst.graph.n_units) for frac in config.targeting_fractions)
-        res = greedy_targeting(inst.ctx, d, d1, d2, group)
+        caps = (d, d) if config.targeting_fractions is None else tuple(
+            round(frac * inst.graph.n_units) for frac in config.targeting_fractions)
+        res = (greedy_targeting(inst.ctx, d, *caps, group) if solved is None
+               else _greedy_prefix(inst.ctx, solved.gain_trace, d, caps))
     else:
         raise ConfigError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     units = res.allocation.sorted_units()
-    welfare = inst.pattern.welfare(inst.params, "exact")(units) if exact else res.welfare
+    welfare = inst.exact_welfare(units) if exact else res.welfare
     return PolicyOutcome(res, welfare, res.f_value, _pct_group1(group[units]))
 
 
@@ -285,23 +293,25 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     """Run every (policy, capacity fraction) cell over the network replicates.
 
     Per replicate all policies see the same instance, and nothing is drawn
-    beyond it.  Rows come back sorted by (policy, capacity fraction).
+    beyond it.  A greedy policy solves once, in its largest-budget cell, and
+    its smaller budgets read prefixes of that run, equal to their own solves.
+    Rows come back sorted by (policy, capacity fraction).
     """
     cells = sorted(itertools.product(config.policies, config.capacity_fractions))
     # per cell: welfare, F, group-1 share and milliseconds on each network
     values = np.empty((len(cells), 4, config.n_networks))
     for k in range(config.n_networks):
         inst = config.instance(replicate_seed(config.seed, k))
-        for cell, (pol, frac) in zip(values[:, :, k], cells):
+        solved: dict[str, Any] = {}  # each policy's result at its largest budget
+        for cell, (pol, frac) in zip(values[::-1, :, k], cells[::-1]):
             d = capacity_budget(frac, config.n_units)
             start = time.perf_counter()
-            out = run_policy(inst, pol, d, config)
+            out = run_policy(inst, pol, d, config, solved.get(pol))
+            solved.setdefault(pol, out.result)
             cell[:] = (out.welfare, out.f_value, out.pct_young,
                        (time.perf_counter() - start) * 1000.0)
     sds = values[:, 0].std(axis=1, ddof=min(1, config.n_networks - 1)).tolist()  # 0 for one
-    return [ExperimentRow(policy=pol, capacity_fraction=frac, mean_welfare=welfare,
-                          sd_welfare=sd, mean_f=f_value, pct_young_vaccinated=pct,
-                          runtime_ms=ms)
+    return [ExperimentRow(pol, frac, welfare, sd, f_value, pct, ms)
             for (pol, frac), (welfare, f_value, pct, _), sd, ms in zip(
                 cells, values.mean(axis=2).tolist(), sds, values[:, 3].sum(axis=1).tolist())]
 

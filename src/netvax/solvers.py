@@ -106,9 +106,16 @@ def _greedy(layout: ObjectiveContext | ContextPattern, base: np.ndarray, sym: np
 def _greedy_result(ctx: ObjectiveContext, d: int, groups: np.ndarray, caps: Sequence[int],
                    targeting: Optional[tuple[int, int]]) -> SolverResult:
     picks, gains = _greedy(ctx, ctx._base_gain[None], ctx._sym_vals[None], d, groups, caps)
-    trace = list(zip(picks[0].tolist(), gains[0].tolist()))
-    alloc = Allocation(frozenset(u for u, _ in trace), capacity=d, targeting=targeting)
-    return _finish(ctx, alloc, objective_value(ctx, alloc), len(trace), trace)
+    return _greedy_prefix(ctx, tuple(zip(picks[0].tolist(), gains[0].tolist())), d, targeting)
+
+
+def _greedy_prefix(ctx: ObjectiveContext, trace: Sequence[tuple[int, float]], d: int,
+                   targeting: Optional[tuple[int, int]]) -> SolverResult:
+    """The greedy result at budget d from the gain_trace of the same solver on
+    ctx at a budget >= d: each pick depends only on the caps and the picks
+    before it, and a cap of d never closes before round d."""
+    alloc = Allocation(frozenset(u for u, _ in trace[:d]), capacity=d, targeting=targeting)
+    return _finish(ctx, alloc, objective_value(ctx, alloc), len(alloc.selected), trace[:d])
 
 
 def _check_groups(ctx: ObjectiveContext, groups: np.ndarray) -> np.ndarray:

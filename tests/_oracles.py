@@ -475,8 +475,10 @@ def regret_study_by_estimate(config):
 
 def experiment_by_cell(config):
     """harness.run_experiment with a dict from (policy, fraction) to four
-    lists, filled fraction-major on each network, then one row per cell
-    under the (policy, fraction) sort key."""
+    lists, filled fraction-major on each network with a run_policy solve per
+    cell, where run_experiment reads a greedy policy's smaller budgets off
+    its largest-budget run, then one row per cell under the (policy,
+    fraction) sort key."""
     cells = {(pol, frac): {"welfare": [], "f": [], "pct": [], "ms": []}
              for pol in config.policies for frac in config.capacity_fractions}
     for k in range(config.n_networks):

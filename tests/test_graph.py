@@ -95,13 +95,18 @@ def test_save_writes_each_edge_once():
     assert buf.getvalue() == "n_units=4\n0 2\n1 3\n"
 
 
-@pytest.mark.parametrize("g", [ContactGraph(5), ContactGraph(1), erdos_renyi(300, 0.05, 11)],
-                         ids=["empty", "one_unit", "generated"])
+@pytest.mark.parametrize("g", [ContactGraph(5), ContactGraph(1), erdos_renyi(300, 0.05, 11),
+                               erdos_renyi(900, 0.1, 4)],
+                         ids=["empty", "one_unit", "generated", "several_writes"])
 def test_save_matches_line_by_line_writer(g):
     sink, want = io.StringIO(), io.StringIO()
-    save_edge_list(g, sink)
+    with mock.patch.object(sink, "write", wraps=sink.write) as write:
+        save_edge_list(g, sink)
     save_edge_list_by_line(g, want)
     assert sink.getvalue().encode() == want.getvalue().encode()
+    # the header, then one write per block of at most _SAVE_EDGES edges
+    assert write.call_count == 1 + -(-g.n_edges // graph._SAVE_EDGES)
+    assert g.n_units != 900 or write.call_count == 4
 
 
 def test_load_skips_comments_and_blanks():

@@ -301,20 +301,24 @@ def test_run_experiment_all_group1_population():
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(2, 14), st.floats(0.1, 0.9), st.integers(0, 2**32))
+@given(st.one_of(st.just(12), st.integers(2, 14)), st.floats(0.1, 0.9), st.integers(0, 2**32))
 @pytest.mark.parametrize("n_networks", [1, 4])
 @pytest.mark.parametrize("mode", ["linear", "exact"])
 def test_run_experiment_equals_the_per_cell_loop(mode, n_networks, n, density, seed):
-    # policies and fractions listed out of sorted order
-    config = ExperimentConfig(
-        n_units=n, density=density, n_networks=n_networks, seed=seed, mode=mode,
-        policies=("twni", "random", "greedy_targeting", "greedy", "brute"),
-        capacity_fractions=(0.3, 0.1, 0.2), targeting_fractions=(0.2, 0.5))
-
     def without_runtime(rows):
         return [dataclasses.astuple(row)[:-1] for row in rows]
 
-    assert without_runtime(run_experiment(config)) == without_runtime(experiment_by_cell(config))
+    # policies and fractions listed out of sorted order, the second list
+    # largest first, with 0.12 and 0.1 rounding to one budget at n = 12;
+    # without targeting fractions greedy_targeting's caps (d, d) vary with d
+    for fractions in ((0.3, 0.1, 0.2), (0.5, 0.25, 0.12, 0.1)):
+        for targeting in (None, (0.2, 0.5)):
+            config = ExperimentConfig(
+                n_units=n, density=density, n_networks=n_networks, seed=seed, mode=mode,
+                policies=("twni", "random", "greedy_targeting", "greedy", "brute"),
+                capacity_fractions=fractions, targeting_fractions=targeting)
+            assert (without_runtime(run_experiment(config))
+                    == without_runtime(experiment_by_cell(config)))
 
 
 def test_exact_mode_keeps_objective_and_lifts_welfare():

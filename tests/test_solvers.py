@@ -453,6 +453,63 @@ def test_targeting_at_least_half_of_matroid_optimum():
         assert res.f_value >= 0.5 * opt - 1e-12
 
 
+@st.composite
+def prefix_cases(draw):
+    """An objective, group labels, a largest budget, a smaller budget and
+    fixed group caps.  The objective is a generated instance; raw triplets
+    whose gains and spill values take a few levels, some 3e-13 or 4e-13
+    apart, so the 1e-12 tie window decides picks; or raw triplets with
+    positive spill entries, so gains rise as neighbors are picked.  Budgets
+    run past n, and the caps include (0, 0) and caps that close before
+    either budget."""
+    kind = draw(st.sampled_from(["generated", "tied", "rising"]))
+    n = draw(st.integers(1, 12))
+    if kind == "generated":
+        ctx = small_instance(draw(st.integers(0, 2**16)), n=n,
+                             density=draw(st.floats(0.1, 1.0))).ctx
+    else:
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda p: p[0] != p[1]), unique=True, max_size=3 * n))
+        rows = np.array([i for i, _ in pairs], dtype=np.int64)
+        cols = np.array([j for _, j in pairs], dtype=np.int64)
+        if kind == "tied":
+            gain = st.sampled_from([0.5, 0.5 + 4e-13, 0.5 - 4e-13, 0.25])
+            spill = st.sampled_from([0.0, -0.125, -0.125 + 3e-13, -0.125 - 3e-13])
+        else:
+            gain, spill = st.floats(-0.5, 1.0), st.floats(-1.0, 1.0)
+        ctx = ObjectiveContext(n, draw(st.lists(gain, min_size=n, max_size=n)), rows, cols,
+                               draw(st.lists(spill, min_size=len(pairs), max_size=len(pairs))),
+                               0.25)
+    groups = np.array(draw(st.lists(st.sampled_from([GROUP1, GROUP2]),
+                                    min_size=n, max_size=n)), dtype=np.int8)
+    top = draw(st.integers(1, n + 3))
+    d = draw(st.integers(1, top))
+    caps = draw(st.one_of(st.just((0, 0)), st.tuples(st.integers(0, n), st.integers(0, n))))
+    return ctx, groups, top, d, caps
+
+
+def assert_same_result(got, want):
+    """got equals want field for field, and its floats bit for bit."""
+    assert got == want
+    assert (np.array([got.f_value, got.welfare] + [g for _, g in got.gain_trace]).tobytes()
+            == np.array([want.f_value, want.welfare] + [g for _, g in want.gain_trace]).tobytes())
+
+
+@settings(max_examples=300, deadline=None)
+@given(prefix_cases())
+def test_greedy_at_a_budget_is_a_prefix_of_the_run_at_a_larger_one(case):
+    ctx, groups, top, d, caps = case
+    prefix = solvers._greedy_prefix
+    assert_same_result(prefix(ctx, greedy_capacity(ctx, top).gain_trace, d, None),
+                       greedy_capacity(ctx, d))
+    # caps (d, d) without targeting fractions, which never close before round d
+    assert_same_result(
+        prefix(ctx, greedy_targeting(ctx, top, top, top, groups).gain_trace, d, (d, d)),
+        greedy_targeting(ctx, d, d, d, groups))
+    assert_same_result(prefix(ctx, greedy_targeting(ctx, top, *caps, groups).gain_trace, d, caps),
+                       greedy_targeting(ctx, d, *caps, groups))
+
+
 def test_random_assignment_full_capacity_has_zero_spread():
     inst = small_instance(2, n=10)
     summary = random_assignment(inst.ctx, 10)
