@@ -30,6 +30,20 @@ SUSCEPTIBLE, INFECTED, RECOVERED = 0, 1, 2
 GROUP1, GROUP2 = 0, 1
 
 _RATE_TOL = 1e-9
+# the labels each label array of a Population may hold, and their names
+_LABELS = {"state0": ((SUSCEPTIBLE, INFECTED, RECOVERED), "SUSCEPTIBLE, INFECTED, or RECOVERED"),
+           "group": ((GROUP1, GROUP2), "GROUP1 or GROUP2")}
+
+
+def _labels(values: object, name: str) -> np.ndarray:
+    """values as an int8 array, checked before the cast to hold integers,
+    not bools, each a label _LABELS allows for name: the one check of every
+    label array."""
+    allowed, names = _LABELS[name]
+    values = np.asarray(values)
+    if values.size and (values.dtype.kind not in "iu" or not np.isin(values, allowed).all()):
+        raise ValueError(f"{name} entries must be {names}")
+    return values.astype(np.int8, copy=False)
 
 
 @dataclass(frozen=True)
@@ -82,17 +96,12 @@ class Population:
     weight: np.ndarray
 
     def __post_init__(self) -> None:
-        state0 = np.asarray(self.state0, dtype=np.int8)
-        group = np.asarray(self.group, dtype=np.int8)
+        state0, group = _labels(self.state0, "state0"), _labels(self.group, "group")
         weight = np.asarray(self.weight, dtype=float)
         if not (state0.shape == group.shape == weight.shape) or state0.ndim != 1:
             raise ValueError("state0, group, weight must be 1-D arrays of equal length")
         if state0.size < 1:
             raise ValueError("population must contain at least one unit")
-        if not np.all(np.isin(state0, (SUSCEPTIBLE, INFECTED, RECOVERED))):
-            raise ValueError("state0 entries must be SUSCEPTIBLE, INFECTED, or RECOVERED")
-        if not np.all(np.isin(group, (GROUP1, GROUP2))):
-            raise ValueError("group entries must be GROUP1 or GROUP2")
         if not np.all((weight >= 0) & np.isfinite(weight)):
             raise ValueError("weights must be finite and non-negative")
         for name, arr in (("state0", state0), ("group", group), ("weight", weight),

@@ -24,7 +24,7 @@ import numpy as np
 
 from .epidemic import GROUP1, GROUP2, RECOVERED, Population, SirParams
 from .graph import ContactGraph, _unit_count, erdos_renyi
-from .objective import (Allocation, ContextPattern, ObjectiveContext,
+from .objective import (Allocation, ContextPattern, ObjectiveContext, _count,
                         check_submodular, marginal_gain, objective_value)
 from .regret import (EstimationNoiseModel, _draw_estimates, decompose_regret,
                      regret_upper_bound)
@@ -108,12 +108,11 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         try:
             _unit_count(self.n_units)
+            _count(self.n_networks, "n_networks", 1)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if not 0.0 <= self.density <= 1.0:
             raise ConfigError(f"density must be in [0, 1], got {self.density}")
-        if self.n_networks < 1:
-            raise ConfigError(f"n_networks must be >= 1, got {self.n_networks}")
         if not 0.0 <= self.group1_probability <= 1.0:
             raise ConfigError("group1_probability must be in [0, 1]")
         if len(self.initial_states) != 2:
@@ -345,12 +344,14 @@ class RegretStudyConfig:
     use_brute: bool = True
 
     def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ConfigError(f"regret capacity must be >= 1, got {self.capacity}")
-        if not self.n_grid or any(n < 1 for n in self.n_grid):
-            raise ConfigError("regret n grid must hold positive sample sizes")
-        if self.replications < 1:
-            raise ConfigError("regret replications must be >= 1")
+        try:
+            for name, value in (("regret capacity", self.capacity),
+                                ("regret replications", self.replications),
+                                ("regret n grid length", len(self.n_grid)),
+                                *(("regret n grid entry", n) for n in self.n_grid)):
+                _count(value, name, 1)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -391,12 +392,12 @@ def run_regret_study(config: RegretStudyConfig) -> list[RegretStudyRow]:
     scales = np.repeat([EstimationNoiseModel(n).effective_scale for n in config.n_grid], reps)
     beta, gamma = _draw_estimates(inst.params, scales, seeds)
     f_star, gaps = decompose_regret(inst.pattern, inst.params, d, config.use_brute, beta, gamma)
-    bound_inputs = (int(inst.graph.degree.max()), int(inst.pop.infected.sum()),
-                    float(inst.pop.weight.max()))
+    bound_inputs = (inst.graph.n_units, d, int(inst.graph.degree.max()),
+                    int(inst.pop.infected.sum()), float(inst.pop.weight.max()))
     # (gap, grid point, replication), the noise gap |gap1| + |gap3| last
     gaps = gaps.reshape(4, len(config.n_grid), reps)
     means = np.concatenate([gaps, [np.abs(gaps[0]) + np.abs(gaps[2])]]).mean(axis=2)
-    bounds = [regret_upper_bound(exp.n_units, d, *bound_inputs, n, f_star) for n in config.n_grid]
+    bounds = [regret_upper_bound(*bound_inputs, n, f_star) for n in config.n_grid]
     return [RegretStudyRow(
         n_external=n_external, replications=reps, capacity=d, mean_total=total,
         mean_estimation_gap=est, mean_optimization_gap=opt, mean_evaluation_gap=evl,

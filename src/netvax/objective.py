@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .epidemic import Population, SirParams
-from .graph import ContactGraph
+from .graph import ContactGraph, _unit_count
 
 __all__ = [
     "TOLERANCE",
@@ -46,14 +46,31 @@ TOLERANCE = 1e-12
 _BLOCK_CELLS = 2**20
 
 
-def _unit_index(unit: object) -> int:
-    """unit as a Python int; ValueError unless a non-negative integer, not a bool."""
+def _count(value: object, name: str, low: int = 0, high: Optional[int] = None) -> int:
+    """value as a Python int, checked to be an integer, not a bool, in
+    [low, high]: the one check of every count, budget and unit index."""
     try:
-        if type(unit) is not bool and operator.index(unit) >= 0:
-            return operator.index(unit)
+        number = operator.index(value)
+        if type(value) is not bool and low <= number and (high is None or number <= high):
+            return number
     except TypeError:
         pass
-    raise ValueError(f"unit index must be a non-negative integer, got {unit!r}")
+    span = "a non-negative integer" if low == 0 else f"an integer >= {low}"
+    raise ValueError(f"{name} must be {span}{'' if high is None else f' and <= {high}'},"
+                     f" got {value!r}")
+
+
+def _unit_indices(units: object, n: int, name: str) -> np.ndarray:
+    """units as a 1-D int64 array, checked before the cast to hold integers,
+    not bools, in [0, n): the one check of every unit-index array.  An empty
+    1-D array of any dtype holds no units and passes."""
+    units = np.asarray(units)
+    if units.ndim != 1 or units.size and units.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be 1-D integer unit indices, got {units.dtype}"
+                         f" of shape {units.shape}")
+    if units.size and (units.min() < 0 or units.max() >= n):
+        raise ValueError(f"{name} holds a unit outside the population [0, {n})")
+    return units.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -70,9 +87,9 @@ class Allocation:
     targeting: Optional[tuple[int, int]] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "selected", frozenset(map(_unit_index, self.selected)))
-        if self.capacity < 0:
-            raise ValueError(f"capacity must be >= 0, got {self.capacity}")
+        object.__setattr__(self, "selected",
+                           frozenset(_count(unit, "unit index") for unit in self.selected))
+        object.__setattr__(self, "capacity", _count(self.capacity, "capacity"))
         if len(self.selected) > self.capacity:
             raise ValueError(
                 f"allocation of {len(self.selected)} units exceeds capacity {self.capacity}")
@@ -87,10 +104,7 @@ class Allocation:
     def indicator(self, n_units: int) -> np.ndarray:
         """Boolean membership vector of length n_units."""
         out = np.zeros(n_units, dtype=bool)
-        idx = self.sorted_units()
-        if idx.size and idx[-1] >= n_units:
-            raise ValueError("allocation contains a unit outside the population")
-        out[idx] = True
+        out[_unit_indices(self.sorted_units(), n_units, "allocation")] = True
         return out
 
 
@@ -111,20 +125,15 @@ class ObjectiveContext:
     def __init__(self, n_units: int, direct_gain: np.ndarray,
                  spill_rows: np.ndarray, spill_cols: np.ndarray,
                  spill_vals: np.ndarray, welfare_constant: float) -> None:
-        n_units = int(n_units)
-        if n_units < 1:
-            raise ValueError(f"n_units must be >= 1, got {n_units}")
+        n_units = _unit_count(n_units)
         direct_gain = np.asarray(direct_gain, dtype=float)
         if direct_gain.shape != (n_units,):
             raise ValueError("direct_gain must have one entry per unit")
-        rows = np.asarray(spill_rows, dtype=np.int64)
-        cols = np.asarray(spill_cols, dtype=np.int64)
+        rows = _unit_indices(spill_rows, n_units, "spill_rows")
+        cols = _unit_indices(spill_cols, n_units, "spill_cols")
         vals = np.asarray(spill_vals, dtype=float)
-        if not (rows.shape == cols.shape == vals.shape) or rows.ndim != 1:
+        if not rows.shape == cols.shape == vals.shape:
             raise ValueError("spill triplets must be parallel 1-D arrays")
-        if rows.size and (rows.min() < 0 or rows.max() >= n_units
-                          or cols.min() < 0 or cols.max() >= n_units):
-            raise ValueError("spill indices out of range")
         if np.any(rows == cols):
             raise ValueError("spill weights must be off-diagonal")
         # w + w^T with repeated (i, j) entries summed into one, which
@@ -219,6 +228,11 @@ def _f_moments(ctx: ObjectiveContext, d: int) -> tuple[float, float]:
     return mean, math.sqrt(var)
 
 
+def _held(pop: Population, params: SirParams) -> np.ndarray:
+    """Each unit's weighted chance to be recovered next period with no one vaccinated."""
+    return pop.weight * (pop.recovered + params.gamma[pop.group] * pop.infected)
+
+
 def _healthy_share(pop: Population, params: SirParams, vaccinated: np.ndarray,
                    z: np.ndarray, mode: str) -> float:
     """Weighted mean next-period healthy probability given the vaccinated
@@ -226,7 +240,7 @@ def _healthy_share(pop: Population, params: SirParams, vaccinated: np.ndarray,
     others cannot become infected), in ascending unit order.  z is
     overwritten."""
     sus = pop.susceptible
-    held = pop.weight * (pop.recovered + params.gamma[pop.group] * pop.infected)
+    held = _held(pop, params)
     escape = (np.subtract(1.0, z, out=z) if mode == "linear"
               else np.exp(np.negative(z, out=z), out=z))
     # zero the escape of vaccinated susceptible units, at their positions
@@ -336,14 +350,7 @@ class ContextPattern:
         exposed = (np.cumsum(pop.susceptible) - 1)[self._sym_cols]
 
         def welfare(units: np.ndarray) -> float:
-            units = np.sort(units)
-            # an empty array of any dtype is the empty allocation
-            if units.ndim != 1 or units.size and units.dtype.kind not in "iu":
-                raise ValueError(f"allocation must be 1-D unit indices, got {units.dtype}"
-                                 f" of shape {units.shape}")
-            units = units.astype(np.int64, copy=False)
-            if units.size and (units[0] < 0 or units[-1] >= n):
-                raise ValueError(f"allocation has a unit outside [0, {n})")
+            units = np.sort(_unit_indices(units, n, "allocation"))
             if np.any(units[1:] == units[:-1]):
                 raise ValueError("allocation repeats a unit")
             # the entries of each infecting source in turn
@@ -376,9 +383,8 @@ class ContextPattern:
         formed.  Units are taken in runs of fewer than _BLOCK_CELLS states.
         """
         n, pop, ptr = self.n_units, self._pop, self._sym_indptr
-        if not 0 < d <= n:
-            raise ValueError(f"capacity must lie in [1, {n}], got {d}")
-        held = pop.weight * (pop.recovered + params.gamma[pop.group] * pop.infected)
+        d = _count(d, "capacity", 1, n)
+        held = _held(pop, params)
         vals, z0 = self._exposure(params)
         x = np.exp(vals)
         units = np.flatnonzero(pop.susceptible)
@@ -461,16 +467,12 @@ def welfare_value(graph: ContactGraph, pop: Population, params: SirParams,
 
 def marginal_gain(ctx: ObjectiveContext, alloc: Allocation, candidate: int) -> float:
     """F(V + candidate) - F(V), computed incrementally in O(deg + |V| log |V|)."""
-    candidate = _unit_index(candidate)
-    if not 0 <= candidate < ctx.n_units:
-        raise ValueError(f"candidate {candidate} out of range")
+    candidate = _count(candidate, "candidate", 0, ctx.n_units - 1)
     if candidate in alloc.selected:
         raise ValueError(f"candidate {candidate} already allocated")
     gain = float(ctx._base_gain[candidate])
     if alloc.selected:
-        units = alloc.sorted_units()
-        if units[-1] >= ctx.n_units:
-            raise ValueError("allocation contains a unit outside the population")
+        units = _unit_indices(alloc.sorted_units(), ctx.n_units, "allocation")
         lo, hi = ctx._sym_indptr[candidate], ctx._sym_indptr[candidate + 1]
         gain += float(ctx._sym_vals[lo:hi][np.isin(ctx._sym_cols[lo:hi], units)].sum())
     return gain
@@ -491,8 +493,7 @@ def check_submodular(ctx: ObjectiveContext, trials: int = 1000,
     verifies gain(A, x) >= gain(B, x) and F(A) <= F(B), both to TOLERANCE.
     Returns the first violation found, if any.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = _count(trials, "trials", 1)
     rng = np.random.default_rng(seed)
     n = ctx.n_units
     for t in range(trials):

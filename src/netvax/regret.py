@@ -18,7 +18,7 @@ import numpy as np
 
 from .epidemic import Population, SirParams
 from .graph import ContactGraph
-from .objective import ContextPattern, _f_rows, _members
+from .objective import ContextPattern, _count, _f_rows, _members
 from .solvers import _exact, _greedy
 
 __all__ = [
@@ -59,8 +59,7 @@ class EstimationNoiseModel:
     scale: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.n_external < 1:
-            raise ValueError(f"n_external must be >= 1, got {self.n_external}")
+        _count(self.n_external, "n_external", 1)
         if self.scale is not None and self.scale < 0:
             raise ValueError(f"scale must be >= 0, got {self.scale}")
 
@@ -212,12 +211,11 @@ def regret_upper_bound(n_units: int, d: int, max_degree: int, n_infected: int,
     Shrinks at rate sqrt(1 / n_external) toward the floor f_star / e left by
     the greedy approximation guarantee.
     """
-    if n_units < 1:
-        raise ValueError(f"n_units must be >= 1, got {n_units}")
-    if n_external < 1:
-        raise ValueError(f"n_external must be >= 1, got {n_external}")
-    if d < 0 or max_degree < 0 or n_infected < 0 or max_weight < 0:
-        raise ValueError("d, max_degree, n_infected, max_weight must be >= 0")
+    for name, value, low in (("n_units", n_units, 1), ("d", d, 0), ("max_degree", max_degree, 0),
+                             ("n_infected", n_infected, 0), ("n_external", n_external, 1)):
+        _count(value, name, low)
+    if not max_weight >= 0:  # NaN too
+        raise ValueError(f"max_weight must be >= 0, got {max_weight}")
     size_term = (d * min(max_degree, d) + 2 * d * max_degree
                  + min(n_infected, d))
     noise_part = (UNIVERSAL_CONSTANT * max_weight * size_term / n_units

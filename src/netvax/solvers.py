@@ -12,9 +12,9 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .epidemic import GROUP1, GROUP2
+from .epidemic import GROUP2, _labels
 from .objective import (TOLERANCE, Allocation, ContextPattern, ObjectiveContext,
-                        _f_moments, _f_rows, _members, objective_value)
+                        _count, _f_moments, _f_rows, _members, objective_value)
 
 __all__ = [
     "NODE_BUDGET",
@@ -119,12 +119,10 @@ def _greedy_prefix(ctx: ObjectiveContext, trace: Sequence[tuple[int, float]], d:
 
 
 def _check_groups(ctx: ObjectiveContext, groups: np.ndarray) -> np.ndarray:
-    """groups as an array, checked to hold a GROUP1 or GROUP2 label per unit."""
-    groups = np.asarray(groups)
+    """groups as an int8 array, checked to hold a GROUP1 or GROUP2 label per unit."""
+    groups = _labels(groups, "group")
     if groups.shape != (ctx.n_units,):
         raise ValueError("groups must have one label per unit")
-    if not np.all(np.isin(groups, (GROUP1, GROUP2))):
-        raise ValueError("group entries must be GROUP1 or GROUP2")
     return groups
 
 
@@ -135,8 +133,7 @@ def greedy_capacity(ctx: ObjectiveContext, d: int) -> SolverResult:
     incrementally, so each round costs an argmax plus a neighbor update.
     The value is at least (1 - (1 - 1/d)^d) of the optimum.
     """
-    if d < 1:
-        raise ValueError(f"capacity must be >= 1, got {d}")
+    d = _count(d, "capacity", 1)
     return _greedy_result(ctx, d, np.zeros(ctx.n_units, dtype=np.int8), (d,), None)
 
 
@@ -149,9 +146,7 @@ def greedy_targeting(ctx: ObjectiveContext, d: int, d1: int, d2: int,
     feasible one.  Stops early once no feasible candidate remains.  The value
     is at least half the constrained optimum.
     """
-    for name, val in (("d", d), ("d1", d1), ("d2", d2)):
-        if val < 0:
-            raise ValueError(f"{name} must be >= 0, got {val}")
+    d, d1, d2 = (_count(val, name) for name, val in (("d", d), ("d1", d1), ("d2", d2)))
     return _greedy_result(ctx, d, _check_groups(ctx, groups), (d1, d2), (d1, d2))
 
 
@@ -247,12 +242,11 @@ def brute_force(ctx: ObjectiveContext, d: int) -> SolverResult:
     is proved optimal at the root.  Raises BudgetError past NODE_BUDGET
     nodes.  f_value is objective_value of the pick.
     """
-    if d < 0:
-        raise ValueError(f"capacity must be >= 0, got {d}")
-    k = min(d, ctx.n_units)
-    greedy = _greedy_result(ctx, k, np.zeros(ctx.n_units, dtype=np.int8), (k,), None)
-    picks, f, nodes = _exact(ctx, ctx._base_gain[None], ctx._sym_vals[None],
-                             greedy.allocation.sorted_units()[None], np.array([greedy.f_value]))
+    d = _count(d, "capacity")
+    base, sym = ctx._base_gain[None], ctx._sym_vals[None]
+    picks = _greedy(ctx, base, sym, d, np.zeros(ctx.n_units, dtype=np.int8), (d,))[0]
+    picks, f, nodes = _exact(ctx, base, sym, picks,
+                             _f_rows(ctx, base, sym, _members(picks, ctx.n_units)))
     return _finish(ctx, Allocation(frozenset(picks[0].tolist()), capacity=d), float(f[0]), nodes)
 
 
@@ -262,8 +256,7 @@ def iter_random_subsets(seed: int, n: int, d: int, draws: int,
     at most chunk rows.  Each subset holds the d smallest of n uniform keys
     read in turn from one stream, so the subsets do not depend on chunk.
     No policy draws subsets; tests take oracle allocations from here."""
-    if not 0 < d <= n:
-        raise ValueError(f"subset size must lie in [1, {n}], got {d}")
+    d = _count(d, "subset size", 1, n)
     rng = np.random.default_rng(seed)
     remaining = draws
     while remaining > 0:
@@ -284,9 +277,7 @@ def random_assignment(ctx: ObjectiveContext, d: int) -> RandomAssignmentSummary:
     plus the context's welfare constant; the exact-mode mean is
     ContextPattern.random_welfare.
     """
-    n = ctx.n_units
-    if not 0 < d <= n:
-        raise ValueError(f"capacity must lie in [1, {n}], got {d}")
+    d = _count(d, "capacity", 1, ctx.n_units)
     mean_f, sd_f = _f_moments(ctx, d)
     return RandomAssignmentSummary(mean_f=mean_f, sd_f=sd_f,
                                    mean_welfare=mean_f + ctx.welfare_constant,
@@ -296,8 +287,7 @@ def random_assignment(ctx: ObjectiveContext, d: int) -> RandomAssignmentSummary:
 def twni(ctx: ObjectiveContext, d: int, groups: np.ndarray) -> SolverResult:
     """Targeting With No network Information: fill group 2 in ascending unit
     order, then spill into group 1, up to d doses."""
-    if d < 0:
-        raise ValueError(f"capacity must be >= 0, got {d}")
+    d = _count(d, "capacity")
     groups = _check_groups(ctx, groups)
     order = np.argsort(groups != GROUP2, kind="stable")[:min(d, ctx.n_units)]
     alloc = Allocation(order, capacity=d)
@@ -307,6 +297,5 @@ def twni(ctx: ObjectiveContext, d: int, groups: np.ndarray) -> SolverResult:
 def greedy_factor(d: int) -> float:
     """Approximation factor 1 - (1 - 1/d)^d of capacity-constrained greedy;
     decreases toward 1 - 1/e."""
-    if d < 1:
-        raise ValueError(f"capacity must be >= 1, got {d}")
+    d = _count(d, "capacity", 1)
     return 1.0 - (1.0 - 1.0 / d) ** d

@@ -11,17 +11,28 @@ from netvax import (
     RECOVERED,
     SUSCEPTIBLE,
     Allocation,
+    ConfigError,
     ContactGraph,
+    EstimationNoiseModel,
+    ExperimentConfig,
     ObjectiveContext,
     Population,
+    RegretStudyConfig,
     SirParams,
+    brute_force,
     build_context,
     check_submodular,
     draw_instance,
+    greedy_capacity,
+    greedy_factor,
+    greedy_targeting,
     iter_random_subsets,
     marginal_gain,
     objective_value,
+    random_assignment,
+    regret_upper_bound,
     replicate_seed,
+    twni,
     welfare_value,
 )
 
@@ -265,8 +276,9 @@ def test_welfare_mode_validation():
     list(range(20)) + [0, 1, 2],  # every unit, three of them twice
     [20], [-1], [-5],             # outside [0, n); negatives would wrap
     [3.0, 7.0], [0.5], [True] * 20,  # not integer unit indices
+    np.array([1, 2**64 - 1], dtype=np.uint64),  # wraps to -1 if cast before the range check
 ], ids=["block", "repeat", "all_plus_three", "n", "minus_one", "minus_five",
-        "float", "fraction", "bool_mask"])
+        "float", "fraction", "bool_mask", "uint64_wrap"])
 def test_welfare_rejects_malformed_allocations(units):
     # unchecked, each gives a wrong welfare or an IndexError from the indexing
     inst = small_instance(3, n=20, density=0.5)
@@ -366,3 +378,99 @@ def test_context_rejects_bad_triplets():
     with pytest.raises(ValueError):
         ObjectiveContext(2, np.zeros(2), np.array([0]), np.array([2]),
                          np.array([-0.1]), 0.0)
+    with pytest.raises(ValueError):  # unchecked, truncated to the entry (0, 1)
+        ObjectiveContext(3, np.zeros(3), [0.7], [1.2], [-0.1], 0.0)
+
+
+def _scalar_kinds(low, high=None):
+    """Malformed values of a count in [low, high]: a fraction, a whole float,
+    a bool and one below the range; a uint64 past 2**63 too when high bounds
+    it, since it is otherwise a valid count."""
+    kinds = {"fraction": low + 0.5, "whole_float": float(low + 1), "bool": True,
+             "out_of_range": low - 1}
+    if high is not None:
+        kinds["uint64"] = np.uint64(2**64 - 1)
+    return kinds
+
+
+def _array_kinds(out_of_range, fraction=(0.7, 1.3)):
+    """Malformed two-entry unit-index or label arrays: fractions, whole
+    floats, bools, a uint64 past 2**63 and an integer out of range."""
+    return {"fraction": np.array(fraction), "whole_float": np.array([1.0, 0.0]),
+            "bool": np.array([True, False]), "uint64": np.array([2**64 - 1, 0], dtype=np.uint64),
+            "out_of_range": np.array([out_of_range, 0])}
+
+
+def _upper_bound(position, value):
+    """regret_upper_bound with value as its argument at position."""
+    args = [20, 3, 5, 4, 1.0, 100, 0.1]
+    args[position] = value
+    return regret_upper_bound(*args)
+
+
+N = 20
+EXPERIMENT = ExperimentConfig(12, 0.5)
+# (entry point, call(instance, value), error, malformed values by kind)
+ENTRY_POINTS = [
+    ("greedy_capacity", lambda i, v: greedy_capacity(i.ctx, v), ValueError, _scalar_kinds(1)),
+    ("greedy_targeting_d", lambda i, v: greedy_targeting(i.ctx, v, 4, 4, i.pop.group),
+     ValueError, _scalar_kinds(0)),
+    ("greedy_targeting_d1", lambda i, v: greedy_targeting(i.ctx, 4, v, 4, i.pop.group),
+     ValueError, _scalar_kinds(0)),
+    ("greedy_targeting_d2", lambda i, v: greedy_targeting(i.ctx, 4, 4, v, i.pop.group),
+     ValueError, _scalar_kinds(0)),
+    ("brute_force", lambda i, v: brute_force(i.ctx, v), ValueError, _scalar_kinds(0)),
+    ("twni", lambda i, v: twni(i.ctx, v, i.pop.group), ValueError, _scalar_kinds(0)),
+    ("random_assignment", lambda i, v: random_assignment(i.ctx, v), ValueError,
+     _scalar_kinds(1, N)),
+    ("greedy_factor", lambda i, v: greedy_factor(v), ValueError, _scalar_kinds(1)),
+    ("allocation_capacity", lambda i, v: Allocation(frozenset(), v), ValueError,
+     _scalar_kinds(0)),
+    ("allocation_unit", lambda i, v: Allocation([v], N), ValueError, _scalar_kinds(0)),
+    ("marginal_gain_candidate", lambda i, v: marginal_gain(i.ctx, Allocation.empty(), v),
+     ValueError, _scalar_kinds(0, N - 1)),
+    ("random_welfare", lambda i, v: i.pattern.random_welfare(i.params, v), ValueError,
+     _scalar_kinds(1, N)),
+    ("check_submodular_trials", lambda i, v: check_submodular(i.ctx, trials=v), ValueError,
+     _scalar_kinds(1)),
+    ("n_external", lambda i, v: EstimationNoiseModel(v), ValueError, _scalar_kinds(1)),
+    *((f"regret_upper_bound_{name}", lambda i, v, k=k: _upper_bound(k, v), ValueError,
+       _scalar_kinds(low)) for name, k, low in (
+           ("n_units", 0, 1), ("d", 1, 0), ("max_degree", 2, 0), ("n_infected", 3, 0),
+           ("n_external", 5, 1))),
+    ("n_networks", lambda i, v: ExperimentConfig(12, 0.5, n_networks=v), ConfigError,
+     _scalar_kinds(1)),
+    *((f"regret_{name}", lambda i, v, name=name: RegretStudyConfig(EXPERIMENT, **{name: v}),
+       ConfigError, _scalar_kinds(1)) for name in ("capacity", "replications")),
+    ("regret_n_grid", lambda i, v: RegretStudyConfig(EXPERIMENT, n_grid=(v,)), ConfigError,
+     _scalar_kinds(1)),
+    *((f"welfare_{mode}", lambda i, v, mode=mode: i.pattern.welfare(i.params, mode)(v),
+       ValueError, _array_kinds(N)) for mode in ("linear", "exact")),
+    ("context_rows", lambda i, v: ObjectiveContext(N, np.zeros(N), v, [2, 3], [-0.1] * 2, 0.0),
+     ValueError, _array_kinds(N)),
+    ("context_cols", lambda i, v: ObjectiveContext(N, np.zeros(N), [2, 3], v, [-0.1] * 2, 0.0),
+     ValueError, _array_kinds(N)),
+    ("allocation_indicator", lambda i, v: Allocation(v, 30).indicator(N), ValueError,
+     {"out_of_range": [25]}),
+    ("marginal_gain_allocation", lambda i, v: marginal_gain(i.ctx, Allocation(v, 30), 0),
+     ValueError, {"out_of_range": [25]}),
+    ("state0", lambda i, v: Population(state0=v, group=[0, 0], weight=[1.0, 1.0]), ValueError,
+     _array_kinds(RECOVERED + 1, fraction=(1.9, 0.2))),
+    ("group", lambda i, v: Population(state0=[0, 0], group=v, weight=[1.0, 1.0]), ValueError,
+     _array_kinds(GROUP2 + 1)),
+    ("twni_groups", lambda i, v: twni(i.ctx, 2, np.resize(v, N)), ValueError,
+     _array_kinds(GROUP2 + 1)),
+    ("greedy_targeting_groups", lambda i, v: greedy_targeting(i.ctx, 4, 4, 4, np.resize(v, N)),
+     ValueError, _array_kinds(GROUP2 + 1)),
+]
+
+
+@pytest.mark.parametrize("call, error, value", [
+    pytest.param(call, error, value, id=f"{name}-{kind}")
+    for name, call, error, kinds in ENTRY_POINTS for kind, value in kinds.items()])
+def test_every_entry_point_refuses_malformed_integers(call, error, value):
+    # every entry point calls the one check of its input kind; unchecked, a
+    # cap of 1.5 was never reached, a uint64 index wrapped to -1 before its
+    # range check, and float triplets and labels were truncated
+    with pytest.raises(error):
+        call(small_instance(0, n=N), value)

@@ -284,6 +284,9 @@ def test_bound_validation():
         regret_upper_bound(10, 1, 1, 1, 1.0, 0, 0.5)
     with pytest.raises(ValueError):
         regret_upper_bound(10, -1, 1, 1, 1.0, 100, 0.5)
+    for max_weight in (-1.0, float("nan")):  # a NaN weight would make the bound NaN
+        with pytest.raises(ValueError):
+            regret_upper_bound(10, 1, 1, 1, max_weight, 100, 0.5)
 
 
 def test_mean_total_regret_within_bound():

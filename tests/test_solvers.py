@@ -527,7 +527,7 @@ def test_random_assignment_matches_exhaustive_expectation():
     assert abs(summary.mean_welfare - (summary.mean_f + inst.ctx.welfare_constant)) < 1e-12
 
 
-def test_random_assignment_deterministic_in_seed():
+def test_random_assignment_is_deterministic():
     inst = small_instance(2, n=15)
     # the baseline is exact in both modes, so it takes no seed
     linear = random_assignment(inst.ctx, 4)
