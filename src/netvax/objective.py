@@ -438,11 +438,20 @@ def _f_rows(layout: ObjectiveContext | ContextPattern, base: np.ndarray, sym: np
     """F of R allocations of one size, given as the rows of an (R, n)
     membership mask, on R objectives given as (R, n) base gains and (R, 2 nnz)
     values of w + w^T on layout's CSR arrays.  The base part sums a C-ordered
-    (R, size) block and the spill part row by row, so each row's value is
-    bit for bit its value alone."""
-    own = base[member].reshape(len(member), -1)
-    spill = [v[m[layout._sym_rows] & m[layout._sym_cols]].sum() for v, m in zip(sym, member)]
-    return own.sum(axis=1) + 0.5 * np.array(spill)
+    (R, size) block, the spill part one C-ordered (rows, c) block per count c
+    of nonzeros with both ends allocated, so each row's value is bit for bit
+    its value alone."""
+    own = base[member].reshape(len(member), -1).sum(axis=1)
+    rows, cols = layout._sym_rows, layout._sym_cols
+    if len(member) == 1:  # one row: 1-D gathers cost less than 2-D ones
+        return own + 0.5 * sym[0][member[0][rows] & member[0][cols]].sum()
+    both = member.take(rows, axis=1) & member.take(cols, axis=1)
+    vals, count = sym[both], np.count_nonzero(both, axis=1)
+    start, spill = np.cumsum(count) - count, np.empty(len(member))
+    for c in set(count.tolist()):
+        group = np.flatnonzero(count == c)
+        spill[group] = vals[start[group, None] + np.arange(c)].sum(axis=1)
+    return own + 0.5 * spill
 
 
 def _members(units: np.ndarray, n: int) -> np.ndarray:

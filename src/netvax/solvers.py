@@ -79,8 +79,11 @@ def _greedy(layout: ObjectiveContext | ContextPattern, base: np.ndarray, sym: np
     base gains and (R, 2 nnz) values of w + w^T on layout's CSR arrays.  A
     unit is open while it is unchosen and caps[groups[unit]] has room.  Each
     round adds, per row, the lowest-index open unit within the tie window
-    of the row's best and updates its neighbors' gains in O(deg).  Stops
-    after d rounds or with no unit open, which every row reaches after
+    of the row's best and updates its neighbors' gains in O(deg): the rows
+    that picked one unit share a (rows, deg) update, which adds to each gain
+    once, as a CSR row's columns are distinct, so each row is bit for bit its
+    one-row run.  The last round only records its gains.  Stops after d
+    rounds or with no unit open, which every row reaches after
     sum_g min(caps[g], n_g) picks, n_g the units in group g.  Returns the
     (R, rounds) picks and their gains."""
     indptr, cols = layout._sym_indptr, layout._sym_cols
@@ -88,18 +91,28 @@ def _greedy(layout: ObjectiveContext | ContextPattern, base: np.ndarray, sym: np
     gains = np.where(np.asarray(caps)[groups] > 0, base, -np.inf)
     rounds = min(d, sum(map(min, caps, np.bincount(groups, minlength=len(caps)))))
     picks, picked = np.empty((rounds, len(gains)), dtype=np.int64), np.empty((rounds, len(gains)))
-    rooms = [list(caps) for _ in gains]
+    rooms, labels, lone = [list(caps) for _ in gains], groups.tolist(), len(gains) == 1
     for t in range(rounds):
         best = gains.max(axis=1, keepdims=True)
         (gains >= best - TOLERANCE).argmax(axis=1, out=picks[t])
-        for r, (gain, vals, room, u) in enumerate(zip(gains, sym, rooms, picks[t].tolist())):
+        sharing: dict[int, list[int]] = {}
+        for r, (gain, room, u) in enumerate(zip(gains, rooms, picks[t].tolist())):
             picked[t, r] = gain[u]
+            if t + 1 == rounds:
+                continue  # nothing reads the state after the last pick
             gain[u] = -np.inf
-            g, lo, hi = groups[u], indptr[u], indptr[u + 1]
+            g = labels[u]
             room[g] -= 1
             if room[g] == 0:
                 gain[groups == g] = -np.inf
-            gain[cols[lo:hi]] += vals[lo:hi]
+            if lone:  # a 1-D update costs about a quarter of a 2-D one
+                lo, hi = indptr[u], indptr[u + 1]
+                gain[cols[lo:hi]] += sym[0, lo:hi]
+            else:
+                sharing.setdefault(u, []).append(r)
+        for u, rs in sharing.items():
+            rs, lo, hi = np.array(rs), indptr[u], indptr[u + 1]
+            gains[rs[:, None], cols[lo:hi]] += sym[rs, lo:hi]
     return picks.T, picked.T
 
 

@@ -205,6 +205,16 @@ def test_criterion_7_weights_steer_doses_to_young():
 
 
 def test_criterion_8_regret_decay():
+    """Regret of greedy on estimated parameters: zero without noise, each
+    grid point's mean total under the finite-sample bound, each total the
+    sum of its three gaps, and the noise part decaying at a slope near -0.5
+    in log n.
+
+    EstimationNoiseModel sets the noise sd to 1 / (2 sqrt(n)), so a slope
+    near -0.5 is largely an input, not a finding.  What carries information
+    is that every row stays under the bound, that the gaps telescope to the
+    total within 1e-12, and how much slack the bound leaves (the report
+    prints both sides)."""
     params = PARAMETER_SETS["set1"]
     inst = draw_instance(20, 0.5, params, 0.4, DEFAULT_DIST, (1.0, 1.0),
                          replicate_seed(0, 0))

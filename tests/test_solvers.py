@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netvax import (
@@ -374,6 +374,102 @@ def drawn_searches(draw):
 @given(drawn_searches())
 def test_brute_force_is_exact_on_generated_and_raw_contexts(case):
     assert_exact_searches(*case)
+
+
+@st.composite
+def greedy_rows(draw):
+    """R = 1 to 4 objectives on one raw-triplet layout whose spill values
+    have mixed sign, a budget and group caps.  Gains take a few values plus
+    offsets inside the 1e-12 tie window; a row may copy an earlier row's
+    gains or spill values, so rows share all, some or none of their picks;
+    caps below the budget close a group before the last round."""
+    n = draw(st.integers(1, 10))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1]), unique=True, max_size=3 * n))
+    rows = np.array([i for i, _ in pairs], dtype=np.int64)
+    cols = np.array([j for _, j in pairs], dtype=np.int64)
+    value = st.one_of(st.sampled_from([-0.5, -0.25, 0.0, 0.25, 0.5]), st.floats(-1.0, 1.0))
+    tie = st.sampled_from([0.0, 4e-13, -4e-13, 9e-13])
+    base, sym = [], []
+    for r in range(draw(st.integers(1, 4))):
+        layout = ObjectiveContext(n, np.zeros(n), rows, cols, draw(st.lists(
+            value, min_size=len(pairs), max_size=len(pairs))), 0.0)
+        gains = np.array([draw(value) + draw(tie) for _ in range(n)])
+        base.append(base[draw(st.integers(0, r - 1))] if r and draw(st.booleans()) else gains)
+        sym.append(sym[draw(st.integers(0, r - 1))] if r and draw(st.booleans())
+                   else layout._sym_vals)
+    d = draw(st.integers(1, n + 1))
+    if draw(st.booleans()):
+        groups, caps = np.zeros(n, dtype=np.int8), (d,)
+    else:
+        groups = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+                          dtype=np.int8)
+        caps = (draw(st.integers(0, n)), draw(st.integers(0, n)))
+    return layout, np.stack(base), np.stack(sym), d, groups, caps
+
+
+@settings(max_examples=300, deadline=None)
+@given(greedy_rows())
+def test_many_row_greedy_equals_one_row_runs(case):
+    """The R-row greedy loop, whose rows share an update per picked unit,
+    gives each row the picks and gains of its one-row run, bit for bit."""
+    layout, base, sym, d, groups, caps = case
+    picks, gains = solvers._greedy(layout, base, sym, d, groups, caps)
+    for r in range(len(base)):
+        one_picks, one_gains = solvers._greedy(layout, base[r:r + 1], sym[r:r + 1], d,
+                                               groups, caps)
+        assert one_picks[0].tolist() == picks[r].tolist()
+        assert one_gains[0].tobytes() == gains[r].tobytes()
+
+
+def spill_count_case(n, clique, extra, allocations, seed):
+    """R allocations on R raw-triplet objectives of one layout: the ordered
+    pairs of a clique on range(clique) plus the extra pairs, with values of
+    mixed sign and magnitude drawn from seed."""
+    pairs = sorted({(i, j) for i in range(clique) for j in range(clique) if i != j}
+                   | set(extra))
+    rows = np.array([i for i, _ in pairs], dtype=np.int64)
+    cols = np.array([j for _, j in pairs], dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    units = np.array(allocations, dtype=np.int64).reshape(len(allocations), -1)
+    sym = np.stack([ObjectiveContext(n, np.zeros(n), rows, cols,
+                                     rng.normal(size=len(pairs)) * 10.0 ** rng.integers(
+                                         -6, 7, len(pairs)), 0.0)._sym_vals
+                    for _ in allocations])
+    layout = ObjectiveContext(n, np.zeros(n), rows, cols, np.zeros(len(pairs)), 0.0)
+    return layout, rng.normal(size=(len(allocations), n)), sym, _members(units, n)
+
+
+@st.composite
+def spill_count_cases(draw):
+    """spill_count_case with a drawn clique, extra pairs and R = 1 to 6
+    allocations of one size: a row holds 0 spill entries, a few, or 8 or
+    more, where numpy's pairwise sum unrolls, and rows of several counts
+    meet in one call."""
+    n = draw(st.integers(1, 16))
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1]), max_size=2 * n))
+    k = draw(st.integers(0, n))
+    allocations = [draw(st.permutations(range(n)))[:k] for _ in range(draw(st.integers(1, 6)))]
+    return spill_count_case(n, draw(st.integers(0, n)), extra, allocations,
+                            draw(st.integers(0, 2**16)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(spill_count_cases())
+# counts 0, 2, 6 and 12 in one call, and 56 to 132 (past the 128-value block)
+@example(spill_count_case(16, 12, [], [[12, 13, 14, 15], [0, 12, 13, 14], [0, 1, 12, 13],
+                                       [0, 1, 2, 12], [0, 1, 2, 3]], 1))
+@example(spill_count_case(16, 12, [(13, 0), (14, 1)], [list(range(12)), list(range(4, 16)),
+                                                       list(range(2, 14))], 2))
+def test_many_row_f_equals_one_row_calls(case):
+    """_f_rows on R rows, summed per spill count, gives each row its
+    one-row value bit for bit."""
+    layout, base, sym, member = case
+    f = _f_rows(layout, base, sym, member)
+    one = [_f_rows(layout, base[r:r + 1], sym[r:r + 1], member[r:r + 1])[0]
+           for r in range(len(member))]
+    assert f.tobytes() == np.array(one).tobytes()
 
 
 @pytest.mark.parametrize("n, k, chunk", [(7, 3, 4), (7, 3, 34), (9, 2, 5),
