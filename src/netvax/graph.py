@@ -27,8 +27,10 @@ class EdgeListError(ValueError):
 
 
 def _unit_count(n_units: int) -> int:
-    """n_units as an int, checked to be a whole number >= 1 with
+    """n_units as an int, checked to be a whole number >= 1, not a bool, with
     n_units**2 < 2**63, so that every edge key i * n_units + j fits in int64."""
+    if isinstance(n_units, (bool, np.bool_)):
+        raise ValueError(f"n_units must be a whole number, not a bool, got {n_units}")
     if int(n_units) != n_units:
         raise ValueError(f"n_units must be a whole number, got {n_units}")
     n_units = int(n_units)

@@ -79,7 +79,8 @@ class Allocation:
 
     selected : the vaccinated units, any iterable of non-negative integers.
     capacity : total budget d; len(selected) <= capacity.
-    targeting : optional per-group caps (d1, d2) recorded by targeting solvers.
+    targeting : optional per-group caps (d1, d2) recorded by targeting solvers,
+        two non-negative integers.
     """
 
     selected: frozenset[int]
@@ -90,6 +91,11 @@ class Allocation:
         object.__setattr__(self, "selected",
                            frozenset(_count(unit, "unit index") for unit in self.selected))
         object.__setattr__(self, "capacity", _count(self.capacity, "capacity"))
+        if self.targeting is not None:
+            if np.ndim(self.targeting) != 1 or len(self.targeting) != 2:
+                raise ValueError(f"targeting must be a pair of caps (d1, d2), got {self.targeting!r}")
+            object.__setattr__(self, "targeting",
+                               tuple(_count(cap, "targeting cap") for cap in self.targeting))
         if len(self.selected) > self.capacity:
             raise ValueError(
                 f"allocation of {len(self.selected)} units exceeds capacity {self.capacity}")

@@ -10,6 +10,7 @@ instances, and computes the finite-sample upper bound on their total.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -38,6 +39,15 @@ MEAN_DEVIATION_COEF = math.sqrt((1.0 + math.log(2.0)) / 2.0)
 
 # (2 + 1/e) * sqrt((1 + ln 2) / 2), the constant of the regret bound
 UNIVERSAL_CONSTANT = (2.0 + 1.0 / math.e) * MEAN_DEVIATION_COEF
+
+# SeedSequence's hash constants (NumPy's random/bit_generator.pyx) mod 2**32:
+# INIT_A * MULT_A**k for mix_entropy's 16 hashmix calls, INIT_B * MULT_B**k
+# for generate_state's 8 words, and mix's two; PCG64's multiplier (pcg64.h)
+_HASH_A, _HASH_B = (np.array([init * pow(mult, k, 2**32) % 2**32 for k in range(n + 1)],
+                             dtype=np.uint32) for init, mult, n in
+                    ((0x43B0D7E5, 0x931E8875, 16), (0x8B51F9DD, 0x58F38DED, 8)))
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, 2**128 - 1
 
 # Values in one array of a block of estimates (or one estimate's, if more),
 # as estimates x max(n, 2 nnz)
@@ -78,9 +88,10 @@ def sample_estimates(params: SirParams, noise: EstimationNoiseModel,
     recovery rates with independent Gaussian noise, clipping each rate back
     to [0, 1] (recovery additionally to 1 - delta so the parameter set stays
     valid).  Mortality rates pass through unchanged.  Deterministic for a
-    fixed seed; scale 0 reproduces the input exactly.  The one-seed case of
-    _draw_estimates.
+    fixed seed in [0, 2**64); scale 0 reproduces the input exactly.  The
+    one-seed case of _draw_estimates.
     """
+    seed = _count(seed, "seed", 0, 2**64 - 1)
     beta, gamma = _draw_estimates(params, [noise.effective_scale], [seed])
     return SirParams(beta=beta[0], gamma=gamma[0], delta=params.delta.copy())
 
@@ -88,14 +99,59 @@ def sample_estimates(params: SirParams, noise: EstimationNoiseModel,
 def _draw_estimates(params: SirParams, scales: Sequence[float],
                     seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """The (R, 2, 2) transmission and (R, 2) recovery rates of the R
-    estimates sample_estimates draws from seeds, seed r at noise scale
-    scales[r]: one default_rng per seed, read as sample_estimates reads it,
-    and one clip for all rows."""
+    estimates sample_estimates draws, seed r at noise scale scales[r]: bit
+    for bit np.random.default_rng(seed).normal(0.0, scale, 6), then one clip
+    for all rows.
+
+    default_rng(seed) is PCG64 seeded through SeedSequence(seed) by fixed
+    integer arithmetic (NumPy's random/bit_generator.pyx and
+    random/src/pcg64/pcg64.h), which _seed_states runs as arrays over all
+    seeds; one reused generator is then set to each seed's state.
+    - A seed in [0, 2**64) is the uint32 entropy words (lo, hi).  The pool
+      has 4 words and mix_entropy fills those past the entropy with
+      hashmix(0), so a seed below 2**32, one word long, hashes as (seed, 0).
+    - mix_entropy hashes the 4 pool words, then mixes each word into each
+      other one, mix(dst, hashmix(src)), 12 times; each hashmix multiplies
+      by the next of INIT_A * MULT_A**k.
+    - generate_state(4, uint64) hashes pool word i % 4 into output word i
+      for 8 words, with INIT_B * MULT_B**k, and reads them '<u4' as '<u8':
+      the 128-bit initstate and initseq, high words first.
+    - PCG64 seeds by pcg_setseq_128_srandom_r: inc = 2 initseq + 1 and
+      state = (inc + initstate) * MULT + inc, mod 2**128.
+    """
     draws = np.empty((len(seeds), 6))
-    for r, (scale, seed) in enumerate(zip(scales, seeds)):
-        draws[r] = np.random.default_rng(seed).normal(0.0, scale, 6)
+    bitgen = np.random.PCG64(0)
+    generator = np.random.Generator(bitgen)
+    for r, (scale, (s_hi, s_lo, i_hi, i_lo)) in enumerate(zip(scales, _seed_states(seeds))):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        draws[r] = generator.normal(0.0, scale, 6)
     return (np.clip(params.beta + draws[:, :4].reshape(-1, 2, 2), 0.0, 1.0),
             np.clip(params.gamma + draws[:, 4:], 0.0, 1.0 - params.delta))
+
+
+def _seed_states(seeds: Sequence[int]) -> list[list[int]]:
+    """SeedSequence(seed).generate_state(4, np.uint64) of each seed in
+    [0, 2**64) as 4 Python ints (see _draw_estimates).  The uint32
+    arithmetic runs on arrays, which wrap without an overflow warning."""
+    words = np.array(seeds, dtype=np.uint64)
+    pool = np.zeros((words.size, 4), dtype=np.uint32)
+    pool[:, 0], pool[:, 1] = words & 0xFFFFFFFF, words >> 32
+    pool = _hashmix(pool, _HASH_A[:4], _HASH_A[1:5])
+    for k, (src, dst) in enumerate(itertools.permutations(range(4), 2), 4):
+        mixed = _MIX_L * pool[:, dst] - _MIX_R * _hashmix(pool[:, src], _HASH_A[k], _HASH_A[k + 1])
+        pool[:, dst] = mixed ^ (mixed >> 16)
+    out = _hashmix(np.tile(pool, 2), _HASH_B[:-1], _HASH_B[1:])
+    return out.astype("<u4").view("<u8").astype(np.uint64).tolist()
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of uint32 words: (value ^ xor) * mult, then
+    xor-shifted right by 16."""
+    value = (value ^ xor) * mult
+    return value ^ (value >> 16)
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from netvax import (
     random_assignment,
     regret_upper_bound,
     replicate_seed,
+    sample_estimates,
     twni,
     welfare_value,
 )
@@ -427,6 +428,19 @@ ENTRY_POINTS = [
     ("allocation_capacity", lambda i, v: Allocation(frozenset(), v), ValueError,
      _scalar_kinds(0)),
     ("allocation_unit", lambda i, v: Allocation([v], N), ValueError, _scalar_kinds(0)),
+    ("allocation_targeting_cap", lambda i, v: Allocation(frozenset(), 4, (v, 1)), ValueError,
+     _scalar_kinds(0)),
+    ("allocation_targeting", lambda i, v: Allocation(frozenset(), 4, v), ValueError,
+     {"wrong_length": (1, 2, 3), "one_cap": (1,), "scalar": 2}),
+    # a whole float is a whole number of units
+    ("contact_graph_n_units", lambda i, v: ContactGraph(v), ValueError,
+     {"fraction": 1.5, "bool": True, "out_of_range": 0}),
+    ("experiment_n_units", lambda i, v: ExperimentConfig(v, 0.5), ConfigError,
+     {"fraction": 1.5, "bool": True, "out_of_range": 0}),
+    # default_rng's seed domain, [0, 2**64)
+    ("sample_estimates_seed", lambda i, v: sample_estimates(i.params, EstimationNoiseModel(100), v),
+     ValueError, {"fraction": 1.5, "whole_float": 1.0, "bool": True, "out_of_range": -1,
+                  "past_uint64": 2**64, "none": None}),
     ("marginal_gain_candidate", lambda i, v: marginal_gain(i.ctx, Allocation.empty(), v),
      ValueError, _scalar_kinds(0, N - 1)),
     ("random_welfare", lambda i, v: i.pattern.random_welfare(i.params, v), ValueError,

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netvax import (
@@ -79,9 +79,21 @@ def test_sample_estimates_deterministic():
     assert not np.array_equal(a.beta, c.beta)
 
 
+# seeds at the edges of the uint32 entropy words SeedSequence splits a seed
+# into, and the estimate seeds and noise scales of a default regret study at
+# root seed 0
+WORD_EDGES = [(seed, scale) for seed in (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
+              for scale in (0.0, 2.0)]
+STUDY_STREAMS = [(replicate_seed(0, 1_000_000 + i), EstimationNoiseModel(n).effective_scale)
+                 for i, n in enumerate(np.repeat((100, 1000, 10000), 200).tolist())]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.floats(0.0, 2.0)), max_size=12),
        st.sampled_from(["set1", "set2"]))
+@example(WORD_EDGES, "set1")
+@example(WORD_EDGES, "set2")
+@example(STUDY_STREAMS, "set1")
 def test_draw_estimates_equals_two_draws_per_seed(drawn, pset):
     seeds, scales = [seed for seed, _ in drawn], [scale for _, scale in drawn]
     got = regret._draw_estimates(PARAMETER_SETS[pset], scales, seeds)
