@@ -28,6 +28,8 @@ T = TypeVar("T")
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, each subcommand naming its handler.  Built on every main
+    call, so the table commands run the harness functions bound at the time."""
     parser = argparse.ArgumentParser(prog="netvax")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -36,6 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--density", type=float, required=True)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="edge-list output path")
+    gen.set_defaults(handler=_cmd_gen)
 
     # a flag whose dest is a config key replaces that key's value in the file
     configured = argparse.ArgumentParser(add_help=False)
@@ -50,20 +53,26 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--edges", default=None,
                        help="optional edge-list path replacing the generated network")
     solve.add_argument("--out", default=None, help="JSON-lines output path (default stdout)")
+    solve.set_defaults(handler=_cmd_solve)
 
     experiment = sub.add_parser("experiment", parents=[configured],
                                 help="run the policy comparison grid")
     experiment.add_argument("--out", required=True, help="CSV output path")
     experiment.add_argument("--policies", help="config key policies")
     experiment.add_argument("--mode", help="config key mode")
+    experiment.set_defaults(handler=_cmd_table, parse=harness.parse_experiment_config,
+                            run=harness.run_experiment)
 
     regret = sub.add_parser("regret", parents=[configured],
                             help="run the estimation-noise regret study")
     regret.add_argument("--out", required=True, help="CSV output path")
+    regret.set_defaults(handler=_cmd_table, parse=harness.parse_regret_config,
+                        run=harness.run_regret_study)
 
     check = sub.add_parser("check", help="run structural property suites")
     check.add_argument("--seed", type=int, default=0)
     check.add_argument("--trials", type=int, default=1000)
+    check.set_defaults(handler=_cmd_check)
     return parser
 
 
@@ -132,18 +141,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    rows = harness.run_experiment(_config(args, harness.parse_experiment_config))
+def _cmd_table(args: argparse.Namespace) -> int:
+    """experiment and regret: parse the config, run the study, write its rows."""
+    rows = args.run(_config(args, args.parse))
     with _open_out(args.out) as sink:
         harness.emit_csv(rows, sink)
-    print(f"wrote {len(rows)} rows to {args.out}")
-    return EXIT_OK
-
-
-def _cmd_regret(args: argparse.Namespace) -> int:
-    rows = harness.run_regret_study(_config(args, harness.parse_regret_config))
-    with _open_out(args.out) as sink:
-        harness.emit_regret_csv(rows, sink)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 
@@ -163,19 +165,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "gen": _cmd_gen,
-        "solve": _cmd_solve,
-        "experiment": _cmd_experiment,
-        "regret": _cmd_regret,
-        "check": _cmd_check,
-    }
+    args = _build_parser().parse_args(argv)
     try:
         if args.command in ("gen", "check") and args.seed < 0:
             raise harness.ConfigError(f"--seed must be >= 0, got {args.seed}")
-        return handlers[args.command](args)
+        return args.handler(args)
     except (harness.ConfigError, EdgeListError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -61,24 +61,21 @@ class SirParams:
     delta: np.ndarray = field(default_factory=lambda: np.zeros(2))
 
     def __post_init__(self) -> None:
-        beta = np.asarray(self.beta, dtype=float)
-        gamma = np.asarray(self.gamma, dtype=float)
-        delta = np.asarray(self.delta, dtype=float)
+        # copies, so freezing them leaves the caller's arrays writable
+        rates = {name: np.array(getattr(self, name), dtype=float)
+                 for name in ("beta", "gamma", "delta")}
+        beta, gamma, delta = rates.values()
         if beta.shape != (2, 2):
             raise ValueError(f"beta must be 2x2, got shape {beta.shape}")
         if gamma.shape != (2,) or delta.shape != (2,):
             raise ValueError("gamma and delta must each have length 2")
-        for name, arr in (("beta", beta), ("gamma", gamma), ("delta", delta)):
+        for name, arr in rates.items():
             if not np.all((arr >= 0) & (arr <= 1)):
                 raise ValueError(f"{name} entries must lie in [0, 1]")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         if np.any(gamma + delta > 1 + _RATE_TOL):
             raise ValueError("gamma + delta must not exceed 1 in either group")
-        beta.setflags(write=False)
-        gamma.setflags(write=False)
-        delta.setflags(write=False)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "delta", delta)
 
 
 @dataclass(frozen=True)
@@ -96,8 +93,9 @@ class Population:
     weight: np.ndarray
 
     def __post_init__(self) -> None:
-        state0, group = _labels(self.state0, "state0"), _labels(self.group, "group")
-        weight = np.asarray(self.weight, dtype=float)
+        # copies, so freezing them leaves the caller's arrays writable
+        state0, group = _labels(self.state0, "state0").copy(), _labels(self.group, "group").copy()
+        weight = np.array(self.weight, dtype=float)
         if not (state0.shape == group.shape == weight.shape) or state0.ndim != 1:
             raise ValueError("state0, group, weight must be 1-D arrays of equal length")
         if state0.size < 1:

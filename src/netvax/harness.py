@@ -18,7 +18,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import IO, Any, Callable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import IO, Any, Callable, ClassVar, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -167,7 +167,8 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class ExperimentRow:
     """A cell's means over the networks; runtime_ms sums the cell's time,
-    a greedy policy's one solve counted in its largest-budget cell."""
+    a greedy policy's one solve counted in its largest-budget cell.
+    formats holds each field's CSV format spec, in field order."""
 
     policy: str
     capacity_fraction: float
@@ -176,6 +177,7 @@ class ExperimentRow:
     mean_f: float
     pct_young_vaccinated: float
     runtime_ms: float
+    formats: ClassVar[tuple[str, ...]] = ("", "g", ".6f", ".6f", ".6f", ".2f", ".3f")
 
 
 @dataclass(frozen=True)
@@ -315,24 +317,6 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
                 cells, values.mean(axis=2).tolist(), sds, values[:, 3].sum(axis=1).tolist())]
 
 
-def _emit(rows: Sequence, sink: IO[str], formats: Sequence[str]) -> None:
-    """Write rows of one dataclass as CSV under its field names, each value
-    formatted with the spec at its position.  Refuses an empty row list."""
-    if not rows:
-        raise ValueError("no rows to emit")
-    names = [f.name for f in dataclasses.fields(rows[0])]
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(names)
-    writer.writerows([format(getattr(row, name), spec) for name, spec in zip(names, formats)]
-                     for row in rows)
-
-
-def emit_csv(rows: Sequence[ExperimentRow], sink: IO[str]) -> None:
-    """Write experiment rows under ExperimentRow's field names; welfare
-    columns carry six decimal places.  Refuses an empty row list."""
-    _emit(rows, sink, ("", "g", ".6f", ".6f", ".6f", ".2f", ".3f"))
-
-
 @dataclass(frozen=True)
 class RegretStudyConfig:
     """Noise study settings layered on top of a single drawn instance."""
@@ -356,6 +340,8 @@ class RegretStudyConfig:
 
 @dataclass(frozen=True)
 class RegretStudyRow:
+    """A grid point's means over the replications; formats as in ExperimentRow."""
+
     n_external: int
     replications: int
     capacity: int
@@ -366,6 +352,7 @@ class RegretStudyRow:
     mean_noise_gap: float
     bound: float
     slack: float
+    formats: ClassVar[tuple[str, ...]] = ("", "", "") + (".6f",) * 7
 
 
 def run_regret_study(config: RegretStudyConfig) -> list[RegretStudyRow]:
@@ -406,9 +393,22 @@ def run_regret_study(config: RegretStudyConfig) -> list[RegretStudyRow]:
         in zip(config.n_grid, bounds, means.T.tolist())]
 
 
-def emit_regret_csv(rows: Sequence[RegretStudyRow], sink: IO[str]) -> None:
-    """emit_csv for regret rows; every float carries six decimal places."""
-    _emit(rows, sink, ("", "", "") + (".6f",) * 7)
+def emit_csv(rows: Sequence[Union[ExperimentRow, RegretStudyRow]], sink: IO[str]) -> None:
+    """Write rows of one row class as CSV under its field names, each value
+    formatted by the class's formats.  Refuses an empty or mixed row list."""
+    if not rows:
+        raise ValueError("no rows to emit")
+    kind = type(rows[0])
+    if any(type(row) is not kind for row in rows):
+        raise ValueError(f"rows mix {kind.__name__} with other row classes")
+    names = [f.name for f in dataclasses.fields(kind)]
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(names)
+    writer.writerows([format(getattr(row, name), spec) for name, spec in zip(names, kind.formats)]
+                     for row in rows)
+
+
+emit_regret_csv = emit_csv  # one writer for both row classes, under either name
 
 
 _PARAM_KEYS = ("beta11", "beta12", "beta21", "beta22", "gamma1", "gamma2")
@@ -587,10 +587,8 @@ def run_property_checks(seed: int = 0, trials: int = 1000) -> list[CheckResult]:
         flip = int(np.argmin(inst.ctx.spill_vals))  # most negative entry
         vals = inst.ctx.spill_vals.copy()
         vals[flip] = -vals[flip]
-        broken = ObjectiveContext(inst.ctx.n_units, inst.ctx.direct_gain.copy(),
-                                  inst.ctx.spill_rows.copy(),
-                                  inst.ctx.spill_cols.copy(), vals,
-                                  inst.ctx.welfare_constant)
+        broken = ObjectiveContext(inst.ctx.n_units, inst.ctx.direct_gain, inst.ctx.spill_rows,
+                                  inst.ctx.spill_cols, vals, inst.ctx.welfare_constant)
         report = check_submodular(broken, trials=max(trials, 2000), seed=seed)
         results.append(CheckResult("mutation_detected", not report.passed,
                                    "flipped spillover weight caught"

@@ -132,12 +132,13 @@ class ObjectiveContext:
                  spill_rows: np.ndarray, spill_cols: np.ndarray,
                  spill_vals: np.ndarray, welfare_constant: float) -> None:
         n_units = _unit_count(n_units)
-        direct_gain = np.asarray(direct_gain, dtype=float)
+        # copies, so freezing them leaves the caller's arrays writable
+        direct_gain = np.array(direct_gain, dtype=float)
         if direct_gain.shape != (n_units,):
             raise ValueError("direct_gain must have one entry per unit")
-        rows = _unit_indices(spill_rows, n_units, "spill_rows")
-        cols = _unit_indices(spill_cols, n_units, "spill_cols")
-        vals = np.asarray(spill_vals, dtype=float)
+        rows = _unit_indices(spill_rows, n_units, "spill_rows").copy()
+        cols = _unit_indices(spill_cols, n_units, "spill_cols").copy()
+        vals = np.array(spill_vals, dtype=float)
         if not rows.shape == cols.shape == vals.shape:
             raise ValueError("spill triplets must be parallel 1-D arrays")
         if np.any(rows == cols):

@@ -70,8 +70,8 @@ class EstimationNoiseModel:
 
     def __post_init__(self) -> None:
         _count(self.n_external, "n_external", 1)
-        if self.scale is not None and self.scale < 0:
-            raise ValueError(f"scale must be >= 0, got {self.scale}")
+        if self.scale is not None and not 0 <= self.scale < math.inf:  # NaN too
+            raise ValueError(f"scale must be finite and >= 0, got {self.scale}")
 
     @property
     def effective_scale(self) -> float:
@@ -93,7 +93,7 @@ def sample_estimates(params: SirParams, noise: EstimationNoiseModel,
     """
     seed = _count(seed, "seed", 0, 2**64 - 1)
     beta, gamma = _draw_estimates(params, [noise.effective_scale], [seed])
-    return SirParams(beta=beta[0], gamma=gamma[0], delta=params.delta.copy())
+    return SirParams(beta=beta[0], gamma=gamma[0], delta=params.delta)
 
 
 def _draw_estimates(params: SirParams, scales: Sequence[float],
@@ -270,8 +270,10 @@ def regret_upper_bound(n_units: int, d: int, max_degree: int, n_infected: int,
     for name, value, low in (("n_units", n_units, 1), ("d", d, 0), ("max_degree", max_degree, 0),
                              ("n_infected", n_infected, 0), ("n_external", n_external, 1)):
         _count(value, name, low)
-    if not max_weight >= 0:  # NaN too
-        raise ValueError(f"max_weight must be >= 0, got {max_weight}")
+    if not 0 <= max_weight < math.inf:  # NaN too
+        raise ValueError(f"max_weight must be finite and >= 0, got {max_weight}")
+    if not math.isfinite(f_star):
+        raise ValueError(f"f_star must be finite, got {f_star}")
     size_term = (d * min(max_degree, d) + 2 * d * max_degree
                  + min(n_infected, d))
     noise_part = (UNIVERSAL_CONSTANT * max_weight * size_term / n_units

@@ -8,7 +8,7 @@ import pytest
 
 import netvax
 from netvax import harness, load_edge_list, solvers
-from netvax.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_FAIL, EXIT_OK, main
+from netvax.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_FAIL, EXIT_OK, _build_parser, main
 
 from _oracles import all_subsets_objective, all_subsets_welfare
 
@@ -346,6 +346,42 @@ def test_check_command(capsys):
     assert "PASS submodularity_density_0.1" in out
     assert "checks passed" in out
     assert "FAIL" not in out
+
+
+def test_check_reports_a_failed_check(capsys, monkeypatch):
+    monkeypatch.setattr(harness, "run_property_checks", lambda seed, trials: [
+        harness.CheckResult("holds", True, "ok"), harness.CheckResult("breaks", False, "bad")])
+    assert main(["check"]) == EXIT_FAIL
+    out = capsys.readouterr().out
+    assert "FAIL breaks: bad" in out
+    assert "1 of 2 checks failed" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n", "3", "--density", "0.5", "--out", "x"],
+    ["solve", "--config", "x"],
+    ["experiment", "--config", "x", "--out", "y"],
+    ["regret", "--config", "x", "--out", "y"],
+    ["check"],
+], ids=lambda argv: argv[0])
+def test_every_subcommand_names_its_handler(argv):
+    assert callable(_build_parser().parse_args(argv).handler)
+
+
+@pytest.mark.parametrize("command, study, row", [
+    ("experiment", "run_experiment", harness.ExperimentRow("greedy", 0.1, 0.5, 0.0, 0.2, 40.0, 1.0)),
+    ("regret", "run_regret_study", harness.RegretStudyRow(100, 2, 3, *[0.25] * 7)),
+])
+def test_table_commands_look_up_the_study_when_run(tmp_path, capsys, monkeypatch,
+                                                   command, study, row):
+    # a study function rebound after import, as a tracer does, is the one that runs
+    monkeypatch.setattr(harness, study, lambda config: [row])
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", write(tmp_path / "exp.cfg", TINY_CONFIG),
+                 "--out", str(out)]) == EXIT_OK
+    sink = io.StringIO()
+    harness.emit_csv([row], sink)
+    assert out.read_text(encoding="utf-8") == sink.getvalue()
 
 
 def test_solve_with_edge_list_record_is_frozen(tmp_path, capsys, monkeypatch):

@@ -26,6 +26,8 @@ def make_params(**kw):
 def test_params_validation():
     with pytest.raises(ValueError):
         make_params(beta=[[0.7, 0.5]])
+    with pytest.raises(ValueError, match="gamma and delta must each have length 2"):
+        make_params(gamma=[0.1])
     with pytest.raises(ValueError):
         make_params(beta=[[1.2, 0.5], [0.5, 0.6]])
     with pytest.raises(ValueError):
@@ -42,6 +44,28 @@ def test_params_arrays_read_only():
         p.beta[0, 0] = 0.9
 
 
+def _assert_copied(held, given):
+    """Each given array is still writable and a write to it does not reach held."""
+    for name, array in given.items():
+        kept = array.copy()
+        array[...] = 0
+        assert getattr(held, name).tolist() == kept.tolist(), name
+
+
+def test_params_copy_the_callers_arrays():
+    # freezing the caller's own arrays made them read-only, and a later
+    # write to them would have reached the parameters
+    given = {"beta": np.full((2, 2), 0.5), "gamma": np.array([0.1, 0.1]),
+             "delta": np.array([0.1, 0.0])}
+    _assert_copied(SirParams(**given), given)
+
+
+def test_population_copies_the_callers_arrays():
+    given = {"state0": np.array([0, 1], dtype=np.int8),
+             "group": np.array([0, 1], dtype=np.int8), "weight": np.ones(2)}
+    _assert_copied(Population(**given), given)
+
+
 def test_population_validation():
     with pytest.raises(ValueError):
         Population(state0=np.array([0, 3], dtype=np.int8), group=np.zeros(2, dtype=np.int8), weight=np.ones(2))
@@ -49,6 +73,8 @@ def test_population_validation():
         Population(state0=np.zeros(2, dtype=np.int8), group=np.array([0, 2], dtype=np.int8), weight=np.ones(2))
     with pytest.raises(ValueError):
         Population(state0=np.zeros(2, dtype=np.int8), group=np.zeros(2, dtype=np.int8), weight=np.ones(3))
+    with pytest.raises(ValueError, match="at least one unit"):
+        Population(state0=[], group=[], weight=[])
 
 
 def test_population_masks():

@@ -63,6 +63,11 @@ def test_self_loop_rejected():
         ContactGraph(3, [(1, 1)])
 
 
+def test_edges_must_be_pairs():
+    with pytest.raises(ValueError, match="edges must be pairs of unit indices"):
+        ContactGraph(3, [(0, 1, 2)])
+
+
 def test_out_of_range_rejected():
     with pytest.raises(ValueError, match="out of range"):
         ContactGraph(3, [(0, 3)])

@@ -200,6 +200,9 @@ def test_parse_errors_name_the_problem():
         parse_experiment_config("n_units=10\ndensity=0.5\ninitial_states_g1=0.5,0.2,0.1\n")
     with pytest.raises(ConfigError, match="targeting_fractions"):
         parse_experiment_config("n_units=10\ndensity=0.5\ntargeting_fractions=0.1\n")
+    # set1's gamma1 = 0.1, so a delta1 of 0.95 leaves no valid rate set
+    with pytest.raises(ConfigError, match="gamma \\+ delta"):
+        parse_experiment_config("n_units = 10\ndensity = 0.5\ndelta1 = 0.95\n")
 
 
 def test_config_validation():
@@ -607,6 +610,27 @@ def test_emit_regret_csv_format():
     assert lines[1].split(",")[0] == "100"
     with pytest.raises(ValueError):
         emit_regret_csv([], io.StringIO())
+
+
+def test_one_writer_for_both_row_classes():
+    # each row class carries its formats; emit_csv once wrote regret rows
+    # under the 10-column header with 7 values each
+    experiment = run_experiment(tiny_config(policies=("greedy",), n_networks=2))
+    regret_rows = run_regret_study(RegretStudyConfig(
+        experiment=ExperimentConfig(n_units=10, density=0.5, seed=1),
+        capacity=2, n_grid=(100,), replications=5))
+    for rows in (experiment, regret_rows):
+        written = []
+        for emit in (emit_csv, emit_regret_csv):
+            sink = io.StringIO()
+            emit(rows, sink)
+            written.append(sink.getvalue())
+        assert written[0] == written[1]
+        lines = [line.split(",") for line in written[0].splitlines()]
+        assert lines[0] == [f.name for f in dataclasses.fields(rows[0])]
+        assert {len(line) for line in lines} == {len(lines[0])}
+    with pytest.raises(ValueError, match="mix"):
+        emit_csv(experiment + regret_rows, io.StringIO())
 
 
 def test_run_property_checks_all_pass():

@@ -13,6 +13,7 @@ from netvax import (
     Allocation,
     ConfigError,
     ContactGraph,
+    ContextPattern,
     EstimationNoiseModel,
     ExperimentConfig,
     ObjectiveContext,
@@ -46,6 +47,7 @@ from _oracles import (
     small_instance,
     welfare_from_transitions,
 )
+from test_epidemic import _assert_copied
 
 SET1 = SirParams(beta=[[0.7, 0.5], [0.5, 0.6]], gamma=[0.1, 0.05], delta=[0.0, 0.0])
 
@@ -381,6 +383,22 @@ def test_context_rejects_bad_triplets():
                          np.array([-0.1]), 0.0)
     with pytest.raises(ValueError):  # unchecked, truncated to the entry (0, 1)
         ObjectiveContext(3, np.zeros(3), [0.7], [1.2], [-0.1], 0.0)
+    with pytest.raises(ValueError, match="spill triplets must be parallel 1-D arrays"):
+        ObjectiveContext(3, np.zeros(3), [0, 1], [1], [-0.1, -0.1], 0.0)
+
+
+def test_context_copies_the_callers_arrays():
+    # freezing the caller's own arrays made them read-only, and a later
+    # write to them would have reached the context
+    given = {"direct_gain": np.array([0.1, 0.2, 0.3]), "spill_rows": np.array([0, 2]),
+             "spill_cols": np.array([1, 1]), "spill_vals": np.array([-0.1, -0.2])}
+    _assert_copied(ObjectiveContext(3, *given.values(), 0.0), given)
+
+
+def test_pattern_refuses_a_population_of_another_size():
+    pop = Population(state0=[0, 1], group=[0, 0], weight=[1.0, 1.0])
+    with pytest.raises(ValueError, match="graph has 3 units but population has 2"):
+        ContextPattern(ContactGraph(3), pop)
 
 
 def _scalar_kinds(low, high=None):
@@ -452,6 +470,14 @@ ENTRY_POINTS = [
        _scalar_kinds(low)) for name, k, low in (
            ("n_units", 0, 1), ("d", 1, 0), ("max_degree", 2, 0), ("n_infected", 3, 0),
            ("n_external", 5, 1))),
+    # non-finite rates and weights: a NaN scale failed later with an unrelated
+    # message and an infinite one drew 0/1 rates; the bound came out NaN or inf
+    ("noise_scale", lambda i, v: EstimationNoiseModel(100, scale=v), ValueError,
+     {"negative": -0.1, "nan": math.nan, "inf": math.inf}),
+    ("regret_upper_bound_max_weight", lambda i, v: _upper_bound(4, v), ValueError,
+     {"negative": -1.0, "nan": math.nan, "inf": math.inf}),
+    ("regret_upper_bound_f_star", lambda i, v: _upper_bound(6, v), ValueError,
+     {"nan": math.nan, "inf": math.inf, "minus_inf": -math.inf}),
     ("n_networks", lambda i, v: ExperimentConfig(12, 0.5, n_networks=v), ConfigError,
      _scalar_kinds(1)),
     *((f"regret_{name}", lambda i, v, name=name: RegretStudyConfig(EXPERIMENT, **{name: v}),
