@@ -11,9 +11,10 @@ error, 3 brute-force node budget refused.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from typing import IO, Callable, Optional, Sequence, TypeVar
+from typing import IO, Callable, Iterator, Optional, Sequence, TypeVar
 
 from . import harness
 from .graph import EdgeListError, erdos_renyi, load_edge_list, save_edge_list
@@ -77,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 class OutputError(Exception):
-    """Raised when an output file cannot be opened for writing."""
+    """Raised when an output file cannot be opened, written or closed."""
 
 
 def _read(path: str, what: str, load: Callable[[IO[str]], T]) -> T:
@@ -95,9 +96,12 @@ def _config(args: argparse.Namespace, parse: Callable[[str, dict[str, str]], T])
     return parse(_read(args.config, "config", lambda handle: handle.read()), flags)
 
 
-def _open_out(path: str) -> IO[str]:
+@contextlib.contextmanager
+def _open_out(path: str) -> Iterator[IO[str]]:
+    """path open for writing; an OSError opening, writing or closing it is an OutputError."""
     try:
-        return open(path, "w", encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as sink:
+            yield sink
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
 

@@ -57,9 +57,9 @@ class ContactGraph:
         arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
         if arr.size == 0:
             arr = arr.reshape(0, 2)
-        if arr.ndim != 2 or arr.shape[1] != 2:
+        if arr.ndim != 2 or arr.shape[1] != 2 or arr.size and arr.dtype.kind == "b":
             raise ValueError("edges must be pairs of unit indices")
-        if arr.dtype.kind not in "biu":
+        if arr.dtype.kind not in "iu":
             arr = arr.astype(np.float64)
             if not np.all(np.isfinite(arr) & (arr == np.trunc(arr))):
                 raise ValueError("edge endpoints must be whole numbers")

@@ -109,6 +109,7 @@ class ExperimentConfig:
         try:
             _unit_count(self.n_units)
             _count(self.n_networks, "n_networks", 1)
+            _count(self.seed, "seed", None)  # replicate_seed hashes str(seed): True is not 1
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if not 0.0 <= self.density <= 1.0:
@@ -336,6 +337,8 @@ class RegretStudyConfig:
                 _count(value, name, 1)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        if type(self.use_brute) is not bool:
+            raise ConfigError(f"regret use_brute must be a bool, got {self.use_brute!r}")
 
 
 @dataclass(frozen=True)

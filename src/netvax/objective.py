@@ -46,16 +46,17 @@ TOLERANCE = 1e-12
 _BLOCK_CELLS = 2**20
 
 
-def _count(value: object, name: str, low: int = 0, high: Optional[int] = None) -> int:
-    """value as a Python int, checked to be an integer, not a bool, in
-    [low, high]: the one check of every count, budget and unit index."""
+def _count(value: object, name: str, low: Optional[int] = 0, high: Optional[int] = None) -> int:
+    """value as a Python int, checked to be an integer, not a bool, in [low,
+    high], a None end open: the one check of every count, budget and unit index."""
     try:
         number = operator.index(value)
-        if type(value) is not bool and low <= number and (high is None or number <= high):
+        if (type(value) is not bool and (low is None or low <= number)
+                and (high is None or number <= high)):
             return number
     except TypeError:
         pass
-    span = "a non-negative integer" if low == 0 else f"an integer >= {low}"
+    span = {None: "an integer", 0: "a non-negative integer"}.get(low, f"an integer >= {low}")
     raise ValueError(f"{name} must be {span}{'' if high is None else f' and <= {high}'},"
                      f" got {value!r}")
 

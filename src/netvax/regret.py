@@ -19,8 +19,8 @@ import numpy as np
 
 from .epidemic import Population, SirParams
 from .graph import ContactGraph
-from .objective import ContextPattern, _count, _f_rows, _members
-from .solvers import _exact, _greedy
+from .objective import ContextPattern, _count, _f_rows
+from .solvers import _optimum
 
 __all__ = [
     "UNIVERSAL_CONSTANT",
@@ -195,41 +195,27 @@ def decompose_regret(pattern: ContextPattern, true_params: SirParams, d: int,
     """The true optimum's F and the (4, R) estimation, optimization and
     evaluation gaps and totals of R estimates, given as rates beta (R, 2, 2)
     and gamma (R, 2), at capacity d on pattern's instance.  The truth is a
-    one-row block searched as each block of estimates is (_search); with
+    one-row block searched as each block of estimates is (_optimum); with
     use_brute, all R + 1 searches share one NODE_BUDGET.  A block's
     (rows, max(n, 2 nnz)) arrays hold at most _BATCH_CELLS values, or one
     row's if more; no value depends on the block, so each is bit for bit
     that of the estimate's context, greedy, brute-force search and
     objective_value alone.
     """
-    true_base, true_sym, _, _, f_star, spent = _search(
-        pattern, true_params.beta[None], true_params.gamma[None], d, use_brute, 0)
+    _, true_base, true_sym, _ = pattern.fill(true_params.beta[None], true_params.gamma[None])
+    *_, f_star, spent = _optimum(pattern, true_base, true_sym, d, use_brute)
     f_star = float(f_star[0])
     gaps = np.empty((4, len(beta)))
     step = max(1, _BATCH_CELLS // max(pattern.n_units, pattern._sym_rows.size))
     for lo in range(0, len(beta), step):
-        base, sym, chosen, f_est_chosen, f_est_star, spent = _search(
-            pattern, beta[lo:lo + step], gamma[lo:lo + step], d, use_brute, spent)
+        _, base, sym, _ = pattern.fill(beta[lo:lo + step], gamma[lo:lo + step])
+        chosen, f_est_chosen, _, f_est_star, spent = _optimum(pattern, base, sym, d,
+                                                              use_brute, spent)
         f_true_chosen = _f_rows(pattern, np.broadcast_to(true_base, base.shape),
                                 np.broadcast_to(true_sym, sym.shape), chosen)
         gaps[:, lo:lo + step] = (f_star - f_est_star, f_est_star - f_est_chosen,
                                  f_est_chosen - f_true_chosen, f_star - f_true_chosen)
     return f_star, gaps
-
-
-def _search(pattern: ContextPattern, beta: np.ndarray, gamma: np.ndarray, d: int,
-            use_brute: bool, spent: int) -> tuple:
-    """Fill R rate sets on pattern and search each at capacity d: their
-    (R, n) base gains and (R, 2 nnz) values of w + w^T, the membership mask
-    of greedy's picks and its F, the optimum's F (greedy's F bar the rows
-    solvers._exact searches with use_brute), and spent plus nodes searched."""
-    _, base, sym, _ = pattern.fill(beta, gamma)
-    picks = _greedy(pattern, base, sym, d, np.zeros(pattern.n_units, dtype=np.int8), (d,))[0]
-    chosen = _members(picks, pattern.n_units)
-    f_chosen = f_star = _f_rows(pattern, base, sym, chosen)
-    if use_brute:
-        _, f_star, spent = _exact(pattern, base, sym, picks, f_chosen, spent)
-    return base, sym, chosen, f_chosen, f_star, spent
 
 
 def empirical_regret(graph: ContactGraph, pop: Population,

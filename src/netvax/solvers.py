@@ -244,9 +244,22 @@ def _branch_and_bound(layout: ObjectiveContext | ContextPattern, base: np.ndarra
         first = u + 1
 
 
+def _optimum(layout: ObjectiveContext | ContextPattern, base: np.ndarray, sym: np.ndarray,
+             d: int, exact: bool, spent: int = 0) -> tuple:
+    """The search of brute_force and the regret study on R objectives, as in
+    _exact, at capacity d: greedy's (R, n) membership mask and F, the optimum's
+    (R, k) picks and F (greedy's, or with exact _exact's), and spent plus nodes searched."""
+    picks = _greedy(layout, base, sym, d, np.zeros(layout.n_units, dtype=np.int8), (d,))[0]
+    chosen = _members(picks, layout.n_units)
+    f_chosen = f = _f_rows(layout, base, sym, chosen)
+    if exact:
+        picks, f, spent = _exact(layout, base, sym, picks, f_chosen, spent)
+    return chosen, f_chosen, picks, f, spent
+
+
 def brute_force(ctx: ObjectiveContext, d: int) -> SolverResult:
     """The best allocation of size min(d, n), by branch and bound (_exact)
-    seeded with greedy's set.
+    seeded with greedy's set (_optimum).
 
     The result is greedy's set unless a subset beats it by more than
     TOLERANCE (1e-12); then it is the first set in lexicographic order that
@@ -256,10 +269,7 @@ def brute_force(ctx: ObjectiveContext, d: int) -> SolverResult:
     nodes.  f_value is objective_value of the pick.
     """
     d = _count(d, "capacity")
-    base, sym = ctx._base_gain[None], ctx._sym_vals[None]
-    picks = _greedy(ctx, base, sym, d, np.zeros(ctx.n_units, dtype=np.int8), (d,))[0]
-    picks, f, nodes = _exact(ctx, base, sym, picks,
-                             _f_rows(ctx, base, sym, _members(picks, ctx.n_units)))
+    *_, picks, f, nodes = _optimum(ctx, ctx._base_gain[None], ctx._sym_vals[None], d, True)
     return _finish(ctx, Allocation(frozenset(picks[0].tolist()), capacity=d), float(f[0]), nodes)
 
 

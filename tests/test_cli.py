@@ -274,6 +274,17 @@ def test_regret_unwritable_out_is_error(tmp_path, capsys):
                                    "--out", str(tmp_path / "absent" / "regret.csv")])
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("command", ["gen", "solve", "experiment", "regret"])
+def test_failed_write_to_out_is_error(tmp_path, capsys, command):
+    # /dev/full opens but refuses every write, so the write or the close
+    # fails, not the open; that once printed a traceback
+    config = write(tmp_path / "exp.cfg",
+                   TINY_CONFIG + "regret_capacity=2\nregret_n_grid=100\nregret_replications=2\n")
+    args = ["--n", "10", "--density", "0.5"] if command == "gen" else ["--config", config]
+    assert_unwritable_out(capsys, [command, *args, "--out", "/dev/full"])
+
+
 HARD_CONFIG = ("n_units=300\ndensity=0.03\ncapacity_fractions=0.15\nbeta11=1\nbeta12=1\n"
                "beta21=1\nbeta22=1\ngamma1=0.9\ngamma2=0.9\n"
                "initial_states_g1=0.5,0.5,0\ninitial_states_g2=0.5,0.5,0\nseed=0\n")

@@ -423,12 +423,12 @@ def test_regret_study_rows_are_means_of_empirical_regret(use_brute, monkeypatch)
     params = exp.params()
     inst = draw_instance(12, 0.5, params, exp.group1_probability,
                          exp.initial_states, exp.weights, replicate_seed(exp.seed, 0))
-    blocks = []
+    blocks, exact = [], solvers._exact
 
     def counted_search(layout, base, *args):
         blocks.append(len(base))
-        return solvers._exact(layout, base, *args)
-    monkeypatch.setattr(regret, "_exact", counted_search)
+        return exact(layout, base, *args)
+    monkeypatch.setattr(solvers, "_exact", counted_search)
     rows = run_regret_study(study)
     # the true optimum is searched once per study, as a one-row block; the
     # twelve estimates of both grid points are searched together, in one block
@@ -459,13 +459,13 @@ def test_regret_study_shares_one_node_budget(monkeypatch):
         experiment=ExperimentConfig(n_units=12, density=0.5, parameter_set=params,
                                     initial_states=((0.5, 0.5, 0.0),) * 2, seed=1),
         capacity=3, n_grid=(30, 3000), replications=5)
-    spent = []
+    spent, exact = [], solvers._exact
 
     def counted_search(*args):
-        picks, f, nodes = solvers._exact(*args)
+        picks, f, nodes = exact(*args)
         spent.append(nodes)
         return picks, f, nodes
-    monkeypatch.setattr(regret, "_exact", counted_search)
+    monkeypatch.setattr(solvers, "_exact", counted_search)
     rows = run_regret_study(study)
     nodes = spent[-1]
     assert len(spent) == 2 and nodes > 11

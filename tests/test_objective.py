@@ -455,6 +455,14 @@ ENTRY_POINTS = [
      {"fraction": 1.5, "bool": True, "out_of_range": 0}),
     ("experiment_n_units", lambda i, v: ExperimentConfig(v, 0.5), ConfigError,
      {"fraction": 1.5, "bool": True, "out_of_range": 0}),
+    # whole-float endpoints are valid; bools once built the edge (0, 1)
+    ("contact_graph_edges", lambda i, v: ContactGraph(3, v), ValueError,
+     {"bool_array": np.array([[True, False]]), "bool_pairs": [(True, False)],
+      "fraction": [(0, 1.5)], "out_of_range": [(0, 3)]}),
+    # any sign, as `netvax experiment --seed -3`; replicate_seed hashes
+    # str(seed), so True drew other networks than 1
+    ("experiment_seed", lambda i, v: ExperimentConfig(12, 0.5, seed=v), ConfigError,
+     {"fraction": 1.5, "whole_float": 1.0, "bool": True, "none": None, "string": "1"}),
     # default_rng's seed domain, [0, 2**64)
     ("sample_estimates_seed", lambda i, v: sample_estimates(i.params, EstimationNoiseModel(100), v),
      ValueError, {"fraction": 1.5, "whole_float": 1.0, "bool": True, "out_of_range": -1,
@@ -484,6 +492,9 @@ ENTRY_POINTS = [
        ConfigError, _scalar_kinds(1)) for name in ("capacity", "replications")),
     ("regret_n_grid", lambda i, v: RegretStudyConfig(EXPERIMENT, n_grid=(v,)), ConfigError,
      _scalar_kinds(1)),
+    # "false" once ran brute force
+    ("regret_use_brute", lambda i, v: RegretStudyConfig(EXPERIMENT, use_brute=v), ConfigError,
+     {"string": "false", "int": 1, "none": None}),
     *((f"welfare_{mode}", lambda i, v, mode=mode: i.pattern.welfare(i.params, mode)(v),
        ValueError, _array_kinds(N)) for mode in ("linear", "exact")),
     ("context_rows", lambda i, v: ObjectiveContext(N, np.zeros(N), v, [2, 3], [-0.1] * 2, 0.0),
@@ -514,3 +525,8 @@ def test_every_entry_point_refuses_malformed_integers(call, error, value):
     # range check, and float triplets and labels were truncated
     with pytest.raises(error):
         call(small_instance(0, n=N), value)
+
+
+def test_experiment_seed_may_be_negative():
+    # `netvax experiment --seed -3` runs, so the seed's check has no lower end
+    assert ExperimentConfig(12, 0.5, seed=-3).seed == -3
