@@ -97,13 +97,17 @@ def _config(args: argparse.Namespace, parse: Callable[[str, dict[str, str]], T])
 
 
 @contextlib.contextmanager
-def _open_out(path: str) -> Iterator[IO[str]]:
-    """path open for writing; an OSError opening, writing or closing it is an OutputError."""
+def _open_out(path: Optional[str]) -> Iterator[IO[str]]:
+    """path open for writing, or stdout for None, flushed on leaving; an
+    OSError opening, writing, flushing or closing it is an OutputError."""
     try:
-        with open(path, "w", encoding="utf-8") as sink:
+        with (contextlib.nullcontext(sys.stdout) if path is None
+              else open(path, "w", encoding="utf-8")) as sink:
             yield sink
+            print(end="", file=sink, flush=True)  # sys.stdout is None if fd 1 was closed
     except OSError as exc:
-        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
+        where = "stdout" if path is None else path
+        raise OutputError(f"cannot write {where}: {exc.strerror or exc}") from None
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -114,7 +118,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         raise harness.ConfigError(message) from None
     with _open_out(args.out) as sink:
         save_edge_list(graph, sink)
-    print(f"wrote {graph.n_edges} edges for {graph.n_units} units to {args.out}")
+    with _open_out(None) as sink:
+        print(f"wrote {graph.n_edges} edges for {graph.n_units} units to {args.out}", file=sink)
     return EXIT_OK
 
 
@@ -136,12 +141,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                       f_value=res.f_value, welfare=out.welfare, rounds=res.rounds)
     record["pct_young_vaccinated"] = out.pct_young
 
-    line = json.dumps(record)
-    if args.out:
-        with _open_out(args.out) as sink:
-            sink.write(line + "\n")
-    else:
-        print(line)
+    with _open_out(args.out or None) as sink:  # --out "" is stdout too
+        print(json.dumps(record), file=sink)
     return EXIT_OK
 
 
@@ -150,7 +151,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
     rows = args.run(_config(args, args.parse))
     with _open_out(args.out) as sink:
         harness.emit_csv(rows, sink)
-    print(f"wrote {len(rows)} rows to {args.out}")
+    with _open_out(None) as sink:
+        print(f"wrote {len(rows)} rows to {args.out}", file=sink)
     return EXIT_OK
 
 
@@ -158,14 +160,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise harness.ConfigError(f"--trials must be >= 1, got {args.trials}")
     results = harness.run_property_checks(seed=args.seed, trials=args.trials)
-    for result in results:
-        print(f"{'PASS' if result.passed else 'FAIL'} {result.name}: {result.detail}")
     failed = sum(not result.passed for result in results)
-    if failed:
-        print(f"{failed} of {len(results)} checks failed")
-        return EXIT_FAIL
-    print(f"all {len(results)} checks passed")
-    return EXIT_OK
+    with _open_out(None) as sink:
+        for result in results:
+            print(f"{'PASS' if result.passed else 'FAIL'} {result.name}: {result.detail}", file=sink)
+        print(f"{failed} of {len(results)} checks failed" if failed
+              else f"all {len(results)} checks passed", file=sink)
+    return EXIT_FAIL if failed else EXIT_OK
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

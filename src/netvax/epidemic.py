@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .graph import _reals
+
 __all__ = [
     "SUSCEPTIBLE",
     "INFECTED",
@@ -62,7 +64,7 @@ class SirParams:
 
     def __post_init__(self) -> None:
         # copies, so freezing them leaves the caller's arrays writable
-        rates = {name: np.array(getattr(self, name), dtype=float)
+        rates = {name: _reals(getattr(self, name), name).copy()
                  for name in ("beta", "gamma", "delta")}
         beta, gamma, delta = rates.values()
         if beta.shape != (2, 2):
@@ -70,8 +72,6 @@ class SirParams:
         if gamma.shape != (2,) or delta.shape != (2,):
             raise ValueError("gamma and delta must each have length 2")
         for name, arr in rates.items():
-            if not np.all((arr >= 0) & (arr <= 1)):
-                raise ValueError(f"{name} entries must lie in [0, 1]")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if np.any(gamma + delta > 1 + _RATE_TOL):
@@ -95,13 +95,11 @@ class Population:
     def __post_init__(self) -> None:
         # copies, so freezing them leaves the caller's arrays writable
         state0, group = _labels(self.state0, "state0").copy(), _labels(self.group, "group").copy()
-        weight = np.array(self.weight, dtype=float)
+        weight = _reals(self.weight, "weight", 0.0, np.inf).copy()
         if not (state0.shape == group.shape == weight.shape) or state0.ndim != 1:
             raise ValueError("state0, group, weight must be 1-D arrays of equal length")
         if state0.size < 1:
             raise ValueError("population must contain at least one unit")
-        if not np.all((weight >= 0) & np.isfinite(weight)):
-            raise ValueError("weights must be finite and non-negative")
         for name, arr in (("state0", state0), ("group", group), ("weight", weight),
                           ("susceptible", state0 == SUSCEPTIBLE),
                           ("infected", state0 == INFECTED),

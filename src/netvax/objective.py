@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .epidemic import Population, SirParams
-from .graph import ContactGraph, _unit_count
+from .graph import ContactGraph, _real, _reals, _unit_count
 
 __all__ = [
     "TOLERANCE",
@@ -125,7 +125,7 @@ class ObjectiveContext:
     welfare_constant : next-period expected welfare minus F, constant in the
         allocation under the linearized infection rate.
 
-    The constructor accepts arbitrary weight values so diagnostic code can
+    The constructor accepts any finite coefficients, so diagnostic code can
     probe broken instances; ``build_context`` is the validated path.
     """
 
@@ -134,12 +134,12 @@ class ObjectiveContext:
                  spill_vals: np.ndarray, welfare_constant: float) -> None:
         n_units = _unit_count(n_units)
         # copies, so freezing them leaves the caller's arrays writable
-        direct_gain = np.array(direct_gain, dtype=float)
+        direct_gain = _reals(direct_gain, "direct_gain", -np.inf, np.inf).copy()
         if direct_gain.shape != (n_units,):
             raise ValueError("direct_gain must have one entry per unit")
         rows = _unit_indices(spill_rows, n_units, "spill_rows").copy()
         cols = _unit_indices(spill_cols, n_units, "spill_cols").copy()
-        vals = np.array(spill_vals, dtype=float)
+        vals = _reals(spill_vals, "spill_vals", -np.inf, np.inf).copy()
         if not rows.shape == cols.shape == vals.shape:
             raise ValueError("spill triplets must be parallel 1-D arrays")
         if np.any(rows == cols):
@@ -148,7 +148,8 @@ class ObjectiveContext:
         # marginal_gain and _f_moments rely on; its row sums are w's row plus column sums
         sym = _csr(n_units, np.concatenate([rows, cols]), np.concatenate([cols, rows]),
                    np.concatenate([vals, vals]))
-        self._fill(n_units, direct_gain, rows, cols, vals, welfare_constant, *sym,
+        const = _real(welfare_constant, "welfare_constant", -np.inf, np.inf)
+        self._fill(n_units, direct_gain, rows, cols, vals, const, *sym,
                    direct_gain - _row_sums(sym[0], sym[3]))
 
     def _fill(self, n_units: int, direct_gain: np.ndarray, rows: np.ndarray,

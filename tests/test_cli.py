@@ -285,6 +285,28 @@ def test_failed_write_to_out_is_error(tmp_path, capsys, command):
     assert_unwritable_out(capsys, [command, *args, "--out", "/dev/full"])
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("command", [
+    ["gen", "--n", "10", "--density", "0.5", "--out", "net.edges"],
+    ["solve", "--config", "exp.cfg"],
+    ["experiment", "--config", "exp.cfg", "--out", "rows.csv"],
+    ["regret", "--config", "exp.cfg", "--out", "regret.csv"],
+    ["check", "--trials", "5"],
+], ids=["gen", "solve", "experiment", "regret", "check"])
+def test_failed_write_to_stdout_is_error(tmp_path, command):
+    # a separate process, so that its stdout is /dev/full up to the
+    # interpreter's own flush at exit; that once printed a traceback
+    write(tmp_path / "exp.cfg",
+          TINY_CONFIG + "regret_capacity=2\nregret_n_grid=100\nregret_replications=2\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(netvax.__file__)))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "netvax", *command], cwd=tmp_path, env=env,
+                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert proc.returncode == EXIT_FAIL, proc.stderr
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert proc.stderr.count("\n") == 1
+
+
 HARD_CONFIG = ("n_units=300\ndensity=0.03\ncapacity_fractions=0.15\nbeta11=1\nbeta12=1\n"
                "beta21=1\nbeta22=1\ngamma1=0.9\ngamma2=0.9\n"
                "initial_states_g1=0.5,0.5,0\ninitial_states_g2=0.5,0.5,0\nseed=0\n")

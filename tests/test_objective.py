@@ -24,6 +24,7 @@ from netvax import (
     build_context,
     check_submodular,
     draw_instance,
+    erdos_renyi,
     greedy_capacity,
     greedy_factor,
     greedy_targeting,
@@ -37,6 +38,9 @@ from netvax import (
     twni,
     welfare_value,
 )
+
+from netvax.harness import instance_on_graph
+from netvax.regret import decompose_regret
 
 from _oracles import (
     DEFAULT_DIST,
@@ -420,6 +424,28 @@ def _array_kinds(out_of_range, fraction=(0.7, 1.3)):
             "out_of_range": np.array([out_of_range, 0])}
 
 
+def _real_kinds(low=0.0, high=1.0):
+    """Malformed values of a real input in [low, high]: a bool, a numeric
+    string, NaN, both infinities, a pair or a one-element tuple where one
+    number goes, and the floats just past each finite end."""
+    kinds = {"bool": True, "string": "0.5", "nan": math.nan, "inf": math.inf,
+             "minus_inf": -math.inf, "pair": (0.5, 0.5), "one_element": (0.5,)}
+    if low > -math.inf:
+        kinds["below"] = np.nextafter(low, -math.inf)
+    if high < math.inf:
+        kinds["above"] = np.nextafter(high, math.inf)
+    return kinds
+
+
+def _decompose(i, beta_entry=0.5, gamma_entry=0.1, d=2, use_brute=True, gamma=None):
+    """decompose_regret on two estimates, the first's beta[0, 0] and gamma[0]
+    given, as nested lists so any kind of value can stand in them."""
+    beta, gamma_rows = [[[beta_entry, 0.5], [0.5, 0.6]], [[0.7, 0.5], [0.5, 0.6]]], [
+        [gamma_entry, 0.05], [0.1, 0.05]]
+    return decompose_regret(i.pattern, i.params, d, use_brute, beta,
+                            gamma_rows if gamma is None else gamma)
+
+
 def _upper_bound(position, value):
     """regret_upper_bound with value as its argument at position."""
     args = [20, 3, 5, 4, 1.0, 100, 0.1]
@@ -429,6 +455,74 @@ def _upper_bound(position, value):
 
 N = 20
 EXPERIMENT = ExperimentConfig(12, 0.5)
+BETA = [[0.7, 0.5], [0.5, 0.6]]
+DIST = (0.7, 0.2, 0.1)
+# bools that sum to 1, strings, non-finite entries, and one entry past each end
+DIST_KINDS = {"bool": (True, False, False), "string": ("0.7", "0.2", "0.1"),
+              "nan": (math.nan, 0.5, 0.5), "inf": (math.inf, 0.0, 0.0),
+              "minus_inf": (-math.inf, 1.0, 1.0), "out_of_range": (1.1, -0.1, 0.0)}
+DISTS_ACCEPTED = [(1, 0, 0), (0, 0, 1), np.array(DIST)]
+UNIT_ACCEPTED = [0, 1, np.float64(0.5)]
+WEIGHT_ACCEPTED = [0, 2, np.float32(1.5)]
+ANY_ACCEPTED = [-1, 0, np.float64(0.5)]
+# (entry point, call(instance, value), error, malformed values by kind, values
+# it accepts: plain ints, numpy floats and the ends of its range)
+REAL_INPUTS = [
+    ("experiment_density", lambda i, v: ExperimentConfig(12, v), ConfigError, _real_kinds(),
+     UNIT_ACCEPTED),
+    ("experiment_group1_probability", lambda i, v: ExperimentConfig(12, 0.5, group1_probability=v),
+     ConfigError, _real_kinds(), UNIT_ACCEPTED),
+    ("experiment_initial_states",
+     lambda i, v: ExperimentConfig(12, 0.5, initial_states=(v, DIST)), ConfigError, DIST_KINDS,
+     DISTS_ACCEPTED),
+    # a fraction of 0 is no dose; True was a fraction of 1, everyone vaccinated
+    ("experiment_capacity_fractions",
+     lambda i, v: ExperimentConfig(12, 0.5, capacity_fractions=(v,)), ConfigError,
+     {**_real_kinds(), "zero": 0}, [1, np.float64(0.5), np.nextafter(0.0, 1.0)]),
+    ("experiment_weights", lambda i, v: ExperimentConfig(12, 0.5, weights=(v, 1.0)),
+     ConfigError, _real_kinds(0.0, math.inf), WEIGHT_ACCEPTED),
+    ("experiment_targeting_fractions",
+     lambda i, v: ExperimentConfig(12, 0.5, targeting_fractions=(v, 0.1)), ConfigError,
+     _real_kinds(), UNIT_ACCEPTED),
+    # True drew the complete graph
+    ("erdos_renyi_density", lambda i, v: erdos_renyi(5, v, 0), ValueError, _real_kinds(),
+     UNIT_ACCEPTED),
+    ("sir_beta", lambda i, v: SirParams(beta=[[v, 0.5], [0.5, 0.6]], gamma=[0.1, 0.05]),
+     ValueError, _real_kinds(), UNIT_ACCEPTED),
+    ("sir_gamma", lambda i, v: SirParams(beta=BETA, gamma=[v, 0.05]), ValueError,
+     _real_kinds(), UNIT_ACCEPTED),
+    ("sir_delta", lambda i, v: SirParams(beta=BETA, gamma=[0.0, 0.05], delta=[v, 0.0]),
+     ValueError, _real_kinds(), UNIT_ACCEPTED),
+    ("population_weight", lambda i, v: Population(state0=[0, 1], group=[0, 1], weight=[v, 1.0]),
+     ValueError, _real_kinds(0.0, math.inf), WEIGHT_ACCEPTED),
+    # a NaN direct gain was picked first by greedy; a NaN spill value made F NaN
+    ("context_direct_gain",
+     lambda i, v: ObjectiveContext(N, [v] + [0.0] * (N - 1), [], [], [], 0.0), ValueError,
+     _real_kinds(-math.inf, math.inf), ANY_ACCEPTED),
+    ("context_spill_vals",
+     lambda i, v: ObjectiveContext(N, np.zeros(N), [2, 3], [3, 2], [v, -0.1], 0.0), ValueError,
+     _real_kinds(-math.inf, math.inf), ANY_ACCEPTED),
+    ("context_welfare_constant", lambda i, v: ObjectiveContext(N, np.zeros(N), [], [], [], v),
+     ValueError, _real_kinds(-math.inf, math.inf), ANY_ACCEPTED),
+    # 1.5 put every unit in group 1 and NaN every unit in group 2
+    ("draw_instance_group1_probability",
+     lambda i, v: draw_instance(N, 0.5, i.params, v, (DIST, DIST), (1.0, 1.0), 0), ValueError,
+     _real_kinds(), UNIT_ACCEPTED),
+    # distributions summing to 0.5 made most units recovered
+    ("draw_instance_initial_states",
+     lambda i, v: draw_instance(N, 0.5, i.params, 0.4, (v, DIST), (1.0, 1.0), 0), ValueError,
+     {**DIST_KINDS, "half": (0.3, 0.1, 0.1)}, DISTS_ACCEPTED),
+    ("draw_instance_weights",
+     lambda i, v: draw_instance(N, 0.5, i.params, 0.4, (DIST, DIST), (v, 1.0), 0), ValueError,
+     _real_kinds(0.0, math.inf), WEIGHT_ACCEPTED),
+    ("instance_on_graph_group1_probability",
+     lambda i, v: instance_on_graph(i.graph, i.params, v, (DIST, DIST), (1.0, 1.0), 0),
+     ValueError, _real_kinds(), UNIT_ACCEPTED),
+    ("decompose_regret_beta", lambda i, v: _decompose(i, beta_entry=v), ValueError,
+     _real_kinds(), UNIT_ACCEPTED),
+    ("decompose_regret_gamma", lambda i, v: _decompose(i, gamma_entry=v), ValueError,
+     _real_kinds(), UNIT_ACCEPTED),
+]
 # (entry point, call(instance, value), error, malformed values by kind)
 ENTRY_POINTS = [
     ("greedy_capacity", lambda i, v: greedy_capacity(i.ctx, v), ValueError, _scalar_kinds(1)),
@@ -481,11 +575,14 @@ ENTRY_POINTS = [
     # non-finite rates and weights: a NaN scale failed later with an unrelated
     # message and an infinite one drew 0/1 rates; the bound came out NaN or inf
     ("noise_scale", lambda i, v: EstimationNoiseModel(100, scale=v), ValueError,
-     {"negative": -0.1, "nan": math.nan, "inf": math.inf}),
+     {"negative": -0.1, "nan": math.nan, "inf": math.inf, "bool": True, "string": "0.1",
+      "one_element": (0.1,)}),
     ("regret_upper_bound_max_weight", lambda i, v: _upper_bound(4, v), ValueError,
-     {"negative": -1.0, "nan": math.nan, "inf": math.inf}),
+     {"negative": -1.0, "nan": math.nan, "inf": math.inf, "bool": True, "string": "1",
+      "one_element": (1.0,)}),
     ("regret_upper_bound_f_star", lambda i, v: _upper_bound(6, v), ValueError,
-     {"nan": math.nan, "inf": math.inf, "minus_inf": -math.inf}),
+     {"nan": math.nan, "inf": math.inf, "minus_inf": -math.inf, "bool": True, "string": "1",
+      "one_element": (1.0,)}),
     ("n_networks", lambda i, v: ExperimentConfig(12, 0.5, n_networks=v), ConfigError,
      _scalar_kinds(1)),
     *((f"regret_{name}", lambda i, v, name=name: RegretStudyConfig(EXPERIMENT, **{name: v}),
@@ -513,6 +610,13 @@ ENTRY_POINTS = [
      _array_kinds(GROUP2 + 1)),
     ("greedy_targeting_groups", lambda i, v: greedy_targeting(i.ctx, 4, 4, 4, np.resize(v, N)),
      ValueError, _array_kinds(GROUP2 + 1)),
+    # d = -1 failed inside numpy and 2.5 with a TypeError; a wrong shape with an IndexError
+    ("decompose_regret_d", lambda i, v: _decompose(i, d=v), ValueError, _scalar_kinds(0)),
+    ("decompose_regret_use_brute", lambda i, v: _decompose(i, use_brute=v), ValueError,
+     {"string": "false", "int": 1, "none": None}),
+    ("decompose_regret_shape", lambda i, v: _decompose(i, gamma=v), ValueError,
+     {"one_row": [[0.1, 0.05]], "three_rates": [[0.1, 0.05, 0.0]] * 2, "flat": [0.1, 0.05]}),
+    *((name, call, error, kinds) for name, call, error, kinds, _ in REAL_INPUTS),
 ]
 
 
@@ -522,9 +626,19 @@ ENTRY_POINTS = [
 def test_every_entry_point_refuses_malformed_integers(call, error, value):
     # every entry point calls the one check of its input kind; unchecked, a
     # cap of 1.5 was never reached, a uint64 index wrapped to -1 before its
-    # range check, and float triplets and labels were truncated
+    # range check, float triplets and labels were truncated, and bools,
+    # strings and non-finite values passed as real numbers
     with pytest.raises(error):
         call(small_instance(0, n=N), value)
+
+
+@pytest.mark.parametrize("call, value", [
+    pytest.param(call, value, id=f"{name}-{k}")
+    for name, call, _, _, accepted in REAL_INPUTS for k, value in enumerate(accepted)])
+def test_every_real_input_accepts_ints_numpy_floats_and_its_ends(call, value):
+    # the one check of real inputs refuses bools, not the ints and numpy
+    # floats that stand for the same numbers
+    call(small_instance(0, n=N), value)
 
 
 def test_experiment_seed_may_be_negative():
