@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from typing import IO, Callable, Iterator, Optional, Sequence, TypeVar
 
@@ -106,8 +107,9 @@ def _open_out(path: Optional[str]) -> Iterator[IO[str]]:
             yield sink
             print(end="", file=sink, flush=True)  # sys.stdout is None if fd 1 was closed
     except OSError as exc:
-        where = "stdout" if path is None else path
-        raise OutputError(f"cannot write {where}: {exc.strerror or exc}") from None
+        if path is None:  # drop the bytes stdout still holds, or its flush at exit fails again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise OutputError(f"cannot write {path or 'stdout'}: {exc.strerror or exc}") from None
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:

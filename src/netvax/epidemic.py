@@ -67,10 +67,9 @@ class SirParams:
         rates = {name: _reals(getattr(self, name), name).copy()
                  for name in ("beta", "gamma", "delta")}
         beta, gamma, delta = rates.values()
-        if beta.shape != (2, 2):
-            raise ValueError(f"beta must be 2x2, got shape {beta.shape}")
-        if gamma.shape != (2,) or delta.shape != (2,):
-            raise ValueError("gamma and delta must each have length 2")
+        if beta.shape != (2, 2) or gamma.shape != (2,) or delta.shape != (2,):
+            raise ValueError("beta must be 2x2, and gamma and delta must each have length 2,"
+                             f" got shapes {beta.shape}, {gamma.shape}, {delta.shape}")
         for name, arr in rates.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -96,10 +95,9 @@ class Population:
         # copies, so freezing them leaves the caller's arrays writable
         state0, group = _labels(self.state0, "state0").copy(), _labels(self.group, "group").copy()
         weight = _reals(self.weight, "weight", 0.0, np.inf).copy()
-        if not (state0.shape == group.shape == weight.shape) or state0.ndim != 1:
-            raise ValueError("state0, group, weight must be 1-D arrays of equal length")
-        if state0.size < 1:
-            raise ValueError("population must contain at least one unit")
+        if not (state0.shape == group.shape == weight.shape) or state0.ndim != 1 or not state0.size:
+            raise ValueError("state0, group, weight must be 1-D arrays of equal length"
+                             " holding at least one unit")
         for name, arr in (("state0", state0), ("group", group), ("weight", weight),
                           ("susceptible", state0 == SUSCEPTIBLE),
                           ("infected", state0 == INFECTED),

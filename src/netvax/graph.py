@@ -7,7 +7,7 @@ built.
 
 from __future__ import annotations
 
-from typing import IO, Iterable
+from typing import IO, Iterable, Optional
 
 import numpy as np
 
@@ -42,31 +42,23 @@ def _unit_count(n_units: int) -> int:
 
 
 def _reals(values: object, name: str, low: float = 0.0, high: float = 1.0, *,
-           low_open: bool = False) -> np.ndarray:
-    """values as a float array, not copied if it is one, checked to hold integers or
-    floats in rows of equal length, not bools, strings or objects, each finite and in
-    [low, high], or (low, high] with low_open: the one check of every real input."""
-    try:
-        arr = np.asarray(values)
-    except ValueError:
-        raise ValueError(f"{name} must have rows of equal length, got {values!r}") from None
+           low_open: bool = False, shape: Optional[tuple[int, ...]] = None) -> np.ndarray:
+    """values as a float array, not copied if it is one, checked before the cast to
+    hold integers or floats, not bools, strings or objects, each finite and in
+    [low, high], or (low, high] with low_open, in shape if one is given: the one
+    check of every real input.  Ragged rows fail in np.asarray with NumPy's ValueError."""
+    arr = np.asarray(values)
     if arr.dtype.kind not in "iuf" or not isinstance(values, np.ndarray) and any(
             isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat):
         raise ValueError(f"{name} must be real-valued, got {values!r}")
+    if shape is not None and arr.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
     arr = arr.astype(float, copy=False)
     bad = arr[~(np.isfinite(arr) & (arr > low if low_open else arr >= low) & (arr <= high))]
     if bad.size:
         left, right = "(" if low_open or low == -np.inf else "[", ")" if high == np.inf else "]"
         raise ValueError(f"{name} must be in {left}{low:g}, {high:g}{right}, got {bad[0]}")
     return arr
-
-
-def _real(value: object, name: str, low: float = 0.0, high: float = 1.0) -> float:
-    """value as a float, checked by _reals to be one number, not an array of any shape."""
-    arr = _reals(value, name, low, high)
-    if arr.ndim:
-        raise ValueError(f"{name} must be one number, got {value!r}")
-    return arr.item()
 
 
 class ContactGraph:
@@ -129,7 +121,7 @@ def erdos_renyi(n_units: int, density: float, seed: int) -> ContactGraph:
     chunking leaves the stream unchanged.  O(N + M) draws and O(M) memory for M
     edges (Batagelj and Brandes, Phys. Rev. E 71, 036113, 2005).  density=0 gives
     the empty graph, density=1 the complete graph."""
-    n_units, density = _unit_count(n_units), _real(density, "density")
+    n_units, density = _unit_count(n_units), _reals(density, "density", shape=()).item()
     rng = np.random.default_rng(seed)
     n_pairs = n_units * (n_units - 1) // 2
     flat, left = [np.empty(0, dtype=np.int64)], n_pairs if density > 0 else 0

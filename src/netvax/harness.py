@@ -23,7 +23,7 @@ from typing import IO, Any, Callable, ClassVar, Mapping, NamedTuple, Optional, S
 import numpy as np
 
 from .epidemic import GROUP1, GROUP2, RECOVERED, Population, SirParams
-from .graph import ContactGraph, _real, _reals, _unit_count, erdos_renyi
+from .graph import ContactGraph, _reals, _unit_count, erdos_renyi
 from .objective import (Allocation, ContextPattern, ObjectiveContext, _count,
                         check_submodular, marginal_gain, objective_value)
 from .regret import (EstimationNoiseModel, _draw_estimates, decompose_regret,
@@ -110,14 +110,13 @@ class ExperimentConfig:
             _unit_count(self.n_units)
             _count(self.n_networks, "n_networks", 1)
             _count(self.seed, "seed", None)  # replicate_seed hashes str(seed): True is not 1
-            _real(self.density, "density")
+            _reals(self.density, "density", shape=())
             _population_settings(self.group1_probability, self.initial_states, self.weights)
             fractions = _reals(self.capacity_fractions, "capacity_fractions", low_open=True)
             if fractions.ndim != 1 or not fractions.size:
                 raise ValueError("at least one capacity fraction is required")
-            if self.targeting_fractions is not None and _reals(
-                    self.targeting_fractions, "targeting_fractions").shape != (2,):
-                raise ValueError("targeting_fractions must be two values in [0, 1]")
+            if self.targeting_fractions is not None:
+                _reals(self.targeting_fractions, "targeting_fractions", shape=(2,))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if not self.policies:
@@ -190,10 +189,8 @@ def _population_settings(group1_probability: float, initial_states: Sequence[Seq
     if dists.shape != (2, 3) or np.any(np.abs(dists.sum(axis=1) - 1.0) > 1e-9):
         raise ValueError("initial_states needs two distributions of (S, I, R) probabilities,"
                          f" one per group, that each sum to 1, got {dists.tolist()}")
-    weights = _reals(weights, "weights", 0.0, np.inf)
-    if weights.shape != (2,):
-        raise ValueError("weights must be two finite non-negative numbers")
-    return _real(group1_probability, "group1_probability"), dists, weights
+    return (_reals(group1_probability, "group1_probability", shape=()).item(), dists,
+            _reals(weights, "weights", 0.0, np.inf, shape=(2,)))
 
 
 def draw_instance(n_units: int, density: float, params: SirParams,

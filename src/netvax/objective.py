@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .epidemic import Population, SirParams
-from .graph import ContactGraph, _real, _reals, _unit_count
+from .graph import ContactGraph, _reals, _unit_count
 
 __all__ = [
     "TOLERANCE",
@@ -134,9 +134,7 @@ class ObjectiveContext:
                  spill_vals: np.ndarray, welfare_constant: float) -> None:
         n_units = _unit_count(n_units)
         # copies, so freezing them leaves the caller's arrays writable
-        direct_gain = _reals(direct_gain, "direct_gain", -np.inf, np.inf).copy()
-        if direct_gain.shape != (n_units,):
-            raise ValueError("direct_gain must have one entry per unit")
+        direct_gain = _reals(direct_gain, "direct_gain", -np.inf, np.inf, shape=(n_units,)).copy()
         rows = _unit_indices(spill_rows, n_units, "spill_rows").copy()
         cols = _unit_indices(spill_cols, n_units, "spill_cols").copy()
         vals = _reals(spill_vals, "spill_vals", -np.inf, np.inf).copy()
@@ -148,8 +146,8 @@ class ObjectiveContext:
         # marginal_gain and _f_moments rely on; its row sums are w's row plus column sums
         sym = _csr(n_units, np.concatenate([rows, cols]), np.concatenate([cols, rows]),
                    np.concatenate([vals, vals]))
-        const = _real(welfare_constant, "welfare_constant", -np.inf, np.inf)
-        self._fill(n_units, direct_gain, rows, cols, vals, const, *sym,
+        self._fill(n_units, direct_gain, rows, cols, vals,
+                   _reals(welfare_constant, "welfare_constant", -np.inf, np.inf, shape=()), *sym,
                    direct_gain - _row_sums(sym[0], sym[3]))
 
     def _fill(self, n_units: int, direct_gain: np.ndarray, rows: np.ndarray,

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .epidemic import Population, SirParams
-from .graph import ContactGraph, _real, _reals
+from .graph import ContactGraph, _reals
 from .objective import ContextPattern, _count, _f_rows
 from .solvers import _optimum
 
@@ -71,7 +71,8 @@ class EstimationNoiseModel:
     def __post_init__(self) -> None:
         _count(self.n_external, "n_external", 1)
         if self.scale is not None:
-            object.__setattr__(self, "scale", _real(self.scale, "scale", 0.0, np.inf))
+            object.__setattr__(self, "scale",
+                               _reals(self.scale, "scale", 0.0, np.inf, shape=()).item())
 
     @property
     def effective_scale(self) -> float:
@@ -203,9 +204,8 @@ def decompose_regret(pattern: ContextPattern, true_params: SirParams, d: int,
     d = _count(d, "d")
     if type(use_brute) is not bool:
         raise ValueError(f"use_brute must be a bool, got {use_brute!r}")
-    beta, gamma = _reals(beta, "beta"), _reals(gamma, "gamma")
-    if beta.shape[1:] != (2, 2) or gamma.shape != (len(beta), 2):
-        raise ValueError(f"beta must be (R, 2, 2), gamma (R, 2), got {beta.shape}, {gamma.shape}")
+    gamma = _reals(gamma, "gamma", shape=np.shape(gamma)[:1] + (2,))  # (R, 2)
+    beta = _reals(beta, "beta", shape=gamma.shape + (2,))  # (R, 2, 2)
     _, true_base, true_sym, _ = pattern.fill(true_params.beta[None], true_params.gamma[None])
     *_, f_star, spent = _optimum(pattern, true_base, true_sym, d, use_brute)
     f_star = float(f_star[0])
@@ -260,8 +260,8 @@ def regret_upper_bound(n_units: int, d: int, max_degree: int, n_infected: int,
     for name, value, low in (("n_units", n_units, 1), ("d", d, 0), ("max_degree", max_degree, 0),
                              ("n_infected", n_infected, 0), ("n_external", n_external, 1)):
         _count(value, name, low)
-    max_weight = _real(max_weight, "max_weight", 0.0, np.inf)
-    f_star = _real(f_star, "f_star", -np.inf, np.inf)
+    max_weight = _reals(max_weight, "max_weight", 0.0, np.inf, shape=()).item()
+    f_star = _reals(f_star, "f_star", -np.inf, np.inf, shape=()).item()
     size_term = (d * min(max_degree, d) + 2 * d * max_degree
                  + min(n_infected, d))
     noise_part = (UNIVERSAL_CONSTANT * max_weight * size_term / n_units

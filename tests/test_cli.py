@@ -293,12 +293,17 @@ def test_failed_write_to_out_is_error(tmp_path, capsys, command):
     ["regret", "--config", "exp.cfg", "--out", "regret.csv"],
     ["check", "--trials", "5"],
 ], ids=["gen", "solve", "experiment", "regret", "check"])
-def test_failed_write_to_stdout_is_error(tmp_path, command):
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_failed_write_to_stdout_is_error(tmp_path, command, unbuffered):
     # a separate process, so that its stdout is /dev/full up to the
-    # interpreter's own flush at exit; that once printed a traceback
+    # interpreter's own flush at exit; that once printed a traceback.  A
+    # buffered stdout keeps the bytes it failed to write, and its flush at
+    # exit once added an "Exception ignored" report and exit status 120
     write(tmp_path / "exp.cfg",
           TINY_CONFIG + "regret_capacity=2\nregret_n_grid=100\nregret_replications=2\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(netvax.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)
+    env.update({"PYTHONUNBUFFERED": "1"} if unbuffered else {})
     with open("/dev/full", "w") as full:
         proc = subprocess.run([sys.executable, "-m", "netvax", *command], cwd=tmp_path, env=env,
                               stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
