@@ -227,8 +227,10 @@ def instance_on_graph(graph: ContactGraph, params: SirParams,
 
 
 def capacity_budget(fraction: float, n_units: int) -> int:
-    """Dose budget d = max(1, round(fraction * n_units))."""
-    return max(1, round(fraction * n_units))
+    """Dose budget d = max(1, round(fraction * n_units)) for a real fraction
+    in (0, 1] and a unit count as graph._unit_count checks it."""
+    fraction = float(_reals(fraction, "capacity fraction", low_open=True, shape=()))
+    return max(1, round(fraction * _unit_count(n_units)))
 
 
 def _pct_group1(labels: np.ndarray) -> float:

@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 NODE_BUDGET = 500_000  # search nodes per brute_force call or regret study
+_RUN_MIN = 16  # greedy picks in a run that pays for its sort
+_WAIT_MAX = 64  # most scan rounds between tries at a run
 
 
 class BudgetError(RuntimeError):
@@ -73,47 +75,164 @@ def _finish(ctx: ObjectiveContext, alloc: Allocation, f: float, rounds: int,
     return SolverResult(alloc, f, f + ctx.welfare_constant, rounds, tuple(trace))
 
 
+def _spans(indptr: np.ndarray, units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR rows of units, one after another: each entry's place in units
+    and its position in the CSR arrays."""
+    lo = indptr[units]
+    size = indptr[units + 1] - lo
+    at = np.repeat(np.arange(len(units)), size)
+    return at, np.arange(len(at)) + np.repeat(lo - (np.cumsum(size) - size), size)
+
+
 def _greedy(layout: ObjectiveContext | ContextPattern, base: np.ndarray, sym: np.ndarray,
             d: int, groups: np.ndarray, caps: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The greedy loop of both greedy solvers on R objectives, given as (R, n)
+    """The greedy scan of both greedy solvers on R objectives, given as (R, n)
     base gains and (R, 2 nnz) values of w + w^T on layout's CSR arrays.  A
     unit is open while it is unchosen and caps[groups[unit]] has room.  Each
-    round adds, per row, the lowest-index open unit within the tie window
-    of the row's best and updates its neighbors' gains in O(deg): the rows
-    that picked one unit share a (rows, deg) update, which adds to each gain
-    once, as a CSR row's columns are distinct, so each row is bit for bit its
-    one-row run.  The last round only records its gains.  Stops after d
-    rounds or with no unit open, which every row reaches after
-    sum_g min(caps[g], n_g) picks, n_g the units in group g.  Returns the
-    (R, rounds) picks and their gains."""
-    indptr, cols = layout._sym_indptr, layout._sym_cols
+    round picks, per row, the lowest-index open unit whose gain is at least
+    the row's best minus TOLERANCE (1e-12), then adds the picked unit's CSR
+    row to its neighbors' gains.  Stops after d rounds or with no unit open,
+    which every row reaches after sum_g min(caps[g], n_g) picks, n_g the
+    units in group g.  Returns the (R, rounds) picks and their gains, bit
+    for bit those of the scan one round at a time (tests/_oracles.greedy_scan).
+
+    Many rows take each round as one vectorised step.  One row commits runs
+    (_greedy_run): the open units c_1 .. c_L of largest gain, sorted by
+    decreasing gain v_i, lowest index first among exact ties, are the scan's
+    next L picks when
+      (a) the window [v_i - TOLERANCE, v_i], computed as the scan computes
+          it, holds no open gain but the exact ties of v_i, for each c_i;
+      (b) no c_i is a CSR neighbor of an earlier c_j;
+      (c) no c_i before c_L fills its group's cap; and
+      (d) no value of w + w^T is positive.
+    Then no c_i's gain changes before its pick and every other gain only
+    falls, so each c_i is still the lowest-index unit in its window when its
+    turn comes.  A run adds its neighbor updates with one np.add.at, in pick
+    order, so every gain takes its terms in the scan's order.  Without (d),
+    or when no run is proved, rounds are scan rounds."""
+    sizes = np.bincount(groups, minlength=len(caps)).tolist()
+    rooms = [min(cap, size) for cap, size in zip(caps, sizes)]
+    rounds = min(d, sum(rooms))
     # a closed unit's gain is -inf, which the neighbor updates keep
-    gains = np.where(np.asarray(caps)[groups] > 0, base, -np.inf)
-    rounds = min(d, sum(map(min, caps, np.bincount(groups, minlength=len(caps)))))
-    picks, picked = np.empty((rounds, len(gains)), dtype=np.int64), np.empty((rounds, len(gains)))
-    rooms, labels, lone = [list(caps) for _ in gains], groups.tolist(), len(gains) == 1
+    gains = np.where(np.asarray(rooms)[groups] > 0, base, -np.inf)
+    if len(gains) == 1:
+        picks, picked = _greedy_one(layout, gains[0], sym[0], rounds, groups, rooms)
+        return picks[None], picked[None]
+    indptr, cols = layout._sym_indptr, layout._sym_cols
+    every = np.arange(len(gains))
+    rooms = np.tile(rooms, (len(gains), 1))
+    picks, picked = np.empty((len(gains), rounds), dtype=np.int64), np.empty((len(gains), rounds))
     for t in range(rounds):
         best = gains.max(axis=1, keepdims=True)
-        (gains >= best - TOLERANCE).argmax(axis=1, out=picks[t])
-        sharing: dict[int, list[int]] = {}
-        for r, (gain, room, u) in enumerate(zip(gains, rooms, picks[t].tolist())):
-            picked[t, r] = gain[u]
-            if t + 1 == rounds:
-                continue  # nothing reads the state after the last pick
-            gain[u] = -np.inf
-            g = labels[u]
-            room[g] -= 1
-            if room[g] == 0:
-                gain[groups == g] = -np.inf
-            if lone:  # a 1-D update costs about a quarter of a 2-D one
-                lo, hi = indptr[u], indptr[u + 1]
-                gain[cols[lo:hi]] += sym[0, lo:hi]
-            else:
-                sharing.setdefault(u, []).append(r)
-        for u, rs in sharing.items():
-            rs, lo, hi = np.array(rs), indptr[u], indptr[u + 1]
-            gains[rs[:, None], cols[lo:hi]] += sym[rs, lo:hi]
-    return picks.T, picked.T
+        u = (gains >= best - TOLERANCE).argmax(axis=1)
+        picks[:, t], picked[:, t] = u, gains[every, u]
+        if t + 1 == rounds:
+            break  # nothing reads the state after the last pick
+        gains[every, u] = -np.inf
+        g = groups[u]
+        rooms[every, g] -= 1
+        full = np.flatnonzero(rooms[every, g] == 0)
+        if full.size:
+            gains[full] = np.where(groups == g[full, None], -np.inf, gains[full])
+        # a CSR row's columns are distinct, so each gain takes one term
+        at, pos = _spans(indptr, u)
+        gains[at, cols[pos]] += sym[at, pos]
+    return picks, picked
+
+
+def _greedy_one(layout: ObjectiveContext | ContextPattern, gains: np.ndarray, sym: np.ndarray,
+                rounds: int, groups: np.ndarray, rooms: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """_greedy on one row, from its (n,) gains with closed units at -inf, its
+    (2 nnz,) values of w + w^T and each group's room, which it updates in
+    place: runs of picks where _greedy_run finds them, scan rounds
+    otherwise.  After a run shorter than _RUN_MIN the next try waits 1, 3,
+    7, ... scan rounds, at most _WAIT_MAX."""
+    indptr, cols = layout._sym_indptr, layout._sym_cols
+    labels, n = groups.tolist(), len(gains)
+    picks, picked = np.empty(rounds, dtype=np.int64), np.empty(rounds)
+    # a unit's place in the run being checked, n outside it; None without (d)
+    rank = None if (sym > 0).any() else np.full(n, n)
+    # size: how many top gains a try sorts, all at first, then a few times the last run
+    t, wait, backoff, size = 0, 0, 0, rounds + 1
+    while t < rounds:
+        run = ()
+        if wait:
+            wait -= 1
+        elif rank is not None:
+            run = _greedy_run(indptr, cols, gains, groups, rooms, rounds - t,
+                              min(rounds - t + 1, size), rank)
+            backoff = 0 if len(run) >= _RUN_MIN else min(2 * backoff + 1, _WAIT_MAX)
+            wait, size = backoff, 4 * max(len(run), _RUN_MIN)
+        if len(run):
+            picks[t:t + len(run)], picked[t:t + len(run)] = run, gains[run]
+            t += len(run)
+            if t == rounds:
+                break
+            gains[run] = -np.inf
+            for g, count in enumerate(np.bincount(groups[run], minlength=len(rooms)).tolist()):
+                rooms[g] -= count
+                if count and not rooms[g]:
+                    gains[groups == g] = -np.inf
+            # in pick order, so each gain sums its terms as the scan does
+            pos = _spans(indptr, run)[1]
+            np.add.at(gains, cols[pos], sym[pos])
+            continue
+        u = int(gains.argmax())
+        u = int((gains[:u + 1] >= gains[u] - TOLERANCE).argmax())
+        picks[t], picked[t] = u, gains[u]
+        t += 1
+        if t == rounds:
+            break
+        gains[u] = -np.inf
+        g = labels[u]
+        rooms[g] -= 1
+        if not rooms[g]:
+            gains[groups == g] = -np.inf
+        lo, hi = indptr[u], indptr[u + 1]
+        gains[cols[lo:hi]] += sym[lo:hi]
+    return picks, picked
+
+
+def _greedy_run(indptr: np.ndarray, cols: np.ndarray, gains: np.ndarray, groups: np.ndarray,
+                rooms: list[int], left: int, size: int, rank: np.ndarray) -> np.ndarray:
+    """The scan's next picks, at most left, as far as conditions (a) to (c) of
+    _greedy prove them from the units above the size-th largest gain; rank
+    is an (n,) scratch array of n that is left so."""
+    n = len(gains)
+    below = np.partition(gains, n - min(n, size))[n - min(n, size)]
+    cand = np.flatnonzero(gains > below)
+    if not len(cand):  # the top size gains are ties
+        if below == -np.inf:  # of closed units, which the scan may pick too
+            return cand
+        cand = np.flatnonzero(gains >= below)
+        below = gains[gains < below].max(initial=-np.inf)
+    vals = gains[cand]
+    order = np.argsort(-vals, kind="stable")
+    cand, vals = cand[order], vals[order]
+    # (a) the window, as the scan computes it, holds no value below the ties
+    after = np.append(vals[1:], below)
+    ok = (after < vals - TOLERANCE) | (after == vals)
+    # a failing window fails its whole tie group
+    length = len(cand) if ok.all() else int(np.searchsorted(-vals, -vals[ok.argmin()]))
+    length = min(left, length)
+    # (c) a run ends at the pick that fills its group's cap
+    for g, room in enumerate(rooms):
+        if 0 < room <= length:
+            length = min(length, int(np.searchsorted(np.cumsum(groups[cand[:length]] == g),
+                                                      room)) + 1)
+    # (b) the first candidate next to an earlier one, from ever longer blocks of rows
+    run = cand[:length]
+    rank[run] = np.arange(length)
+    start, stop = 0, min(length, 16)
+    while start < length:
+        at, pos = _spans(indptr, run[start:stop])
+        near = rank[cols[pos]]
+        later = near[near > at + start]
+        if later.size:
+            length = min(length, int(later.min()))
+        start, stop = stop, min(length, 2 * stop)
+    rank[run] = n
+    return run[:length]
 
 
 def _greedy_result(ctx: ObjectiveContext, d: int, groups: np.ndarray, caps: Sequence[int],
@@ -142,9 +261,11 @@ def _check_groups(ctx: ObjectiveContext, groups: np.ndarray) -> np.ndarray:
 def greedy_capacity(ctx: ObjectiveContext, d: int) -> SolverResult:
     """Standard greedy under the cardinality budget d.
 
-    Runs exactly min(d, n) rounds; marginal gains are maintained
-    incrementally, so each round costs an argmax plus a neighbor update.
-    The value is at least (1 - (1 - 1/d)^d) of the optimum.
+    Runs exactly min(d, n) rounds of _greedy's scan; marginal gains are
+    maintained incrementally along w + w^T.  Runs of picks that cannot
+    interact are committed at once, with one sort and one neighbor update
+    each, and the rest as single rounds.  The value is at least
+    (1 - (1 - 1/d)^d) of the optimum.
     """
     d = _count(d, "capacity", 1)
     return _greedy_result(ctx, d, np.zeros(ctx.n_units, dtype=np.int8), (d,), None)
@@ -221,12 +342,14 @@ def _branch_and_bound(layout: ObjectiveContext | ContextPattern, base: np.ndarra
     gain = base.copy()
     path, undo = [], []
     f, first = 0.0, 0
+    lift = plus.any()  # adding an all-zero plus leaves every bound as it is
     while True:
         spent += 1
         if spent > NODE_BUDGET:
             raise _budget_error()
         r = k - len(path)
-        if n - first >= r and f + _top_sum(gain[first:] + plus[first:], r) > best + TOLERANCE:
+        if n - first >= r and f + _top_sum(gain[first:] + plus[first:] if lift else gain[first:],
+                                           r) > best + TOLERANCE:
             if r == 0:
                 best, best_units = f, np.array(path)
             else:

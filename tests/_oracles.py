@@ -8,7 +8,8 @@ as the reference that welfare_from_transitions sums.
 regret_study_by_estimate is the regret study one estimate at a time, the
 reference for the array pass of harness.run_regret_study.
 streamed_optimum enumerates every subset, the reference for brute_force's
-branch and bound.  experiment_by_cell is the experiment loop collecting
+branch and bound, and greedy_scan is greedy's loop one round at a time, the
+reference for the runs and vectorised rounds of solvers._greedy.  experiment_by_cell is the experiment loop collecting
 per-cell lists, the reference for the array pass of harness.run_experiment,
 and draw_estimates_two_calls reads each estimate's seed with one draw for
 the transmission and one for the recovery rates, the reference for
@@ -29,7 +30,7 @@ from netvax import (GROUP1, GROUP2, INFECTED, RECOVERED, SUSCEPTIBLE,
                     greedy_capacity, objective_value, regret_upper_bound,
                     replicate_seed, sample_estimates, welfare_value)
 from netvax.harness import capacity_budget, run_policy
-from netvax.objective import _csr, _healthy_share, _row_sums
+from netvax.objective import TOLERANCE, _csr, _healthy_share, _row_sums
 
 DEFAULT_DIST = ((0.7, 0.2, 0.1), (0.7, 0.2, 0.1))
 
@@ -411,6 +412,48 @@ def _combo_chunks(n, k, chunk):
     for start in range(0, total, chunk):
         rows = min(chunk, total - start)
         yield np.fromiter(flat, dtype=np.int64, count=rows * k).reshape(rows, k)
+
+
+def greedy_scan(layout, base, sym, d, groups, caps):
+    """The greedy loop of both greedy solvers on R objectives, given as (R, n)
+    base gains and (R, 2 nnz) values of w + w^T on layout's CSR arrays.  A
+    unit is open while it is unchosen and caps[groups[unit]] has room.  Each
+    round adds, per row, the lowest-index open unit within the tie window
+    of the row's best and updates its neighbors' gains in O(deg): the rows
+    that picked one unit share a (rows, deg) update, which adds to each gain
+    once, as a CSR row's columns are distinct, so each row is bit for bit its
+    one-row run.  The last round only records its gains.  Stops after d
+    rounds or with no unit open, which every row reaches after
+    sum_g min(caps[g], n_g) picks, n_g the units in group g.  Returns the
+    (R, rounds) picks and their gains.  The reference for solvers._greedy."""
+    indptr, cols = layout._sym_indptr, layout._sym_cols
+    # a closed unit's gain is -inf, which the neighbor updates keep
+    gains = np.where(np.asarray(caps)[groups] > 0, base, -np.inf)
+    rounds = min(d, sum(map(min, caps, np.bincount(groups, minlength=len(caps)))))
+    picks, picked = np.empty((rounds, len(gains)), dtype=np.int64), np.empty((rounds, len(gains)))
+    rooms, labels, lone = [list(caps) for _ in gains], groups.tolist(), len(gains) == 1
+    for t in range(rounds):
+        best = gains.max(axis=1, keepdims=True)
+        (gains >= best - TOLERANCE).argmax(axis=1, out=picks[t])
+        sharing: dict[int, list[int]] = {}
+        for r, (gain, room, u) in enumerate(zip(gains, rooms, picks[t].tolist())):
+            picked[t, r] = gain[u]
+            if t + 1 == rounds:
+                continue  # nothing reads the state after the last pick
+            gain[u] = -np.inf
+            g = labels[u]
+            room[g] -= 1
+            if room[g] == 0:
+                gain[groups == g] = -np.inf
+            if lone:  # a 1-D update costs about a quarter of a 2-D one
+                lo, hi = indptr[u], indptr[u + 1]
+                gain[cols[lo:hi]] += sym[0, lo:hi]
+            else:
+                sharing.setdefault(u, []).append(r)
+        for u, rs in sharing.items():
+            rs, lo, hi = np.array(rs), indptr[u], indptr[u + 1]
+            gains[rs[:, None], cols[lo:hi]] += sym[rs, lo:hi]
+    return picks.T, picked.T
 
 
 def streamed_optimum(ctx, d):

@@ -277,6 +277,19 @@ def test_run_experiment_deterministic_up_to_runtime():
     assert rendered(run_experiment(config)) == rendered(run_experiment(config))
 
 
+def test_capacity_budget_checks_its_fraction_and_unit_count():
+    assert harness.capacity_budget(0.1, 500) == 50
+    assert harness.capacity_budget(1e-9, 10) == 1
+    assert harness.capacity_budget(1, 10) == 10
+    assert harness.capacity_budget(np.float64(0.25), np.int64(8)) == 2
+    for fraction in (True, 2.0, 0.0, -0.1, float("nan"), float("inf"), "0.5", [0.5]):
+        with pytest.raises(ValueError, match="capacity fraction"):
+            harness.capacity_budget(fraction, 10)
+    for n_units in (0, 2.5, True, 2**32):
+        with pytest.raises(ValueError, match="n_units"):
+            harness.capacity_budget(0.5, n_units)
+
+
 def test_run_experiment_welfare_increases_with_capacity():
     config = ExperimentConfig(n_units=60, density=0.3, n_networks=2,
                               capacity_fractions=(0.05, 0.1, 0.2),

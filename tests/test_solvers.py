@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,7 +37,8 @@ from netvax.objective import TOLERANCE, _f_rows, _members
 from netvax.solvers import iter_random_subsets
 
 from _oracles import (DEFAULT_DIST, _combo_chunks, all_subsets_objective,
-                      grid_instances, matroid_brute, small_instance, streamed_optimum)
+                      greedy_scan, grid_instances, matroid_brute, small_instance,
+                      streamed_optimum)
 
 SET1 = SirParams(beta=[[0.7, 0.5], [0.5, 0.6]], gamma=[0.1, 0.05], delta=[0.0, 0.0])
 
@@ -379,40 +381,47 @@ def test_brute_force_is_exact_on_generated_and_raw_contexts(case):
 @st.composite
 def greedy_rows(draw):
     """R = 1 to 4 objectives on one raw-triplet layout whose spill values
-    have mixed sign, a budget and group caps.  Gains take a few values plus
-    offsets inside the 1e-12 tie window; a row may copy an earlier row's
-    gains or spill values, so rows share all, some or none of their picks;
-    caps below the budget close a group before the last round."""
+    have mixed sign, or are all non-positive so that one row takes runs, a
+    budget and group caps.  Gains take a few values plus offsets inside the
+    1e-12 tie window; a row may copy an earlier row's gains or spill values,
+    so rows share all, some or none of their picks; caps below the budget
+    close a group before the last round."""
     n = draw(st.integers(1, 10))
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
         lambda p: p[0] != p[1]), unique=True, max_size=3 * n))
     rows = np.array([i for i, _ in pairs], dtype=np.int64)
     cols = np.array([j for _, j in pairs], dtype=np.int64)
     value = st.one_of(st.sampled_from([-0.5, -0.25, 0.0, 0.25, 0.5]), st.floats(-1.0, 1.0))
+    spill = value.map(lambda v: -abs(v)) if draw(st.booleans()) else value
     tie = st.sampled_from([0.0, 4e-13, -4e-13, 9e-13])
     base, sym = [], []
     for r in range(draw(st.integers(1, 4))):
         layout = ObjectiveContext(n, np.zeros(n), rows, cols, draw(st.lists(
-            value, min_size=len(pairs), max_size=len(pairs))), 0.0)
+            spill, min_size=len(pairs), max_size=len(pairs))), 0.0)
         gains = np.array([draw(value) + draw(tie) for _ in range(n)])
         base.append(base[draw(st.integers(0, r - 1))] if r and draw(st.booleans()) else gains)
         sym.append(sym[draw(st.integers(0, r - 1))] if r and draw(st.booleans())
                    else layout._sym_vals)
-    d = draw(st.integers(1, n + 1))
+    return (layout, np.stack(base), np.stack(sym)) + draw(budgets(n))
+
+
+@st.composite
+def budgets(draw, n):
+    """A budget up to past the n units, and one group with a cap of the
+    budget or two groups with caps that may close one mid-run."""
+    d = draw(st.integers(1, n + 2))
     if draw(st.booleans()):
-        groups, caps = np.zeros(n, dtype=np.int8), (d,)
-    else:
-        groups = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
-                          dtype=np.int8)
-        caps = (draw(st.integers(0, n)), draw(st.integers(0, n)))
-    return layout, np.stack(base), np.stack(sym), d, groups, caps
+        return d, np.zeros(n, dtype=np.int8), (d,)
+    groups = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int8)
+    return d, groups, (draw(st.integers(0, n)), draw(st.integers(0, n)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(greedy_rows())
 def test_many_row_greedy_equals_one_row_runs(case):
-    """The R-row greedy loop, whose rows share an update per picked unit,
-    gives each row the picks and gains of its one-row run, bit for bit."""
+    """The R-row greedy rounds give each row the picks and gains of its
+    one-row run, which takes runs of picks where its spill values allow,
+    bit for bit."""
     layout, base, sym, d, groups, caps = case
     picks, gains = solvers._greedy(layout, base, sym, d, groups, caps)
     for r in range(len(base)):
@@ -420,6 +429,87 @@ def test_many_row_greedy_equals_one_row_runs(case):
                                                groups, caps)
         assert one_picks[0].tolist() == picks[r].tolist()
         assert one_gains[0].tobytes() == gains[r].tobytes()
+
+
+HARD = SirParams(beta=np.ones((2, 2)), gamma=[0.9, 0.9], delta=[0.0, 0.0])
+
+
+@st.composite
+def scan_cases(draw):
+    """R = 1 to 3 objectives on one layout, with budgets and caps as in
+    budgets: generated contexts in the dominance regime (the parameter sets)
+    or outside it (every beta 1 > 1 - gamma, weights 10:1, infected share
+    0.4), or raw contexts with non-positive or mixed-sign spill values whose
+    gains are a few levels plus planted exact ties and near ties, gains
+    that differ by at most 1e-12, the window's own edge among them."""
+    kind = draw(st.sampled_from(["regime", "hard", "ties", "mixed"]))
+    n = draw(st.integers(1, 40))
+    count = draw(st.integers(1, 3))
+    if kind in ("regime", "hard"):
+        states, weights = (DEFAULT_DIST, (1.0, 1.0)) if kind == "regime" else (
+            ((0.6, 0.4, 0.0),) * 2, (10.0, 1.0))
+        params = [HARD] if kind == "hard" else [PARAMETER_SETS[p] for p in sorted(PARAMETER_SETS)]
+        inst = draw_instance(n, draw(st.floats(0.02, 1.0)), params[0], 0.4, states, weights,
+                             draw(st.integers(0, 2**16)))
+        ctxs = [inst.pattern.context(draw(st.sampled_from(params))) for _ in range(count)]
+        base = np.stack([c._base_gain for c in ctxs])
+        sym = np.stack([c._sym_vals for c in ctxs])
+        return (ctxs[0], base, sym) + draw(budgets(n))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1]), unique=True, max_size=2 * n))
+    rows = np.array([i for i, _ in pairs], dtype=np.int64)
+    cols = np.array([j for _, j in pairs], dtype=np.int64)
+    high = 0.0 if kind == "ties" else 1.0
+    spill = st.one_of(st.sampled_from([-0.5, -0.0, 0.0, -1e-13]), st.floats(-1.0, high))
+    level = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+    near = st.one_of(st.just(0.0), st.floats(0.0, 1e-12, exclude_min=True),
+                     st.sampled_from(["edge", "past"]))
+    layout, base, sym = None, [], []
+    for _ in range(count):
+        layout = ObjectiveContext(n, np.zeros(n), rows, cols, draw(st.lists(
+            spill.filter(lambda v: v <= high), min_size=len(pairs), max_size=len(pairs))), 0.0)
+        gains = []
+        for _ in range(n):
+            top, gap = draw(level), draw(near)
+            gains.append(top - TOLERANCE if gap == "edge" else
+                         np.nextafter(top - TOLERANCE, -np.inf) if gap == "past" else top - gap)
+        base.append(np.array(gains))
+        sym.append(layout._sym_vals)
+    return (layout, np.stack(base), np.stack(sym)) + draw(budgets(n))
+
+
+def assert_scan(layout, base, sym, d, groups, caps):
+    picks, gains = solvers._greedy(layout, base, sym, d, groups, caps)
+    want_picks, want_gains = greedy_scan(layout, base, sym, d, groups, caps)
+    assert picks.tobytes() == want_picks.tobytes()
+    assert gains.tobytes() == want_gains.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(scan_cases(), st.booleans())
+def test_greedy_equals_the_scan(case, eager):
+    """_greedy's picks and gains are the scan's, byte for byte, on R rows
+    (one vectorised round each) and on each row alone (runs and scan
+    rounds), with the default back-off and with a try after every run."""
+    layout, base, sym, d, groups, caps = case
+    with mock.patch.object(solvers, "_RUN_MIN", 1 if eager else solvers._RUN_MIN):
+        assert_scan(layout, base, sym, d, groups, caps)
+        for r in range(len(base)):
+            assert_scan(layout, base[r:r + 1], sym[r:r + 1], d, groups, caps)
+
+
+@pytest.mark.parametrize("kind", ["regime", "hard"])
+@pytest.mark.parametrize("targeting", [False, True])
+def test_greedy_equals_the_scan_at_scale(kind, targeting):
+    """On 1,500 units at a budget of 20%, long runs in the dominance regime
+    and short ones outside it, with one cap or two."""
+    states, weights = (DEFAULT_DIST, (1.0, 1.0)) if kind == "regime" else (
+        ((0.6, 0.4, 0.0),) * 2, (10.0, 1.0))
+    params = PARAMETER_SETS["set1"] if kind == "regime" else HARD
+    inst = draw_instance(1500, 0.01, params, 0.4, states, weights, 7)
+    groups = inst.pop.group if targeting else np.zeros(1500, dtype=np.int8)
+    caps = (120, 180) if targeting else (300,)
+    assert_scan(inst.ctx, inst.ctx._base_gain[None], inst.ctx._sym_vals[None], 300, groups, caps)
 
 
 def spill_count_case(n, clique, extra, allocations, seed):
